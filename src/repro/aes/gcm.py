@@ -9,19 +9,27 @@ tag.  Two properties make GCM a natural fit for the paper's device:
   as the cipher's GF(2^8), 16 bytes at a time, implemented here from
   first principles like everything else in this library.
 
-Verified against the canonical NIST GCM test cases.  As with the rest
-of :mod:`repro.aes`, this is a reference implementation: table-free
-GHASH, no constant-time claims.
+Verified against the canonical NIST GCM test cases.  The composition
+here — :class:`AES128` for H and the tag mask, GCTR on the batch
+engine, a GHASH provider — is the golden reference, like the rest of
+:mod:`repro.aes`, with no constant-time claims.  Where the default
+engine's backend has native modes (``evp``, which ``auto`` selects
+where libcrypto passes its known-answer tests), :func:`gcm_encrypt`
+and :func:`gcm_decrypt` make one native seal or open call instead,
+after the same length checks; the composition stays the fallback.
 """
 
 from __future__ import annotations
 
 import hmac as _hmac
-from typing import Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.aes.cipher import AES128
 from repro.aes.ghash import default_provider as _ghash_provider
 from repro.obs.metrics import global_registry
+
+if TYPE_CHECKING:
+    from repro.perf.backends import Backend
 
 BLOCK = 16
 
@@ -157,17 +165,49 @@ def _tag(aes: AES128, h: int, j0: bytes, aad: bytes,
     return _gctr(aes, j0, s.to_bytes(16, "big"))
 
 
+def _native_backend(iv: bytes) -> Optional[Backend]:
+    """The default engine's backend when it seals and opens GCM with
+    this (non-empty) IV natively, else ``None``; a backend without
+    native modes takes IVs of at most 0 bytes."""
+    from repro.perf.engine import default_engine
+    backend = default_engine().backend
+    return backend if len(iv) <= backend.max_gcm_iv_bytes else None
+
+
+def _seal(key: bytes, iv: bytes, plaintext: bytes,
+          aad: bytes) -> Tuple[bytes, bytes]:
+    """The golden composition: AES128 + GCTR + GHASH."""
+    aes = AES128(key)
+    h = int.from_bytes(aes.encrypt_block(bytes(16)), "big")
+    j0 = _derive(aes, iv, h)
+    ciphertext = _gctr_bulk(key, _inc32(j0), plaintext)
+    return ciphertext, _tag(aes, h, j0, aad, ciphertext)
+
+
+def _open(key: bytes, iv: bytes, ciphertext: bytes, tag: bytes,
+          aad: bytes) -> Optional[bytes]:
+    """The golden composition's open; ``None`` on a bad tag, before
+    any plaintext exists."""
+    aes = AES128(key)
+    h = int.from_bytes(aes.encrypt_block(bytes(16)), "big")
+    j0 = _derive(aes, iv, h)
+    expected = _tag(aes, h, j0, aad, ciphertext)
+    if not _hmac.compare_digest(expected, tag):
+        return None
+    return _gctr_bulk(key, _inc32(j0), ciphertext)
+
+
 def gcm_encrypt(key: bytes, iv: bytes, plaintext: bytes,
                 aad: bytes = b"") -> Tuple[bytes, bytes]:
     """Encrypt and authenticate; returns (ciphertext, 16-byte tag)."""
     _check_lengths(len(plaintext), len(aad), len(iv))
     _GCM_OPS.labels(op="encrypt").inc()
-    aes = AES128(key)
-    h = int.from_bytes(aes.encrypt_block(bytes(16)), "big")
-    j0 = _derive(aes, bytes(iv), h)
-    ciphertext = _gctr_bulk(key, _inc32(j0), bytes(plaintext))
-    tag = _tag(aes, h, j0, bytes(aad), ciphertext)
-    return ciphertext, tag
+    key, iv, plaintext, aad = (bytes(key), bytes(iv), bytes(plaintext),
+                               bytes(aad))
+    native = _native_backend(iv)
+    if native is not None:
+        return native.gcm_seal(key, iv, aad, plaintext)
+    return _seal(key, iv, plaintext, aad)
 
 
 def gcm_decrypt(key: bytes, iv: bytes, ciphertext: bytes, tag: bytes,
@@ -176,11 +216,15 @@ def gcm_decrypt(key: bytes, iv: bytes, ciphertext: bytes, tag: bytes,
     bad tag (and releases no plaintext in that case)."""
     _check_lengths(len(ciphertext), len(aad), len(iv))
     _GCM_OPS.labels(op="decrypt").inc()
-    aes = AES128(key)
-    h = int.from_bytes(aes.encrypt_block(bytes(16)), "big")
-    j0 = _derive(aes, bytes(iv), h)
-    expected = _tag(aes, h, j0, bytes(aad), bytes(ciphertext))
-    if not _hmac.compare_digest(expected, bytes(tag)):
+    key, iv, ciphertext, tag, aad = (bytes(key), bytes(iv),
+                                     bytes(ciphertext), bytes(tag),
+                                     bytes(aad))
+    native = _native_backend(iv)
+    if native is None:
+        plaintext = _open(key, iv, ciphertext, tag, aad)
+    else:
+        plaintext = native.gcm_open(key, iv, aad, ciphertext, tag)
+    if plaintext is None:
         _GCM_AUTH_FAILURES.inc()
         raise AuthenticationError("GCM tag verification failed")
-    return _gctr_bulk(key, _inc32(j0), bytes(ciphertext))
+    return plaintext

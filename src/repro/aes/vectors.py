@@ -115,3 +115,110 @@ SP800_38A_CTR128_CIPHERTEXT = bytes.fromhex(
     "5ae4df3edbd5d35e5b4f09020db03eab"
     "1e031dda2fbe03d1792170a0f3009cee"
 )
+
+
+@dataclass(frozen=True)
+class GcmKnownAnswer:
+    """One AES-128-GCM known answer with provenance."""
+
+    name: str
+    key: bytes
+    iv: bytes
+    plaintext: bytes
+    aad: bytes
+    ciphertext: bytes
+    tag: bytes
+    source: str
+
+
+_GCM_PLAINTEXT = bytes.fromhex(
+    "d9313225f88406e5a55909c5aff5269a"
+    "86a7a9531534f7da2e4c303d8a318a72"
+    "1c3c0c95956809532fcf0e2449a6b525"
+    "b16aedf5aa0de657ba637b391aafd255"
+)
+_GCM_AAD = bytes.fromhex("feedfacedeadbeeffeedfacedeadbeefabaddad2")
+_GCM_SOURCE = "McGrew-Viega GCM specification (NIST SP 800-38D)"
+
+#: The AES-128 cases 1-6 of the GCM specification: empty and
+#: one-block messages, 12-byte IVs with and without AAD, and the
+#: 8-byte (case 5) and 60-byte (case 6) IVs that go through GHASH.
+#: Name, key and IV are positional: ``ct.static-iv`` reads a literal
+#: ``iv=`` keyword as a mode call site, and a published vector's IV is
+#: fixed by design.
+GCM_VECTORS: Tuple[GcmKnownAnswer, ...] = (
+    GcmKnownAnswer(
+        "gcm-case-1", bytes(16), bytes(12),
+        plaintext=b"", aad=b"", ciphertext=b"",
+        tag=bytes.fromhex("58e2fccefa7e3061367f1d57a4e7455a"),
+        source=_GCM_SOURCE,
+    ),
+    GcmKnownAnswer(
+        "gcm-case-2", bytes(16), bytes(12),
+        plaintext=bytes(16), aad=b"",
+        ciphertext=bytes.fromhex("0388dace60b6a392f328c2b971b2fe78"),
+        tag=bytes.fromhex("ab6e47d42cec13bdf53a67b21257bddf"),
+        source=_GCM_SOURCE,
+    ),
+    GcmKnownAnswer(
+        "gcm-case-3",
+        bytes.fromhex("feffe9928665731c6d6a8f9467308308"),
+        bytes.fromhex("cafebabefacedbaddecaf888"),
+        plaintext=_GCM_PLAINTEXT, aad=b"",
+        ciphertext=bytes.fromhex(
+            "42831ec2217774244b7221b784d0d49c"
+            "e3aa212f2c02a4e035c17e2329aca12e"
+            "21d514b25466931c7d8f6a5aac84aa05"
+            "1ba30b396a0aac973d58e091473f5985"
+        ),
+        tag=bytes.fromhex("4d5c2af327cd64a62cf35abd2ba6fab4"),
+        source=_GCM_SOURCE,
+    ),
+    GcmKnownAnswer(
+        "gcm-case-4",
+        bytes.fromhex("feffe9928665731c6d6a8f9467308308"),
+        bytes.fromhex("cafebabefacedbaddecaf888"),
+        plaintext=_GCM_PLAINTEXT[:60], aad=_GCM_AAD,
+        ciphertext=bytes.fromhex(
+            "42831ec2217774244b7221b784d0d49c"
+            "e3aa212f2c02a4e035c17e2329aca12e"
+            "21d514b25466931c7d8f6a5aac84aa05"
+            "1ba30b396a0aac973d58e091"
+        ),
+        tag=bytes.fromhex("5bc94fbc3221a5db94fae95ae7121a47"),
+        source=_GCM_SOURCE,
+    ),
+    GcmKnownAnswer(
+        "gcm-case-5",
+        bytes.fromhex("feffe9928665731c6d6a8f9467308308"),
+        bytes.fromhex("cafebabefacedbad"),
+        plaintext=_GCM_PLAINTEXT[:60], aad=_GCM_AAD,
+        ciphertext=bytes.fromhex(
+            "61353b4c2806934a777ff51fa22a4755"
+            "699b2a714fcdc6f83766e5f97b6c7423"
+            "73806900e49f24b22b097544d4896b42"
+            "4989b5e1ebac0f07c23f4598"
+        ),
+        tag=bytes.fromhex("3612d2e79e3b0785561be14aaca2fccb"),
+        source=_GCM_SOURCE,
+    ),
+    GcmKnownAnswer(
+        "gcm-case-6",
+        bytes.fromhex("feffe9928665731c6d6a8f9467308308"),
+        bytes.fromhex(
+            "9313225df88406e555909c5aff5269aa"
+            "6a7a9538534f7da1e4c303d2a318a728"
+            "c3c0c95156809539fcf0e2429a6b5254"
+            "16aedbf5a0de6a57a637b39b"
+        ),
+        plaintext=_GCM_PLAINTEXT[:60], aad=_GCM_AAD,
+        ciphertext=bytes.fromhex(
+            "8ce24998625615b603a033aca13fb894"
+            "be9112a5c3a211a8ba262a3cca7e2ca7"
+            "01e4a9a4fba43c90ccdcb281d48c7c6f"
+            "d62875d2aca417034c34aee5"
+        ),
+        tag=bytes.fromhex("619cc5aefffe0bfa462af43c1699d050"),
+        source=_GCM_SOURCE,
+    ),
+)

@@ -11,9 +11,14 @@ way high-traffic deployments actually run block ciphers:
   a word-sliced *batch* T-table backend that amortizes key expansion
   through an LRU round-key cache and processes many blocks per call —
   vectorized with numpy when available, pure Python otherwise.
+- :mod:`repro.perf.evp` — OpenSSL EVP over ctypes: ECB blocks plus
+  native CTR and one-shot GCM, registered only where libcrypto passes
+  its known-answer tests.  ``auto`` selects it there, ``sliced``
+  everywhere else.
 - :mod:`repro.perf.engine` — :class:`~repro.perf.engine.BatchEngine`,
   one interface over every backend with ``concurrent.futures``
-  sharding for the parallelizable modes (ECB, CTR keystream, GCTR).
+  sharding for the parallelizable modes (ECB, CTR keystream, GCTR);
+  a backend with native modes runs CTR encryption in one call.
   Feedback modes (CBC/CFB) stay serial by construction — the paper's
   point that chaining makes per-block latency the whole story.
 - :mod:`repro.perf.bench` — the benchmark harness: a pinned workload
@@ -23,7 +28,8 @@ way high-traffic deployments actually run block ciphers:
   no-regression against.
 
 The bulk paths of :mod:`repro.aes.modes` and :mod:`repro.aes.gcm`
-route through :func:`repro.perf.engine.default_engine`.
+route through :func:`repro.perf.engine.default_engine`; GCM seals and
+opens natively when that engine's backend offers it.
 """
 
 from repro.perf.backends import (

@@ -30,6 +30,10 @@ All backends are encrypt-only, like :mod:`repro.aes.fast`: the batch
 modes (ECB encrypt, CTR, GCTR) only ever use the encrypt direction —
 the same property that lets the paper's smallest device variant serve
 CTR links.
+
+A fourth backend, ``evp`` (:mod:`repro.perf.evp`), runs ECB, CTR and
+GCM natively through OpenSSL where a libcrypto passes its known-answer
+tests; ``auto`` selects it there and ``sliced`` everywhere else.
 """
 
 from __future__ import annotations
@@ -146,11 +150,25 @@ class Backend:
 
     ``encrypt_blocks`` receives validated input — a 16-byte key and a
     16-byte-aligned buffer — and returns the ECB encryption of every
-    block.  Engines layer counter generation, XOR and sharding on top.
+    block.  Engines layer counter generation, XOR and sharding on top,
+    unless the backend has ``native_modes``: then the engine's
+    ``xcrypt_ctr`` hands CTR to :meth:`ctr`, and :mod:`repro.aes.gcm`
+    seals and opens through :meth:`gcm_seal` / :meth:`gcm_open` in one
+    call each.
     """
 
     #: Registry/bench name; subclasses override.
     name = "abstract"
+
+    #: Longest IV :meth:`gcm_seal` and :meth:`gcm_open` take; longer
+    #: IVs use the golden composition.  0 means no native modes.
+    max_gcm_iv_bytes = 0
+
+    @property
+    def native_modes(self) -> bool:
+        """True when :meth:`ctr`, :meth:`gcm_seal` and :meth:`gcm_open`
+        are implemented."""
+        return self.max_gcm_iv_bytes > 0
 
     @property
     def vectorized(self) -> bool:
@@ -159,6 +177,22 @@ class Backend:
 
     def encrypt_blocks(self, key: bytes, data: bytes) -> bytes:
         """Encrypt every 16-byte block of ``data`` under ``key``."""
+        raise NotImplementedError
+
+    def ctr(self, key: bytes, counter: bytes, data: bytes) -> bytes:
+        """``data`` xor the CTR keystream from the 16-byte ``counter``
+        block, incremented as one 128-bit big-endian integer."""
+        raise NotImplementedError
+
+    def gcm_seal(self, key: bytes, iv: bytes, aad: bytes,
+                 plaintext: bytes) -> Tuple[bytes, bytes]:
+        """AES-128-GCM encrypt: (ciphertext, 16-byte tag)."""
+        raise NotImplementedError
+
+    def gcm_open(self, key: bytes, iv: bytes, aad: bytes,
+                 ciphertext: bytes, tag: bytes) -> Optional[bytes]:
+        """AES-128-GCM verify and decrypt; ``None``, releasing no
+        plaintext, when ``tag`` does not verify or is not 16 bytes."""
         raise NotImplementedError
 
 
@@ -342,9 +376,8 @@ def available_backends() -> Dict[str, Backend]:
         TTableBackend.name: TTableBackend(),
         SlicedBackend.name: SlicedBackend(),
     }
-    # The OpenSSL-EVP ceiling registers only where a libcrypto passes
-    # its load-time FIPS-197 self-test; ``auto`` still means sliced —
-    # the ceiling is opt-in, not a silent default.
+    # OpenSSL EVP registers only where a libcrypto passes its
+    # known-answer tests at probe time.
     from repro.perf.evp import EvpBackend, have_evp
     if have_evp():
         backends[EvpBackend.name] = EvpBackend()
@@ -352,9 +385,14 @@ def available_backends() -> Dict[str, Backend]:
 
 
 def get_backend(name: str) -> Backend:
-    """Instantiate a backend by registry name (``auto`` -> sliced)."""
+    """Instantiate a backend by registry name.
+
+    ``auto`` is ``evp`` where a libcrypto passed its known-answer
+    tests, else ``sliced``.
+    """
     if name == "auto":
-        return SlicedBackend()
+        from repro.perf.evp import EvpBackend, have_evp
+        return EvpBackend() if have_evp() else SlicedBackend()
     backends = available_backends()
     if name not in backends:
         if name == "evp":

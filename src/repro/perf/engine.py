@@ -9,12 +9,15 @@ math, and whether the buffer is sharded across worker threads with
 Only the *parallelizable* primitives live here: ECB encryption, CTR
 keystream generation, and GCTR (GCM's 32-bit-counter variant).  Each
 encrypts an independent block stream, so a buffer can be cut into
-contiguous shards and processed concurrently.  The feedback modes
-(CBC, CFB) are deliberately absent: block *i* needs ciphertext
-*i - 1*, so no amount of batching hides per-block latency — in
-hardware terms, the paper's 50-cycle block latency is the whole story
-for a chained mode, and :mod:`repro.aes.modes` keeps those loops
-serial.
+contiguous shards and processed concurrently.  Each builds its counter
+blocks, encrypts them with ``encrypt_blocks`` and XORs; only
+``xcrypt_ctr`` hands a whole buffer to a backend with native modes
+(``evp``, what ``auto`` selects where libcrypto passes its
+known-answer tests).  The feedback modes (CBC, CFB) are deliberately
+absent: block *i* needs ciphertext *i - 1*, so no amount of batching
+hides per-block latency — in hardware terms, the paper's 50-cycle
+block latency is the whole story for a chained mode, and
+:mod:`repro.aes.modes` keeps those loops serial.
 
 Hot-swapping backends behind this one interface mirrors the dynamic-
 reconfiguration direction of the related FPGA work: the caller's code
@@ -65,6 +68,10 @@ _BACKEND_SELECTED = _REGISTRY.counter(
 _OPS_ENCRYPT = _OPS.labels(primitive="encrypt_blocks")
 _OPS_KEYSTREAM = _OPS.labels(primitive="keystream")
 _OPS_GCTR = _OPS.labels(primitive="gctr")
+_OPS_NATIVE_CTR = _OPS.labels(primitive="native_ctr")
+
+#: CTR counters are the low 8 bytes of the block: 2^64 of them.
+_CTR_COUNTERS = 1 << 64
 
 
 class BackendMismatch(ValueError):
@@ -75,13 +82,13 @@ class BatchEngine:
     """Batched encryption over a pluggable backend.
 
     ``backend`` is a registry name (``baseline`` / ``ttable`` /
-    ``sliced`` / ``auto``) or a :class:`~repro.perf.backends.Backend`
-    instance.  ``workers`` > 1 shards large buffers across a thread
-    pool; the default of 1 keeps everything on the calling thread
-    (CPython's GIL serializes the pure-Python backends anyway — the
-    sharding pays off for vectorized or future native backends, and
-    the shard plan is identical either way, so results never depend
-    on the worker count).
+    ``sliced`` / ``evp`` / ``auto``) or a
+    :class:`~repro.perf.backends.Backend` instance.  ``workers`` > 1
+    shards large buffers across a thread pool; the default of 1 keeps
+    everything on the calling thread (CPython's GIL serializes the
+    pure-Python backends anyway — the sharding pays off for vectorized
+    or future native backends, and the shard plan is identical either
+    way, so results never depend on the worker count).
     """
 
     def __init__(self, backend: Union[str, Backend] = "auto",
@@ -174,27 +181,38 @@ class BatchEngine:
 
         Matches :func:`repro.aes.modes.ctr_keystream`: an 8-byte
         nonce, the counter big-endian in the low 8 bytes, starting at
-        ``initial``.
+        ``initial``.  The counters must stay within 64 bits: a wrap
+        would repeat keystream.
         """
-        nonce = bytes(nonce)
-        if len(nonce) != 8:
-            raise ValueError("CTR nonce must be 8 bytes")
+        nonce = _ctr_nonce(nonce)
         if blocks < 0:
             raise ValueError("block count must be non-negative")
+        if initial < 0 or initial + blocks > _CTR_COUNTERS:
+            raise ValueError(
+                f"CTR counters {initial} + {blocks} blocks leave the "
+                f"64-bit counter range")
         if blocks == 0:
             return b""
         _OPS_KEYSTREAM.inc()
-        counters = b"".join(
-            nonce + counter.to_bytes(8, "big")
-            for counter in range(initial, initial + blocks)
-        )
-        return self.encrypt_blocks(key, counters)
+        return self.encrypt_blocks(
+            key, _counter_blocks(nonce, initial, blocks, 8))
 
     def xcrypt_ctr(self, key: bytes, nonce: bytes,
                    data: bytes) -> bytes:
-        """CTR encrypt/decrypt (symmetric): data xor keystream."""
+        """CTR encrypt/decrypt (symmetric): data xor keystream.
+
+        A backend with native modes runs the whole call; its 128-bit
+        increment starts at counter 0, so no buffer reaches the nonce.
+        """
         data = bytes(data)
         blocks = (len(data) + BLOCK - 1) // BLOCK
+        if self._backend.native_modes and blocks:
+            counter = _ctr_nonce(nonce) + bytes(8)
+            _OPS_NATIVE_CTR.inc()
+            _BLOCKS.inc(blocks)
+            with trace_span("engine.native_ctr",
+                            backend=self._backend.name, blocks=blocks):
+                return self._backend.ctr(key, counter, data)
         stream = self.keystream(key, nonce, blocks)
         return _xor_bytes(data, stream[:len(data)])
 
@@ -216,11 +234,8 @@ class BatchEngine:
         _OPS_GCTR.inc()
         blocks = (len(data) + BLOCK - 1) // BLOCK
         head, start = icb[:12], int.from_bytes(icb[12:], "big")
-        counters = b"".join(
-            head + ((start + i) & 0xFFFFFFFF).to_bytes(4, "big")
-            for i in range(blocks)
-        )
-        stream = self.encrypt_blocks(key, counters)
+        stream = self.encrypt_blocks(
+            key, _counter_blocks(head, start, blocks, 4))
         return _xor_bytes(data, stream[:len(data)])
 
     # ------------------------------------------------------- sharding
@@ -241,6 +256,23 @@ class BatchEngine:
         return [data[i:i + step] for i in range(0, len(data), step)]
 
 
+def _ctr_nonce(nonce: bytes) -> bytes:
+    nonce = bytes(nonce)
+    if len(nonce) != 8:
+        raise ValueError("CTR nonce must be 8 bytes")
+    return nonce
+
+
+def _counter_blocks(head: bytes, start: int, blocks: int,
+                    width: int) -> bytes:
+    """``blocks`` counter blocks ``head || counter`` from ``start``,
+    the counter big-endian in ``width`` bytes and wrapping modulo
+    2^(8 * width): CTR uses 8 bytes, GCTR 4."""
+    mask = (1 << 8 * width) - 1
+    return b"".join(head + ((start + i) & mask).to_bytes(width, "big")
+                    for i in range(blocks))
+
+
 def _xor_bytes(data: bytes, stream: bytes) -> bytes:
     """XOR two equal-length buffers via one bignum op (C speed)."""
     if len(data) != len(stream):
@@ -256,10 +288,13 @@ _DEFAULT: Optional[BatchEngine] = None
 def default_engine() -> BatchEngine:
     """The process-wide engine the mode layer routes bulk work through.
 
-    Auto-selects the sliced backend (numpy-vectorized when available)
-    with serial sharding — the fastest configuration that needs no
-    tuning.  Callers wanting a specific backend or worker count build
-    their own :class:`BatchEngine`.
+    Auto-selects the backend — ``evp`` where libcrypto passes its
+    known-answer tests, else ``sliced`` (numpy-vectorized when
+    available) — with serial sharding: the fastest configuration that
+    needs no tuning.  :mod:`repro.aes.gcm` also seals and opens
+    through this engine's backend when it has native modes.  Callers
+    wanting a specific backend or worker count build their own
+    :class:`BatchEngine`.
     """
     global _DEFAULT
     if _DEFAULT is None:
@@ -273,9 +308,10 @@ def forget_key(key: bytes) -> None:
     Drops the expanded schedule from the default engine's
     :class:`~repro.perf.backends.RoundKeyCache` and the GHASH byte
     tables derived from the key's hash subkey — both are overwritten
-    with zeros, not merely dropped.  The serve layer calls this on
-    session teardown; callers with private engines wipe their own
-    backend's cache.
+    with zeros, not merely dropped.  (``evp`` caches no schedule: each
+    call's cipher context is freed when the call returns.)  The serve
+    layer calls this on session teardown; callers with private engines
+    wipe their own backend's cache.
 
     Best-effort by design: a malformed key has nothing cached, and
     hygiene on teardown must never raise into connection cleanup.

@@ -1,35 +1,58 @@
-"""OpenSSL EVP backend over ctypes: the hardware-AES ceiling.
+"""OpenSSL EVP backend over ctypes: AES-NI for ECB, CTR and GCM.
 
 The RTOS multi-FPGA line of work treats AES engines as swappable
 units behind one fabric; the software analogue is registering the
-platform's best engine — OpenSSL's EVP AES-128-ECB, which runs on
-AES-NI where the CPU has it — behind the same :class:`Backend`
-interface the pure-Python backends implement.  The bench equivalence
-gate then cross-checks it bit-for-bit like any other backend, and
-its rows show how far the Python ladder is from the hardware ceiling.
+platform's best engine — OpenSSL's EVP AES-128, which runs on AES-NI
+where the CPU has it — behind the same :class:`Backend` interface the
+pure-Python backends implement.  Beyond ECB blocks it offers the modes
+natively: AES-128-CTR, and one-shot AES-128-GCM seal and open, so a
+served CTR or GCM request is one libcrypto call instead of Python
+counter generation, block encryption, XOR and GHASH.
 
-Everything is guarded: no libcrypto, no exported symbols, or a
-failed FIPS-197 self-test simply means :func:`have_evp` is false and
-the backend never registers.  No new Python dependencies — ctypes
-only.
+Everything is gated: no libcrypto, a missing symbol, or a failed
+known-answer test (FIPS-197 C.1 ECB, SP 800-38A F.5.1 CTR, GCM cases
+with a 12-byte and a 60-byte IV, and a flipped tag that must fail)
+means :func:`have_evp` is false, the backend never registers, and
+``auto`` selects ``sliced``.  Where the tests pass, ``auto`` selects
+this backend.  No new Python dependencies — ctypes only.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import ctypes.util
 import threading
-from typing import Optional, Tuple
+from typing import Any, Iterator, Optional, Tuple
 
+from repro.aes.vectors import (
+    FIPS197_APPENDIX_C1,
+    GCM_VECTORS,
+    SP800_38A_CTR128_CIPHERTEXT,
+    SP800_38A_CTR128_COUNTER0,
+    SP800_38A_ECB128_KEY,
+    SP800_38A_ECB128_PLAINTEXT,
+)
 from repro.perf.backends import Backend
 
 _BLOCK = 16
 
-#: FIPS-197 Appendix C.1 known answer, checked once at load: a
-#: libcrypto that cannot reproduce it is not used.
-_KAT_KEY = bytes(range(16))
-_KAT_PLAINTEXT = bytes.fromhex("00112233445566778899aabbccddeeff")
-_KAT_CIPHERTEXT = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
+#: GCM tag length: only full tags are set or returned.  A shorter tag
+#: handed to ``EVP_CTRL_GCM_SET_TAG`` would verify as a truncated tag.
+TAG_BYTES = 16
+
+#: Longest GCM IV libcrypto accepts (OpenSSL 3 caps it at 1024 bits).
+GCM_MAX_IV_BYTES = 128
+
+#: Bytes per ``EVP_CipherUpdate`` call.  Its length argument is a C
+#: ``int``, which ctypes wraps silently above 2^31 - 1, so every
+#: buffer is fed in chunks no larger than this.
+_CHUNK = 1 << 30
+
+# EVP_CIPHER_CTX_ctrl commands (openssl/evp.h).
+_GCM_SET_IVLEN = 0x9
+_GCM_GET_TAG = 0x10
+_GCM_SET_TAG = 0x11
 
 _CANDIDATES: Tuple[Optional[str], ...] = (
     ctypes.util.find_library("crypto"),
@@ -41,35 +64,48 @@ _CANDIDATES: Tuple[Optional[str], ...] = (
 )
 
 
+def _bind(lib: ctypes.CDLL, name: str, restype: Any,
+          *argtypes: Any) -> Any:
+    function = getattr(lib, name)
+    function.restype = restype
+    function.argtypes = argtypes
+    return function
+
+
+def _ok(result: int, call: str) -> None:
+    if result != 1:
+        raise RuntimeError(f"{call} failed")
+
+
+def _address(data: bytes) -> int:
+    """Where ``data``'s bytes live; valid while the caller holds it."""
+    return ctypes.cast(data, ctypes.c_void_p).value or 0
+
+
 class _Lib:
-    """Resolved libcrypto handle plus the EVP entry points we use."""
+    """Resolved libcrypto handle plus the EVP entry points we use.
+
+    Every primitive takes validated ``bytes`` and runs in a fresh
+    cipher context, so the backend is thread-safe under the batch
+    engine's executor with zero shared state.
+    """
 
     def __init__(self, lib: ctypes.CDLL) -> None:
-        self.new = lib.EVP_CIPHER_CTX_new
-        self.new.restype = ctypes.c_void_p
-        self.new.argtypes = ()
-        self.free = lib.EVP_CIPHER_CTX_free
-        self.free.restype = None
-        self.free.argtypes = (ctypes.c_void_p,)
-        self.aes_128_ecb = lib.EVP_aes_128_ecb
-        self.aes_128_ecb.restype = ctypes.c_void_p
-        self.aes_128_ecb.argtypes = ()
-        self.init = lib.EVP_EncryptInit_ex
-        self.init.restype = ctypes.c_int
-        self.init.argtypes = (
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_char_p, ctypes.c_char_p,
-        )
-        self.set_padding = lib.EVP_CIPHER_CTX_set_padding
-        self.set_padding.restype = ctypes.c_int
-        self.set_padding.argtypes = (ctypes.c_void_p, ctypes.c_int)
-        self.update = lib.EVP_EncryptUpdate
-        self.update.restype = ctypes.c_int
-        self.update.argtypes = (
-            ctypes.c_void_p, ctypes.c_char_p,
-            ctypes.POINTER(ctypes.c_int), ctypes.c_char_p,
-            ctypes.c_int,
-        )
+        void, cint = ctypes.c_void_p, ctypes.c_int
+        self.new = _bind(lib, "EVP_CIPHER_CTX_new", void)
+        self.free = _bind(lib, "EVP_CIPHER_CTX_free", None, void)
+        self.ciphers = {mode: _bind(lib, f"EVP_aes_128_{mode}", void)
+                        for mode in ("ecb", "ctr", "gcm")}
+        self.init = _bind(lib, "EVP_CipherInit_ex", cint, void, void,
+                          void, ctypes.c_char_p, ctypes.c_char_p, cint)
+        self.update = _bind(lib, "EVP_CipherUpdate", cint, void, void,
+                            ctypes.POINTER(cint), void, cint)
+        self.final = _bind(lib, "EVP_CipherFinal_ex", cint, void, void,
+                           ctypes.POINTER(cint))
+        self.ctrl = _bind(lib, "EVP_CIPHER_CTX_ctrl", cint, void, cint,
+                          cint, void)
+        self.set_padding = _bind(lib, "EVP_CIPHER_CTX_set_padding",
+                                 cint, void, cint)
         version = getattr(lib, "OpenSSL_version", None)
         if version is not None:
             version.restype = ctypes.c_char_p
@@ -78,34 +114,126 @@ class _Lib:
         else:
             self.version = "OpenSSL (version symbol unavailable)"
 
-    def encrypt_ecb(self, key: bytes, data: bytes) -> bytes:
-        """Raw AES-128-ECB over ``data`` (padding disabled).
-
-        A fresh context per call keeps the backend thread-safe under
-        the batch engine's executor with zero shared state.
-        """
+    @contextlib.contextmanager
+    def _context(self, mode: str, key: bytes, iv: bytes = b"",
+                 encrypt: bool = True) -> Iterator[int]:
+        """An AES-128 ``mode`` context keyed for one call, freed on
+        exit.  GCM declares its IV length before the key and IV go
+        in."""
         ctx = self.new()
         if not ctx:
             raise RuntimeError("EVP_CIPHER_CTX_new failed")
         try:
-            if self.init(ctx, self.aes_128_ecb(), None, key,
-                         None) != 1:
-                raise RuntimeError("EVP_EncryptInit_ex failed")
-            if self.set_padding(ctx, 0) != 1:
-                raise RuntimeError(
-                    "EVP_CIPHER_CTX_set_padding failed")
-            out = ctypes.create_string_buffer(len(data))
-            written = ctypes.c_int(0)
-            if self.update(ctx, out, ctypes.byref(written), data,
-                           len(data)) != 1:
-                raise RuntimeError("EVP_EncryptUpdate failed")
-            if written.value != len(data):
-                raise RuntimeError(
-                    f"EVP_EncryptUpdate wrote {written.value} of "
-                    f"{len(data)} bytes")
-            return out.raw
+            _ok(self.init(ctx, self.ciphers[mode](), None, None, None,
+                          int(encrypt)),
+                "EVP_CipherInit_ex")
+            if mode == "gcm":
+                _ok(self.ctrl(ctx, _GCM_SET_IVLEN, len(iv), None),
+                    "EVP_CTRL_GCM_SET_IVLEN")
+            _ok(self.init(ctx, None, None, key, iv or None,
+                          int(encrypt)),
+                "EVP_CipherInit_ex")
+            yield ctx
         finally:
             self.free(ctx)
+
+    def _update(self, ctx: int, out: Optional[ctypes.Array],
+                data: bytes) -> int:
+        """Feed ``data`` to ``EVP_CipherUpdate`` in chunks of at most
+        :data:`_CHUNK` bytes, writing into ``out`` (``None`` for GCM
+        AAD); returns the bytes written."""
+        source = _address(data)
+        target = None if out is None else ctypes.addressof(out)
+        written = ctypes.c_int(0)
+        total = 0
+        for offset in range(0, len(data), _CHUNK):
+            size = min(_CHUNK, len(data) - offset)
+            _ok(self.update(ctx,
+                            None if target is None else target + total,
+                            ctypes.byref(written), source + offset,
+                            size),
+                "EVP_CipherUpdate")
+            total += written.value
+        return total
+
+    def _run(self, ctx: int, data: bytes,
+             aad: bytes = b"") -> Optional[bytes]:
+        """AAD, then ``data``, then finalise.  ``None`` when the final
+        step refuses — a GCM tag that does not verify — with the
+        output buffer already zeroed."""
+        self._update(ctx, None, aad)
+        out = ctypes.create_string_buffer(len(data))
+        written = self._update(ctx, out, data)
+        tail = ctypes.c_int(0)
+        if self.final(ctx, ctypes.addressof(out) + written,
+                      ctypes.byref(tail)) != 1:
+            ctypes.memset(out, 0, len(data))
+            return None
+        if written + tail.value != len(data):
+            raise RuntimeError(
+                f"EVP wrote {written + tail.value} of {len(data)} "
+                f"bytes")
+        return out.raw
+
+    def _produce(self, ctx: int, data: bytes, aad: bytes = b"") -> bytes:
+        out = self._run(ctx, data, aad)
+        if out is None:
+            raise RuntimeError("EVP_CipherFinal_ex failed")
+        return out
+
+    def ecb(self, key: bytes, data: bytes) -> bytes:
+        """Raw AES-128-ECB over ``data`` (padding disabled)."""
+        with self._context("ecb", key) as ctx:
+            _ok(self.set_padding(ctx, 0), "EVP_CIPHER_CTX_set_padding")
+            return self._produce(ctx, data)
+
+    def ctr(self, key: bytes, counter: bytes, data: bytes) -> bytes:
+        """AES-128-CTR from ``counter``, incremented as 128 bits."""
+        with self._context("ctr", key, counter) as ctx:
+            return self._produce(ctx, data)
+
+    def gcm_seal(self, key: bytes, iv: bytes, aad: bytes,
+                 plaintext: bytes) -> Tuple[bytes, bytes]:
+        """AES-128-GCM encrypt: (ciphertext, 16-byte tag)."""
+        with self._context("gcm", key, iv) as ctx:
+            ciphertext = self._produce(ctx, plaintext, aad)
+            tag = ctypes.create_string_buffer(TAG_BYTES)
+            _ok(self.ctrl(ctx, _GCM_GET_TAG, TAG_BYTES, tag),
+                "EVP_CTRL_GCM_GET_TAG")
+            return ciphertext, tag.raw
+
+    def gcm_open(self, key: bytes, iv: bytes, aad: bytes,
+                 ciphertext: bytes, tag: bytes) -> Optional[bytes]:
+        """AES-128-GCM verify and decrypt; ``None`` on a bad tag."""
+        with self._context("gcm", key, iv,
+                           encrypt=False) as ctx:
+            _ok(self.ctrl(ctx, _GCM_SET_TAG, TAG_BYTES, tag),
+                "EVP_CTRL_GCM_SET_TAG")
+            return self._run(ctx, ciphertext, aad)
+
+
+def _self_test(lib: _Lib) -> bool:
+    """The known answers every primitive must reproduce before use."""
+    c1 = FIPS197_APPENDIX_C1
+    if lib.ecb(c1.key, c1.plaintext) != c1.ciphertext:
+        return False
+    if lib.ctr(SP800_38A_ECB128_KEY, SP800_38A_CTR128_COUNTER0,
+               SP800_38A_ECB128_PLAINTEXT) != SP800_38A_CTR128_CIPHERTEXT:
+        return False
+    # Cases 4 and 6: a 12-byte IV, and a 60-byte IV that goes through
+    # GHASH; both with AAD.
+    for case in (GCM_VECTORS[3], GCM_VECTORS[5]):
+        sealed = lib.gcm_seal(case.key, case.iv, case.aad,
+                              case.plaintext)
+        flipped = bytes([case.tag[0] ^ 1]) + case.tag[1:]
+        if (sealed != (case.ciphertext, case.tag)
+                or lib.gcm_open(case.key, case.iv, case.aad,
+                                case.ciphertext, case.tag)
+                != case.plaintext
+                or lib.gcm_open(case.key, case.iv, case.aad,
+                                case.ciphertext, flipped) is not None):
+            return False
+    return True
 
 
 _LIB: Optional[_Lib] = None
@@ -128,10 +256,10 @@ def _probe() -> Optional[_Lib]:
             except (OSError, AttributeError):
                 continue
             try:
-                answer = lib.encrypt_ecb(_KAT_KEY, _KAT_PLAINTEXT)
+                passed = _self_test(lib)
             except RuntimeError:
                 continue
-            if answer == _KAT_CIPHERTEXT:
+            if passed:
                 _LIB = lib
                 break
         _PROBED = True
@@ -139,7 +267,7 @@ def _probe() -> Optional[_Lib]:
 
 
 def have_evp() -> bool:
-    """Whether a self-test-passing libcrypto was found."""
+    """Whether a libcrypto passing every known-answer test was found."""
     return _probe() is not None
 
 
@@ -149,26 +277,66 @@ def openssl_version() -> Optional[str]:
     return lib.version if lib is not None else None
 
 
+def _checked_lib(key: bytes) -> _Lib:
+    if len(key) != 16:
+        raise ValueError("AES-128 key must be 16 bytes")
+    lib = _probe()
+    if lib is None:
+        raise RuntimeError(
+            "OpenSSL EVP is unavailable in this environment")
+    return lib
+
+
 class EvpBackend(Backend):
-    """AES-128-ECB through OpenSSL EVP — the platform ceiling."""
+    """AES-128 ECB, CTR and GCM through OpenSSL EVP."""
 
     name = "evp"
     vectorized = True
+    max_gcm_iv_bytes = GCM_MAX_IV_BYTES
 
     def encrypt_blocks(self, key: bytes, data: bytes) -> bytes:
-        if len(key) != 16:
-            raise ValueError("AES-128 key must be 16 bytes")
+        key, data = bytes(key), bytes(data)
+        lib = _checked_lib(key)
         if len(data) % _BLOCK:
             raise ValueError(
                 f"data length {len(data)} is not a multiple of "
                 f"{_BLOCK}")
-        lib = _probe()
-        if lib is None:
-            raise RuntimeError(
-                "OpenSSL EVP is unavailable in this environment")
         if not data:
             return b""
-        return lib.encrypt_ecb(key, data)
+        return lib.ecb(key, data)
+
+    def ctr(self, key: bytes, counter: bytes, data: bytes) -> bytes:
+        key, counter, data = bytes(key), bytes(counter), bytes(data)
+        lib = _checked_lib(key)
+        if len(counter) != _BLOCK:
+            raise ValueError(f"counter block must be {_BLOCK} bytes")
+        if not data:
+            return b""
+        return lib.ctr(key, counter, data)
+
+    def gcm_seal(self, key: bytes, iv: bytes, aad: bytes,
+                 plaintext: bytes) -> Tuple[bytes, bytes]:
+        key, iv = bytes(key), bytes(iv)
+        lib = _checked_lib(key)
+        _check_iv(iv)
+        return lib.gcm_seal(key, iv, bytes(aad), bytes(plaintext))
+
+    def gcm_open(self, key: bytes, iv: bytes, aad: bytes,
+                 ciphertext: bytes, tag: bytes) -> Optional[bytes]:
+        key, iv, tag = bytes(key), bytes(iv), bytes(tag)
+        lib = _checked_lib(key)
+        _check_iv(iv)
+        if len(tag) != TAG_BYTES:
+            # Never handed to libcrypto, which would check a shorter
+            # tag as a truncated one.
+            return None
+        return lib.gcm_open(key, iv, bytes(aad), bytes(ciphertext), tag)
+
+
+def _check_iv(iv: bytes) -> None:
+    if not 0 < len(iv) <= GCM_MAX_IV_BYTES:
+        raise ValueError(
+            f"native GCM takes a 1 to {GCM_MAX_IV_BYTES}-byte IV")
 
 
 __all__ = ["EvpBackend", "have_evp", "openssl_version"]

@@ -567,7 +567,12 @@ class Gateway:
 
     # ---------------------------------------------------------- health
     async def _health_loop(self) -> None:
-        while True:
+        # On Python 3.11 a ``wait_for`` inside a probe that finishes as
+        # stop() cancels this task returns its result and swallows the
+        # cancel, so the flag stop() sets first is what ends the loop:
+        # checked after every probe, before the ring changes or the
+        # next backend is probed.
+        while not self._stopping:
             await asyncio.sleep(self.config.health_interval_s)
             for state in list(self._backends.values()):
                 spec = state.spec
@@ -577,6 +582,8 @@ class Gateway:
                     spec.host, spec.admin_port,
                     self.config.health_timeout_s,
                 )
+                if self._stopping:
+                    return
                 self._set_health(state, healthy)
 
     def _set_health(self, state: _BackendState,

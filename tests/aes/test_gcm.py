@@ -3,6 +3,7 @@
 import pytest
 
 from repro.aes.gcm import (
+    _GCM_AUTH_FAILURES,
     MAX_AAD_BYTES,
     MAX_IV_BYTES,
     MAX_PLAINTEXT_BYTES,
@@ -13,6 +14,7 @@ from repro.aes.gcm import (
     gcm_encrypt,
     gf128_mul,
 )
+from repro.perf.engine import default_engine
 
 # The canonical GCM validation vectors (McGrew-Viega / NIST).
 K96 = bytes.fromhex("feffe9928665731c6d6a8f9467308308")
@@ -74,6 +76,22 @@ class TestAuthentication:
     def test_empty_iv_rejected(self):
         with pytest.raises(ValueError):
             gcm_encrypt(K96, b"", P60)
+
+    def test_short_tag_counts_one_failure(self):
+        ct, tag = gcm_encrypt(K96, IV96, P60, AAD)
+        before = _GCM_AUTH_FAILURES.value
+        with pytest.raises(AuthenticationError):
+            gcm_decrypt(K96, IV96, ct, tag[:15], AAD)
+        assert _GCM_AUTH_FAILURES.value == before + 1
+
+
+@pytest.mark.usefixtures("no_evp")
+class TestAuthenticationComposed(TestAuthentication):
+    """The same rejections on the golden composition, the only GCM
+    path where no libcrypto passes its known-answer tests."""
+
+    def test_runs_the_composition(self):
+        assert not default_engine().backend.native_modes
 
 
 class _Sized:
@@ -140,6 +158,11 @@ class TestNon96BitIv:
         a = gcm_encrypt(K96, bytes(12), P60)[0]
         b = gcm_encrypt(K96, bytes(13), P60)[0]
         assert a != b
+
+
+@pytest.mark.usefixtures("no_evp")
+class TestNon96BitIvComposed(TestNon96BitIv):
+    """The same IVs through the composition's GHASH-derived J0."""
 
 
 class TestGf128:

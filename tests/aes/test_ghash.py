@@ -82,7 +82,8 @@ class TestAgainstGolden:
 
 @pytest.mark.parametrize("name", sorted(available_providers()))
 class TestNistVectorsPerProvider:
-    """The canonical GCM cases with each provider as the default."""
+    """The canonical GCM cases with each provider as the default, on
+    the composition (native GCM ignores the provider)."""
 
     K96 = bytes.fromhex("feffe9928665731c6d6a8f9467308308")
     IV96 = bytes.fromhex("cafebabefacedbaddecaf888")
@@ -96,7 +97,7 @@ class TestNistVectorsPerProvider:
         "feedfacedeadbeeffeedfacedeadbeefabaddad2")
 
     @pytest.fixture(autouse=True)
-    def _pin_provider(self, name):
+    def _pin_provider(self, name, no_evp):
         previous = ghash_mod.default_provider().name
         ghash_mod.set_default_provider(name)
         yield
@@ -120,6 +121,23 @@ class TestNistVectorsPerProvider:
         pt = _RNG.randbytes(100)
         ct, tag = gcm_encrypt(key, iv, pt)
         assert gcm_decrypt(key, iv, ct, tag) == pt
+
+    def test_digests_through_the_pinned_provider(self, name,
+                                                 monkeypatch):
+        calls = []
+        provider = ghash_mod.default_provider()
+        digest = provider.digest
+
+        def counting(*args):
+            calls.append(args)
+            return digest(*args)
+
+        monkeypatch.setattr(provider, "digest", counting)
+        ct, tag = gcm_encrypt(self.K96, self.IV96, self.P60, self.AAD)
+        assert gcm_decrypt(self.K96, self.IV96, ct, tag,
+                           self.AAD) == self.P60
+        assert provider.name == name
+        assert len(calls) == 2
 
 
 class TestRandomizedEquivalence:

@@ -58,6 +58,15 @@ def both_bench(fips_key) -> Testbench:
     return bench
 
 
+@pytest.fixture
+def no_evp(monkeypatch) -> None:
+    """The stack as it runs where no libcrypto passes its known-answer
+    tests: ``auto`` is ``sliced``, and GCM runs the golden composition
+    (AES128 + engine GCTR + the default GHASH provider)."""
+    monkeypatch.setattr("repro.perf.evp._probe", lambda: None)
+    monkeypatch.setattr("repro.perf.engine._DEFAULT", None)
+
+
 def random_block(rng: random.Random) -> bytes:
     """A random 16-byte block."""
     return bytes(rng.randrange(256) for _ in range(16))

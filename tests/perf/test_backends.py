@@ -205,7 +205,9 @@ class TestRegistry:
         assert set(available_backends()) == expected
 
     def test_get_backend_auto(self):
-        assert get_backend("auto").name == "sliced"
+        from repro.perf.evp import have_evp
+        assert get_backend("auto").name == \
+            ("evp" if have_evp() else "sliced")
 
     def test_get_backend_unknown(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.aes.cipher import AES128
-from repro.perf.backends import BaselineBackend
+from repro.obs.metrics import global_registry
+from repro.perf.backends import BaselineBackend, available_backends
 from repro.perf.engine import (
     MIN_SHARD_BLOCKS,
     BatchEngine,
@@ -104,6 +105,35 @@ class TestValidation:
     def test_bad_icb_length(self):
         with pytest.raises(ValueError):
             BatchEngine().gctr(KEY, bytes(15), bytes(16))
+
+
+class TestCounterRange:
+    """CTR counters stay within their 64 bits on every backend: a wrap
+    would repeat keystream."""
+
+    @pytest.mark.parametrize("name", sorted(available_backends()))
+    def test_out_of_range_rejected_before_work(self, name):
+        engine = BatchEngine(name)
+        ops = global_registry().get("repro_engine_ops_total")
+        before = ops.labels(primitive="keystream").value
+        for initial, blocks in ((-1, 0), (-1, 1), (2**64 - 1, 2),
+                                (0, 2**64 + 1)):
+            with pytest.raises(ValueError, match="64-bit"):
+                engine.keystream(KEY, NONCE, blocks, initial=initial)
+        assert ops.labels(primitive="keystream").value == before
+
+    @pytest.mark.parametrize("name", sorted(available_backends()))
+    def test_edges_match_serial(self, name):
+        engine = BatchEngine(name)
+        top = 2**64 - 2
+        assert engine.keystream(KEY, NONCE, 2, initial=top) == \
+            serial_ctr(KEY, NONCE, bytes(32), top)
+        data = random.Random(5).randbytes(100)
+        assert engine.xcrypt_ctr(KEY, NONCE, data) == \
+            serial_ctr(KEY, NONCE, data)
+        icb = bytes(range(12)) + (0xFFFFFFFE).to_bytes(4, "big")
+        assert engine.gctr(KEY, icb, data) == \
+            serial_gctr(KEY, icb, data)
 
 
 class TestSharding:

@@ -1,19 +1,35 @@
-"""OpenSSL-EVP ceiling backend: equivalence and guarded registration.
+"""OpenSSL EVP backend: equivalence, native CTR/GCM, guarded
+registration and the ``auto`` rule.
 
 The whole suite degrades gracefully: where no libcrypto loads (or it
-fails its FIPS-197 self-test) the equivalence tests skip and the
+fails its known-answer tests) the equivalence tests skip and the
 registration tests assert the backend stays absent — the guard is
 the feature under test.
 """
 
+import asyncio
+import ctypes
 import random
 
 import pytest
 
+from repro.aes import gcm
+from repro.aes.gcm import AuthenticationError
+from repro.aes.vectors import (
+    GCM_VECTORS,
+    SP800_38A_CTR128_CIPHERTEXT,
+    SP800_38A_CTR128_COUNTER0,
+    SP800_38A_ECB128_KEY,
+    SP800_38A_ECB128_PLAINTEXT,
+)
+from repro.perf import evp
 from repro.perf.backends import available_backends, get_backend
 from repro.perf.bench import cross_check
-from repro.perf.engine import BatchEngine
+from repro.perf.engine import BatchEngine, default_engine
 from repro.perf.evp import EvpBackend, have_evp, openssl_version
+from repro.serve.client import CryptoClient
+from repro.serve.protocol import Mode, Op
+from repro.serve.server import CryptoServer, ServeConfig
 
 BLOCK = 16
 
@@ -41,10 +57,12 @@ class TestRegistration:
             with pytest.raises(ValueError, match="libcrypto"):
                 get_backend("evp")
 
-    def test_auto_stays_sliced(self):
-        # The ceiling is opt-in: auto must not silently change the
-        # default stack even where OpenSSL is present.
+    def test_auto_stays_sliced(self, monkeypatch):
+        # auto picks EVP only when its known-answer tests pass; with
+        # the probe forced to fail it stays on the sliced backend.
+        monkeypatch.setattr(evp, "_probe", lambda: None)
         assert get_backend("auto").name == "sliced"
+        assert "evp" not in available_backends()
 
 
 @needs_evp
@@ -85,3 +103,181 @@ class TestEquivalence:
         data = _RNG.randbytes(5 * BLOCK - 3)
         assert engine.xcrypt_ctr(key, nonce, data) == \
             ref.xcrypt_ctr(key, nonce, data)
+
+
+# ------------------------------------------------ native CTR and GCM
+_LENGTHS = sorted({max(0, n * BLOCK + d)
+                   for n in range(4) for d in (-1, 0, 1)})
+
+
+def _force_probe_failure(monkeypatch):
+    """The default stack as it is where no libcrypto passes its
+    known-answer tests: sliced blocks, vector GHASH."""
+    monkeypatch.setattr(evp, "_probe", lambda: None)
+    monkeypatch.setattr("repro.perf.engine._DEFAULT", None)
+
+
+def _auth_failures():
+    return gcm._GCM_AUTH_FAILURES.value
+
+
+def _golden_ctr(key, counter, data):
+    aes_blocks = available_backends()["baseline"]
+    start = int.from_bytes(counter, "big")
+    blocks = -(-len(data) // BLOCK)
+    stream = aes_blocks.encrypt_blocks(key, b"".join(
+        ((start + i) % (1 << 128)).to_bytes(16, "big")
+        for i in range(blocks)))
+    return bytes(a ^ b for a, b in zip(data, stream))
+
+
+@needs_evp
+class TestNativeModes:
+    def test_ctr_sp800_38a_f51(self):
+        assert EvpBackend().ctr(SP800_38A_ECB128_KEY,
+                                SP800_38A_CTR128_COUNTER0,
+                                SP800_38A_ECB128_PLAINTEXT) == \
+            SP800_38A_CTR128_CIPHERTEXT
+
+    def test_ctr_matches_golden_on_ragged_lengths(self):
+        key, counter = _RNG.randbytes(16), _RNG.randbytes(16)
+        for length in _LENGTHS + [1000]:
+            data = _RNG.randbytes(length)
+            assert EvpBackend().ctr(key, counter, data) == \
+                _golden_ctr(key, counter, data)
+
+    def test_nist_gcm_vectors(self):
+        backend = EvpBackend()
+        for case in GCM_VECTORS:
+            assert backend.gcm_seal(case.key, case.iv, case.aad,
+                                    case.plaintext) == \
+                (case.ciphertext, case.tag), case.name
+            assert backend.gcm_open(case.key, case.iv, case.aad,
+                                    case.ciphertext, case.tag) == \
+                case.plaintext, case.name
+            assert gcm.gcm_encrypt(case.key, case.iv, case.plaintext,
+                                   case.aad) == \
+                (case.ciphertext, case.tag), case.name
+
+    def test_seeded_sweep_matches_the_composition(self, monkeypatch):
+        rng = random.Random(0x6C3)
+        cases = [(rng.randbytes(16), rng.randbytes(iv_len),
+                  rng.randbytes(aad_len), rng.randbytes(pt_len))
+                 for iv_len in (1, 12, 16, 60)
+                 for aad_len in _LENGTHS for pt_len in _LENGTHS]
+        assert default_engine().backend.native_modes
+        native = [gcm.gcm_encrypt(key, iv, pt, aad)
+                  for key, iv, aad, pt in cases]
+        assert all(gcm.gcm_decrypt(key, iv, ct, tag, aad) == pt
+                   for (key, iv, aad, pt), (ct, tag)
+                   in zip(cases, native))
+        _force_probe_failure(monkeypatch)
+        assert default_engine().backend.name == "sliced"
+        composed = [gcm.gcm_encrypt(key, iv, pt, aad)
+                    for key, iv, aad, pt in cases]
+        assert native == composed
+
+    @pytest.mark.parametrize("chunk", [16, 40, 48])
+    def test_updates_chunk_across_boundaries(self, monkeypatch, chunk):
+        # ctypes passes EVP lengths as C ints and wraps them silently,
+        # so every update is fed in chunks; lower the chunk to cross
+        # its boundaries with small buffers.
+        assert ctypes.c_int(evp._CHUNK).value == evp._CHUNK
+        key, counter = _RNG.randbytes(16), _RNG.randbytes(16)
+        blocks = _RNG.randbytes(7 * BLOCK)
+        data, aad, iv = (_RNG.randbytes(100), _RNG.randbytes(100),
+                         _RNG.randbytes(12))
+        baseline = available_backends()["baseline"]
+        expected_ecb = baseline.encrypt_blocks(key, blocks)
+        expected_ctr = _golden_ctr(key, counter, data)
+        expected_gcm = gcm._seal(key, iv, data, aad)
+        monkeypatch.setattr(evp, "_CHUNK", chunk)
+        backend = EvpBackend()
+        assert backend.encrypt_blocks(key, blocks) == expected_ecb
+        assert backend.ctr(key, counter, data) == expected_ctr
+        assert backend.gcm_seal(key, iv, aad, data) == expected_gcm
+        assert backend.gcm_open(key, iv, aad, *expected_gcm) == data
+
+    def test_tampering_fails_without_plaintext(self):
+        case = GCM_VECTORS[3]
+        key, iv, aad = case.key, case.iv, case.aad
+        ct, tag = gcm.gcm_encrypt(key, iv, case.plaintext, aad)
+        forgeries = [
+            (ct, bytes([tag[0] ^ 1]) + tag[1:], aad),
+            (ct, tag, aad + b"x"),
+            (bytes([ct[0] ^ 1]) + ct[1:], tag, aad),
+            (ct, tag[:15], aad),
+        ]
+        for bad_ct, bad_tag, bad_aad in forgeries:
+            before = _auth_failures()
+            with pytest.raises(AuthenticationError):
+                gcm.gcm_decrypt(key, iv, bad_ct, bad_tag, bad_aad)
+            assert _auth_failures() == before + 1
+
+    def test_failed_open_zeroes_its_buffer(self, monkeypatch):
+        buffers = []
+        allocate = ctypes.create_string_buffer
+
+        def recording(size):
+            buffer = allocate(size)
+            buffers.append(buffer)
+            return buffer
+
+        monkeypatch.setattr(ctypes, "create_string_buffer", recording)
+        case = GCM_VECTORS[3]
+        flipped = bytes([case.tag[0] ^ 1]) + case.tag[1:]
+        assert EvpBackend().gcm_open(case.key, case.iv, case.aad,
+                                     case.ciphertext, flipped) is None
+        assert len(buffers) == 1
+        assert buffers[0].raw == bytes(len(case.ciphertext))
+
+    def test_python_checks_key_and_tag_before_libcrypto(
+            self, monkeypatch):
+        backend = EvpBackend()
+        with pytest.raises(ValueError, match="16 bytes"):
+            backend.ctr(bytes(15), bytes(16), b"x")
+        with pytest.raises(ValueError, match="16 bytes"):
+            backend.gcm_seal(bytes(24), bytes(12), b"", b"x")
+        with pytest.raises(ValueError, match="IV"):
+            backend.gcm_seal(bytes(16), bytes(129), b"", b"x")
+        monkeypatch.setattr(evp._Lib, "gcm_open", lambda *args:
+                            pytest.fail("tag reached libcrypto"))
+        for size in (0, 15, 17):
+            assert backend.gcm_open(bytes(16), bytes(12), b"", b"x",
+                                    bytes(size)) is None
+
+    def test_iv_longer_than_libcrypto_takes_uses_the_composition(self):
+        key, iv = _RNG.randbytes(16), _RNG.randbytes(129)
+        ct, tag = gcm.gcm_encrypt(key, iv, b"payload", b"aad")
+        assert (ct, tag) == gcm._seal(key, iv, b"payload", b"aad")
+        assert gcm.gcm_decrypt(key, iv, ct, tag, b"aad") == b"payload"
+
+
+@needs_evp
+class TestProbeFailure:
+    def test_sliced_stack_serves_identical_bytes(self, monkeypatch):
+        key = _RNG.randbytes(16)
+        sealed = gcm.gcm_encrypt(key, bytes(12), b"q" * 300)
+        requests = [
+            (Op.ENCRYPT, Mode.CTR, _RNG.randbytes(8 + 1000)),
+            (Op.ENCRYPT, Mode.GCM, _RNG.randbytes(12 + 4099)),
+            (Op.DECRYPT, Mode.GCM, bytes(12) + sealed[0] + sealed[1]),
+        ]
+
+        async def serve():
+            server = CryptoServer(ServeConfig(port=0))
+            await server.start()
+            try:
+                async with CryptoClient(*server.address) as client:
+                    await client.load_key(key)
+                    return [bytes((await client.request(*r)).payload)
+                            for r in requests]
+            finally:
+                await server.stop()
+
+        assert default_engine().backend.native_modes
+        native = asyncio.run(serve())
+        _force_probe_failure(monkeypatch)
+        assert asyncio.run(serve()) == native
+        assert default_engine().backend.name == "sliced"
+        assert native[2] == b"q" * 300

@@ -351,6 +351,48 @@ class TestGatewayLifecycle:
 
         asyncio.run(scenario())
 
+    def test_stop_ends_health_loop_when_a_probe_swallows_cancel(
+            self, monkeypatch):
+        """On Python 3.11 a probe's ``wait_for`` that finishes as
+        stop() cancels the health loop returns its result and drops
+        the cancel; stop() must still return, without probing the
+        remaining backends or touching the ring."""
+        interval = 0.1
+
+        async def scenario():
+            probing = asyncio.Event()
+            probed, swallowed = [], []
+
+            async def probe(host, port, timeout):
+                probed.append(port)
+                probing.set()
+                try:
+                    await asyncio.sleep(timeout)
+                except asyncio.CancelledError:
+                    if swallowed:
+                        raise
+                    swallowed.append(True)
+                return False
+
+            monkeypatch.setattr("repro.serve.gateway._probe_ready",
+                                probe)
+            gateway = Gateway(GatewayConfig(
+                port=0, health_interval_s=interval,
+                health_timeout_s=30.0))
+            await gateway.start()
+            for i in range(2):
+                gateway.add_backend(BackendSpec(
+                    shard=f"worker-{i}", host="127.0.0.1", port=1 + i,
+                    admin_port=1 + i))
+            await asyncio.wait_for(probing.wait(), 5.0)
+            await asyncio.wait_for(gateway.stop(), 5 * interval)
+            assert swallowed
+            assert probed == [1]
+            assert all(state.healthy
+                       for state in gateway._backends.values())
+
+        asyncio.run(scenario())
+
     def test_shutdown_frame_drains_via_callback(self):
         """A SHUTDOWN frame at the gateway answers OK and fires the
         cluster-stop callback exactly once."""
