@@ -64,6 +64,9 @@ _RUN = 2
 DIR_ENCRYPT = 0
 DIR_DECRYPT = 1
 
+# ``top`` encodings -> HwCounters phase names; any other value is idle.
+_PHASE_NAMES = {_KEY_SETUP: "key_setup", _RUN: "run"}
+
 
 class RijndaelCore:
     """The paper's AES-128 device on the RTL simulation kernel."""
@@ -91,6 +94,8 @@ class RijndaelCore:
         # ----------------------------------------------------- output pins
         self.dout = Signal(f"{name}_dout", 128)
         self.data_ok = simulator.register(f"{name}_data_ok", 1)
+        # The Out words ``dout`` was last packed from.
+        self._dout_words: Word4 = (0, 0, 0, 0)
 
         # ------------------------------------------------------- registers
         reg = simulator.register
@@ -189,7 +194,8 @@ class RijndaelCore:
 
     def out_words(self) -> Word4:
         """The Out register contents as 4 words."""
-        return tuple(reg.value for reg in self.out)
+        o0, o1, o2, o3 = self.out
+        return (o0.value, o1.value, o2.value, o3.value)
 
     def out_block(self) -> bytes:
         """The Out register contents as 16 bytes (bus order)."""
@@ -201,11 +207,10 @@ class RijndaelCore:
         # top register into an illegal encoding mid-run, and counting
         # must not crash the simulation the checker is observing.
         self.counters.cycle_tick(
-            {_KEY_SETUP: "key_setup", _RUN: "run"}.get(
-                self.top.value, "idle"
-            )
+            _PHASE_NAMES.get(self.top.value, "idle")
         )
-        self.data_ok.next = 0
+        if self.data_ok.value:
+            self.data_ok.next = 0
         self._service_key_port()
         idle_after = self._service_engine()
         self._service_data_port(idle_after)
@@ -408,7 +413,8 @@ class RijndaelCore:
         return self._tick_decrypt_async()
 
     def _state_words(self) -> Word4:
-        return tuple(reg.value for reg in self.state)
+        s0, s1, s2, s3 = self.state
+        return (s0.value, s1.value, s2.value, s3.value)
 
     def _finish(self, result: Word4) -> bool:
         for reg, word in zip(self.out, result):
@@ -604,4 +610,7 @@ class RijndaelCore:
 
     # ------------------------------------------------------- combinational
     def _drive_outputs(self) -> None:
-        self.dout.value = words_to_int(self.out_words())
+        words = self.out_words()
+        if words != self._dout_words:
+            self._dout_words = words
+            self.dout.value = words_to_int(words)

@@ -5,7 +5,10 @@ clock to bring the round down from 12 cycles (an all-32-bit design) to
 5.  They are implemented here at the word/bit level, independently of
 the behavioral model in :mod:`repro.aes.transforms`, so that the
 cycle-accurate core's agreement with the golden model is a genuine
-cross-check rather than a tautology.
+cross-check rather than a tautology.  The (I)Mix Column constant
+multipliers are 256-entry tables built at import from this module's
+own xtime (:func:`_xt`), never from :mod:`repro.aes`, so they stay
+independent of the golden model too.
 
 State packing convention (shared with the bus interface): the 128-bit
 block is 4 words; word *c* is State column *c*; byte 0 of the block is
@@ -34,49 +37,45 @@ def _check_words(words: Word4) -> Word4:
     return tuple(words)
 
 
-def _byte(word: int, row: int) -> int:
-    """Byte at State row ``row`` of a column word (row 0 = MSB)."""
-    return (word >> (8 * (3 - row))) & 0xFF
+def _bytes(word: int) -> Word4:
+    """The bytes at State rows 0..3 of a column word (row 0 = MSB)."""
+    return ((word >> 24) & 0xFF, (word >> 16) & 0xFF,
+            (word >> 8) & 0xFF, word & 0xFF)
 
 
 def _from_bytes(b0: int, b1: int, b2: int, b3: int) -> int:
     return (b0 << 24) | (b1 << 16) | (b2 << 8) | b3
 
 
+#: Byte lanes of State rows 0..3 within a column word (row 0 = MSB).
+_ROW0, _ROW1, _ROW2, _ROW3 = 0xFF000000, 0xFF0000, 0xFF00, 0xFF
+
+
 def shift_rows_128(words: Word4) -> Word4:
     """Shift Row over the whole state in one level of pure wiring.
 
-    new(row, col) = old(row, col + offset[row] mod 4).  Costs no logic
-    cells at all — the mapper models it as routing only.
+    new(row, col) = old(row, col + offset[row] mod 4), with the
+    offsets 0, 1, 2, 3 of :data:`SHIFT_OFFSETS` applied as row masks.
+    Costs no logic cells at all — the mapper models it as routing only.
     """
-    words = _check_words(words)
-    out = []
-    for col in range(4):
-        out.append(
-            _from_bytes(
-                *(
-                    _byte(words[(col + SHIFT_OFFSETS[row]) % 4], row)
-                    for row in range(4)
-                )
-            )
-        )
-    return tuple(out)
+    w0, w1, w2, w3 = _check_words(words)
+    return (
+        (w0 & _ROW0) | (w1 & _ROW1) | (w2 & _ROW2) | (w3 & _ROW3),
+        (w1 & _ROW0) | (w2 & _ROW1) | (w3 & _ROW2) | (w0 & _ROW3),
+        (w2 & _ROW0) | (w3 & _ROW1) | (w0 & _ROW2) | (w1 & _ROW3),
+        (w3 & _ROW0) | (w0 & _ROW1) | (w1 & _ROW2) | (w2 & _ROW3),
+    )
 
 
 def inv_shift_rows_128(words: Word4) -> Word4:
     """IShift Row: new(row, col) = old(row, col - offset[row] mod 4)."""
-    words = _check_words(words)
-    out = []
-    for col in range(4):
-        out.append(
-            _from_bytes(
-                *(
-                    _byte(words[(col - SHIFT_OFFSETS[row]) % 4], row)
-                    for row in range(4)
-                )
-            )
-        )
-    return tuple(out)
+    w0, w1, w2, w3 = _check_words(words)
+    return (
+        (w0 & _ROW0) | (w3 & _ROW1) | (w2 & _ROW2) | (w1 & _ROW3),
+        (w1 & _ROW0) | (w0 & _ROW1) | (w3 & _ROW2) | (w2 & _ROW3),
+        (w2 & _ROW0) | (w1 & _ROW1) | (w0 & _ROW2) | (w3 & _ROW3),
+        (w3 & _ROW0) | (w2 & _ROW1) | (w1 & _ROW2) | (w0 & _ROW3),
+    )
 
 
 def _xt(b: int) -> int:
@@ -87,58 +86,62 @@ def _xt(b: int) -> int:
     return b & 0xFF
 
 
+# The constant multipliers as 256-entry product tables, built by
+# shift-and-add over the xtime above (×4 = xt², ×8 = xt³).
+_MUL2 = tuple(_xt(b) for b in range(256))
+_MUL4 = tuple(_MUL2[b] for b in _MUL2)
+_MUL8 = tuple(_MUL2[b] for b in _MUL4)
+_MUL3 = tuple(b ^ _MUL2[b] for b in range(256))
+_MUL9 = tuple(b ^ _MUL8[b] for b in range(256))
+_MULB = tuple(b ^ _MUL2[b] ^ _MUL8[b] for b in range(256))
+_MULD = tuple(b ^ _MUL4[b] ^ _MUL8[b] for b in range(256))
+_MULE = tuple(_MUL2[b] ^ _MUL4[b] ^ _MUL8[b] for b in range(256))
+
+
 def mix_column_word(word: int) -> int:
     """Mix Column on one column word: multiply by 03·x^3+01·x^2+01·x+02.
 
-    Expanded to the canonical xtime form so the logic depth is visible:
-    each output byte is 1 xtime level plus a 4-input XOR (2 levels).
+    In hardware each output byte is 1 xtime level plus a 4-input XOR
+    (2 levels); the model looks each ×2/×3 product up in its table.
     """
-    b0, b1, b2, b3 = (_byte(word, r) for r in range(4))
+    b0, b1, b2, b3 = _bytes(word)
     return _from_bytes(
-        _xt(b0) ^ _xt(b1) ^ b1 ^ b2 ^ b3,
-        b0 ^ _xt(b1) ^ _xt(b2) ^ b2 ^ b3,
-        b0 ^ b1 ^ _xt(b2) ^ _xt(b3) ^ b3,
-        _xt(b0) ^ b0 ^ b1 ^ b2 ^ _xt(b3),
+        _MUL2[b0] ^ _MUL3[b1] ^ b2 ^ b3,
+        b0 ^ _MUL2[b1] ^ _MUL3[b2] ^ b3,
+        b0 ^ b1 ^ _MUL2[b2] ^ _MUL3[b3],
+        _MUL3[b0] ^ b1 ^ b2 ^ _MUL2[b3],
     )
 
 
 def inv_mix_column_word(word: int) -> int:
     """IMix Column on one column word: multiply by 0B,0D,09,0E.
 
-    The xtime chains run three deep (×8 = xt³), which is why the
-    decrypt datapath is the slower one — Table 2 shows 15 ns vs 14 ns
-    on Acex1K — and the timing model charges it accordingly.
+    In hardware the xtime chains run three deep (×8 = xt³), which is
+    why the decrypt datapath is the slower one — Table 2 shows 15 ns
+    vs 14 ns on Acex1K — and the timing model charges it accordingly;
+    the model looks each product up in its table.
     """
-    b0, b1, b2, b3 = (_byte(word, r) for r in range(4))
-
-    def mul(b: int, c: int) -> int:
-        out = 0
-        power = b
-        while c:
-            if c & 1:
-                out ^= power
-            power = _xt(power)
-            c >>= 1
-        return out
-
+    b0, b1, b2, b3 = _bytes(word)
     return _from_bytes(
-        mul(b0, 0x0E) ^ mul(b1, 0x0B) ^ mul(b2, 0x0D) ^ mul(b3, 0x09),
-        mul(b0, 0x09) ^ mul(b1, 0x0E) ^ mul(b2, 0x0B) ^ mul(b3, 0x0D),
-        mul(b0, 0x0D) ^ mul(b1, 0x09) ^ mul(b2, 0x0E) ^ mul(b3, 0x0B),
-        mul(b0, 0x0B) ^ mul(b1, 0x0D) ^ mul(b2, 0x09) ^ mul(b3, 0x0E),
+        _MULE[b0] ^ _MULB[b1] ^ _MULD[b2] ^ _MUL9[b3],
+        _MUL9[b0] ^ _MULE[b1] ^ _MULB[b2] ^ _MULD[b3],
+        _MULD[b0] ^ _MUL9[b1] ^ _MULE[b2] ^ _MULB[b3],
+        _MULB[b0] ^ _MULD[b1] ^ _MUL9[b2] ^ _MULE[b3],
     )
 
 
 def mix_columns_128(words: Word4) -> Word4:
     """Mix Column over all four columns (columns are independent)."""
-    words = _check_words(words)
-    return tuple(mix_column_word(w) for w in words)
+    w0, w1, w2, w3 = _check_words(words)
+    return (mix_column_word(w0), mix_column_word(w1),
+            mix_column_word(w2), mix_column_word(w3))
 
 
 def inv_mix_columns_128(words: Word4) -> Word4:
     """IMix Column over all four columns."""
-    words = _check_words(words)
-    return tuple(inv_mix_column_word(w) for w in words)
+    w0, w1, w2, w3 = _check_words(words)
+    return (inv_mix_column_word(w0), inv_mix_column_word(w1),
+            inv_mix_column_word(w2), inv_mix_column_word(w3))
 
 
 def add_key_128(words: Word4, key_words: Word4) -> Word4:

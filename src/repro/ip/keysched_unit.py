@@ -22,7 +22,7 @@ reverse stepping produces K_{r-1} from K_r in word order 3, 2, 1, 0
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 from repro.aes.constants import RCON
 from repro.ip.sbox_unit import SubWordUnit
@@ -36,6 +36,12 @@ _MASK32 = 0xFFFFFFFF
 def rot_word_hw(word: int) -> int:
     """Byte-rotate left — pure wiring in hardware (no logic cost)."""
     return ((word << 8) | (word >> 24)) & _MASK32
+
+
+def _words(regs: List[Register]) -> Word4:
+    """The values of a 4-word register bank."""
+    r0, r1, r2, r3 = regs
+    return (r0.value, r1.value, r2.value, r3.value)
 
 
 class KeyScheduleUnit:
@@ -72,15 +78,15 @@ class KeyScheduleUnit:
 
     def key0_words(self) -> Word4:
         """The latched cipher key K0."""
-        return tuple(reg.value for reg in self.key0)
+        return _words(self.key0)
 
     def key_last_words(self) -> Word4:
         """The latched last round key (valid after the setup pass)."""
-        return tuple(reg.value for reg in self.key_last)
+        return _words(self.key_last)
 
     def work_words(self) -> Word4:
         """The working round key currently feeding the datapath."""
-        return tuple(reg.value for reg in self.work)
+        return _words(self.work)
 
     def load_work(self, words: Word4) -> None:
         """Point the working register at a round key (block start)."""
@@ -122,12 +128,12 @@ class KeyScheduleUnit:
         working key word, so they must be evaluated on consecutive
         cycles after their predecessor committed.
         """
-        work = self.work_words()
+        work = self.work
         if index == 0:
             if kstran_value is None:
-                kstran_value = self.kstran_now(work[3], round_index)
-            return work[0] ^ kstran_value
-        return work[index] ^ self.build[index - 1].value
+                kstran_value = self.kstran_now(work[3].value, round_index)
+            return work[0].value ^ kstran_value
+        return work[index].value ^ self.build[index - 1].value
 
     def step_forward(self, index: int, round_index: int,
                      kstran_value: "int | None" = None) -> int:

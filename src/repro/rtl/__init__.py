@@ -6,10 +6,10 @@ model the same abstraction level in Python: named, width-checked
 :class:`~repro.rtl.signal.Register` flip-flops, and a
 :class:`~repro.rtl.simulator.Simulator` that advances one clock cycle
 at a time — clocked processes read pre-edge state and schedule next
-values, the registers commit atomically, then combinational processes
-settle the outputs.  A :class:`~repro.rtl.trace.Trace` can capture any
-signal every cycle and render a text waveform, which the latency tests
-and the power model both consume.
+values, the registers written commit atomically, then combinational
+processes settle the outputs.  A :class:`~repro.rtl.trace.Trace` can
+capture any signal every cycle and render a text waveform, which the
+latency tests and the power model both consume.
 
 This kernel is deliberately cycle-based (not event-driven with delta
 cycles): the devices modeled here are fully synchronous single-clock

@@ -4,15 +4,15 @@ A :class:`Signal` models a combinational wire: it has a current value
 that anything may read and (typically one) driver may write.  A
 :class:`Register` models a D flip-flop bank: clocked processes assign
 ``reg.next``; the value only becomes visible at ``reg.commit()``, which
-the simulator calls once per rising edge.  This two-phase discipline is
-what makes the Python model race-free in the same way synchronous HDL
-is: every clocked process observes the *pre-edge* state regardless of
-evaluation order.
+the simulator calls at the rising edge on every register written since
+the last one.  This two-phase discipline is what makes the Python
+model race-free in the same way synchronous HDL is: every clocked
+process observes the *pre-edge* state regardless of evaluation order.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 
 class SignalError(ValueError):
@@ -79,22 +79,27 @@ class Register(Signal):
     """A bank of D flip-flops with two-phase next/commit semantics.
 
     Reading ``reg.value`` always yields the pre-edge (Q) value; clocked
-    processes write ``reg.next`` (D).  The simulator commits all
-    registers simultaneously after every clocked process has run, so
+    processes write ``reg.next`` (D).  After every clocked process has
+    run, the simulator commits together the registers written since
+    the last edge, and every other register holds, so
     register-to-register transfers behave like real hardware.
 
     A register also remembers its reset value for :meth:`reset`, and
     tracks whether it was written this cycle so "hold" semantics (no
-    assignment keeps the old value) come for free.
+    assignment keeps the old value) come for free: the first write in
+    a cycle puts it on the pending list of the simulator it is
+    attached to, and the simulator commits only that list.
     """
 
-    __slots__ = ("_next", "_reset", "_pending")
+    __slots__ = ("_next", "_reset", "_pending", "_queue")
 
     def __init__(self, name: str, width: int, reset: int = 0):
         super().__init__(name, width, reset)
         self._reset = reset
         self._next: Optional[int] = None
         self._pending = False
+        #: The owning simulator's pending list (None while unowned).
+        self._queue: Optional[List[Register]] = None
 
     @property
     def next(self) -> int:
@@ -107,7 +112,21 @@ class Register(Signal):
     @next.setter
     def next(self, value: int) -> None:
         self._next = self._check(value)
-        self._pending = True
+        if not self._pending:
+            self._pending = True
+            if self._queue is not None:
+                self._queue.append(self)
+
+    def attach(self, queue: List[Register]) -> None:
+        """Report this register's writes to a simulator's pending list.
+
+        A register reports to one list, the last attached.  One
+        already written this cycle joins it at once, so it still
+        latches at the coming edge.
+        """
+        self._queue = queue
+        if self._pending:
+            queue.append(self)
 
     @Signal.value.setter
     def value(self, new: int) -> None:  # type: ignore[misc]
@@ -119,7 +138,9 @@ class Register(Signal):
     def commit(self) -> bool:
         """Latch the scheduled value; returns True if the value changed.
 
-        Called by the simulator at the rising edge.  If no ``next`` was
+        Called by the simulator at the rising edge on every register
+        written since the last one; a manual call latches early and
+        leaves the simulator's call a no-op.  If no ``next`` was
         assigned this cycle the register holds.
         """
         if not self._pending:

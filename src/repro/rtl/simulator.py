@@ -5,7 +5,8 @@ phases:
 
 1. **clocked phase** — every registered clocked process runs, reading
    the pre-edge state and assigning ``Register.next``;
-2. **commit phase** — all registers latch simultaneously;
+2. **commit phase** — the registers written since the last edge latch
+   together; the rest hold;
 3. **combinational phase** — every combinational process runs (in
    registration order, repeated until signals settle or an iteration
    bound trips) so module outputs reflect the post-edge state.
@@ -33,6 +34,8 @@ class Simulator:
 
     def __init__(self) -> None:
         self._registers: List[Register] = []
+        #: Registers written since the last edge, in first-write order.
+        self._pending: List[Register] = []
         self._clocked: List[Process] = []
         self._comb: List[Process] = []
         self._watched: List[Signal] = []
@@ -44,13 +47,18 @@ class Simulator:
         """Create a register owned by this simulator."""
         reg = Register(name, width, reset)
         self._registers.append(reg)
+        reg.attach(self._pending)
         return reg
 
     def adopt(self, registers: Iterable[Register]) -> None:
-        """Adopt externally-constructed registers (e.g. from a module)."""
+        """Adopt externally-constructed registers (e.g. from a module).
+
+        A register written before adoption latches at the next edge.
+        """
         for reg in registers:
             if reg not in self._registers:
                 self._registers.append(reg)
+                reg.attach(self._pending)
 
     def add_clocked(self, process: Process) -> None:
         """Register a clocked process (runs before the edge commit)."""
@@ -87,11 +95,13 @@ class Simulator:
         """Advance the clock by ``cycles`` rising edges."""
         if cycles < 0:
             raise ValueError("cycle count must be non-negative")
+        pending = self._pending
         for _ in range(cycles):
             for process in self._clocked:
                 process()
-            for reg in self._registers:
+            for reg in pending:
                 reg.commit()
+            pending.clear()
             self._run_comb()
             self.cycle += 1
             for hook in self._trace_hooks:
@@ -121,18 +131,21 @@ class Simulator:
         """Asynchronously reset every register and re-settle."""
         for reg in self._registers:
             reg.reset()
+        self._pending.clear()
         self._run_comb()
 
     # ------------------------------------------------------------- internal
     def _run_comb(self) -> None:
-        if not self._comb:
+        if not self._watched:
+            for process in self._comb:
+                process()
             return
         previous: Optional[Dict[int, int]] = None
         for _ in range(_MAX_COMB_SWEEPS):
             for process in self._comb:
                 process()
             snapshot = {id(s): s.value for s in self._watched}
-            if not self._watched or snapshot == previous:
+            if snapshot == previous:
                 return
             previous = snapshot
         raise SignalError(

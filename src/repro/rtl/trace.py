@@ -76,9 +76,9 @@ class Trace:
         registers: CMOS dynamic power is proportional to the switched
         capacitance, which toggle counts stand in for.
         """
-        samples = self._history[name]
         if name not in self._history:
             raise KeyError(f"signal {name!r} is not traced")
+        samples = self._history[name]
         flips = 0
         for before, after in zip(samples, samples[1:]):
             flips += bin(before ^ after).count("1")

@@ -554,11 +554,9 @@ class CryptoServer:
             )
         loop = asyncio.get_running_loop()
         try:
-            out = await asyncio.wait_for(
-                loop.run_in_executor(
-                    self._executor, work, session.key, frame.payload
-                ),
-                self.config.request_timeout,
+            # _process already bounds this handler by request_timeout.
+            out = await loop.run_in_executor(
+                self._executor, work, session.key, frame.payload
             )
         except gcm.AuthenticationError:
             # The GCM layer already bumped its auth-failure counter.

@@ -113,3 +113,32 @@ class TestMixedStreaming:
         assert len(results) == len(jobs)
         for (block, direction, expected), got in zip(jobs, results):
             assert got == expected
+
+
+class TestDoutPin:
+    def test_dout_follows_the_out_register_every_cycle(self, rng):
+        # ``dout`` is repacked only when the Out words change; sample
+        # it against them after every edge, across results in both
+        # directions, a deposit into Out, and a reset.
+        bench = Testbench(Variant.BOTH)
+        core = bench.core
+        mismatches = []
+
+        def check(cycle: int) -> None:
+            packed = int.from_bytes(core.out_block(), "big")
+            if core.dout.value != packed:
+                mismatches.append(cycle)
+
+        bench.simulator.add_trace_hook(check)
+        bench.load_key(random_key(rng))
+        blocks = [random_block(rng) for _ in range(3)]
+        results, _ = bench.stream_blocks(blocks, DIR_ENCRYPT)
+        bench.stream_blocks(results, DIR_DECRYPT)
+        core.out[2].deposit(core.out[2].value ^ 0x80)
+        bench.simulator.step(2)
+        bench.simulator.reset()
+        assert core.dout.value == 0
+        bench.load_key(random_key(rng))
+        bench.encrypt(blocks[0])
+        assert mismatches == []
+        assert core.dout.value == int.from_bytes(core.out_block(), "big")

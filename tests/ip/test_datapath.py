@@ -6,6 +6,8 @@ two were written against the spec separately, so agreement here is a
 real check, not a tautology.
 """
 
+import random
+
 import pytest
 
 from repro.aes.state import State
@@ -15,12 +17,15 @@ from repro.aes.transforms import (
     mix_columns,
     shift_rows,
 )
+from repro.ip import datapath
 from repro.ip.datapath import (
+    _xt,
     add_key_128,
     block_to_words,
     decrypt_mix_stage,
     encrypt_mix_stage,
     int_to_words,
+    inv_mix_column_word,
     inv_mix_columns_128,
     inv_shift_rows_128,
     mix_column_word,
@@ -146,3 +151,60 @@ class TestMixStages:
             # decrypt_mix_stage(AK(MC(SR(x)))) = ISR(IMC(MC(SR(x)))) =
             # ISR(SR(x)) = x.
             assert undone == words
+
+
+def shift_and_add(b: int, c: int) -> int:
+    """b·c in GF(2^8), one xtime per bit of ``c``."""
+    out = 0
+    while c:
+        if c & 1:
+            out ^= b
+        b = _xt(b)
+        c >>= 1
+    return out
+
+
+def xtime_column(word: int, row0: tuple) -> int:
+    """One column times the circulant matrix whose first row is
+    ``row0``, by shift-and-add products."""
+    column = [(word >> (8 * (3 - row))) & 0xFF for row in range(4)]
+    out = 0
+    for row in range(4):
+        byte = 0
+        for col in range(4):
+            byte ^= shift_and_add(column[col], row0[(col - row) % 4])
+        out = (out << 8) | byte
+    return out
+
+
+class TestProductTables:
+    """The (I)Mix Column lookup tables against xtime arithmetic."""
+
+    @pytest.mark.parametrize("name, constant", [
+        ("_MUL2", 0x02), ("_MUL3", 0x03), ("_MUL4", 0x04),
+        ("_MUL8", 0x08), ("_MUL9", 0x09), ("_MULB", 0x0B),
+        ("_MULD", 0x0D), ("_MULE", 0x0E),
+    ])
+    def test_every_byte(self, name, constant):
+        table = getattr(datapath, name)
+        assert list(table) == [
+            shift_and_add(b, constant) for b in range(256)
+        ]
+
+    @staticmethod
+    def column_words() -> list:
+        """The 32 unit vectors plus a seeded sample."""
+        rng = random.Random(14)
+        return [1 << j for j in range(32)] + [
+            rng.getrandbits(32) for _ in range(256)
+        ]
+
+    def test_mix_column_word_matches_xtime_chains(self):
+        for word in self.column_words():
+            assert mix_column_word(word) == \
+                xtime_column(word, (0x02, 0x03, 0x01, 0x01))
+
+    def test_inv_mix_column_word_matches_xtime_chains(self):
+        for word in self.column_words():
+            assert inv_mix_column_word(word) == \
+                xtime_column(word, (0x0E, 0x0B, 0x0D, 0x09))

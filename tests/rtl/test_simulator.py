@@ -2,8 +2,22 @@
 
 import pytest
 
-from repro.rtl.signal import Signal, SignalError
+from repro.rtl.signal import Register, Signal, SignalError
 from repro.rtl.simulator import Simulator
+
+
+class CountingRegister(Register):
+    """A register that counts the commits the simulator makes."""
+
+    __slots__ = ("commits",)
+
+    def __init__(self, name: str, width: int, reset: int = 0):
+        super().__init__(name, width, reset)
+        self.commits = 0
+
+    def commit(self) -> bool:
+        self.commits += 1
+        return super().commit()
 
 
 def make_counter(sim: Simulator, width: int = 8):
@@ -69,6 +83,85 @@ class TestStepping:
             assert b.value == 5
 
 
+class TestWrittenRegistersCommit:
+    """The edge commits only the registers written since the last."""
+
+    def test_unwritten_register_holds_without_a_commit(self):
+        sim = Simulator()
+        held = CountingRegister("held", 8, reset=3)
+        sim.adopt([held])
+        count = make_counter(sim)
+        sim.step(4)
+        assert (held.value, count.value) == (3, 4)
+        assert held.commits == 0
+
+    def test_register_written_before_adopt_latches(self):
+        sim = Simulator()
+        reg = Register("r", 8)
+        reg.next = 0x5A
+        sim.adopt([reg])
+        assert reg.value == 0
+        sim.step()
+        assert reg.value == 0x5A
+
+    def test_two_writes_in_one_cycle_commit_once(self):
+        sim = Simulator()
+        reg = CountingRegister("r", 8)
+        sim.adopt([reg])
+
+        def twice():
+            reg.next = 1
+            reg.next = 2
+
+        sim.add_clocked(twice)
+        sim.step()
+        assert (reg.value, reg.commits) == (2, 1)
+
+    def test_register_reset_between_write_and_edge(self):
+        sim = Simulator()
+        reg = sim.register("r", 8, reset=7)
+        reg.next = 1
+        reg.reset()
+        sim.step()
+        assert reg.value == 7
+        # A write after the reset still latches at the edge.
+        reg.next = 1
+        reg.reset()
+        reg.next = 9
+        sim.step()
+        assert reg.value == 9
+
+    def test_simulator_reset_between_write_and_edge(self):
+        sim = Simulator()
+        reg = sim.register("r", 8, reset=7)
+        reg.next = 1
+        sim.reset()
+        sim.step()
+        assert reg.value == 7
+
+    def test_manual_commit_before_the_edge(self):
+        sim = Simulator()
+        reg = sim.register("r", 8)
+        reg.next = 5
+        assert reg.commit() is True
+        sim.step()
+        assert reg.value == 5
+        # Written again after the manual commit: the edge latches it.
+        reg.next = 6
+        reg.commit()
+        reg.next = 7
+        sim.step()
+        assert reg.value == 7
+
+    def test_deposit_holds_across_edges(self):
+        sim = Simulator()
+        reg = sim.register("r", 8)
+        make_counter(sim)
+        reg.deposit(0x42)
+        sim.step(3)
+        assert reg.value == 0x42
+
+
 class TestCombinational:
     def test_comb_runs_after_commit(self):
         sim = Simulator()
@@ -77,6 +170,14 @@ class TestCombinational:
         sim.add_comb(lambda: setattr(doubled, "value", count.value * 2))
         sim.step(3)
         assert doubled.value == 6
+
+    def test_unwatched_comb_runs_once_per_edge(self):
+        sim = Simulator()
+        make_counter(sim)
+        calls = []
+        sim.add_comb(lambda: calls.append(sim.cycle))
+        sim.step(3)
+        assert calls == [0, 1, 2]
 
     def test_comb_chain_settles(self):
         sim = Simulator()

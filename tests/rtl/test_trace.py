@@ -82,6 +82,13 @@ class TestQueries:
         sim.step(5)
         assert trace.toggle_count("static") == 0
 
+    def test_toggle_count_unknown_signal(self):
+        sim, count = counter_sim()
+        trace = Trace(sim, [count])
+        sim.step(2)
+        with pytest.raises(KeyError, match="not traced"):
+            trace.toggle_count("nope")
+
     def test_total_toggles_sums(self):
         sim, count = counter_sim()
         static = Signal("static", 8, reset=1)

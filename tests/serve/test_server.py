@@ -7,11 +7,13 @@ state leaks between tests.
 
 import asyncio
 import random
+import threading
 
 import pytest
 
 from repro.aes import gcm, modes
 from repro.obs.metrics import global_registry
+from repro.serve import server as server_module
 from repro.serve.client import CryptoClient, RetryPolicy, run_load
 from repro.serve.protocol import (
     MAX_PAYLOAD_BYTES,
@@ -271,6 +273,63 @@ class TestEndToEnd:
                 reply = await client.load_key(bytes(16))
                 assert reply.status is Status.OK
             await server.stop()
+
+        asyncio.run(scenario())
+
+    def test_executor_stall_trips_one_timeout_connection_survives(
+        self, monkeypatch
+    ):
+        # The crypto call itself stalls in the pool thread, past the
+        # budget.  The handler's wait_for in _process is the only
+        # timer: one TIMEOUT reply, one timeout count, and the same
+        # connection still answers.
+        release = threading.Event()
+
+        def stalled(key: bytes, payload: bytes) -> bytes:
+            release.wait(10.0)
+            return payload
+
+        monkeypatch.setitem(server_module._CRYPTO_OPS,
+                            (Op.ENCRYPT, Mode.CTR), stalled)
+
+        async def scenario():
+            server = await _started(
+                ServeConfig(port=0, request_timeout=0.1)
+            )
+            host, port = server.address
+            before = _counter_total("repro_serve_requests_total",
+                                    op="encrypt", status="timeout")
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                for request in (
+                    Frame(op=Op.LOAD_KEY, request_id=1,
+                          payload=bytes(16)),
+                    Frame(op=Op.ENCRYPT, mode=Mode.CTR, request_id=2,
+                          payload=bytes(24)),
+                ):
+                    await write_frame(writer, request, timeout=5.0)
+                    reply = await read_frame(reader, timeout=5.0)
+                    assert reply.request_id == request.request_id
+                assert reply.status is Status.TIMEOUT
+                # Let the stalled call finish: its result must not
+                # reach the wire as a second reply.
+                release.set()
+                await asyncio.sleep(0.05)
+                await write_frame(
+                    writer, Frame(op=Op.PING, request_id=3,
+                                  payload=b"alive"),
+                    timeout=5.0,
+                )
+                reply = await read_frame(reader, timeout=5.0)
+                assert (reply.request_id, reply.status,
+                        reply.payload) == (3, Status.OK, b"alive")
+            finally:
+                release.set()
+                writer.close()
+                await server.stop()
+            after = _counter_total("repro_serve_requests_total",
+                                   op="encrypt", status="timeout")
+            assert after - before == 1
 
         asyncio.run(scenario())
 
