@@ -22,10 +22,11 @@ an unbounded one always is.
   bound is the defect.
 - ``serve.missing-timeout`` — an ``await`` applied directly to a
   stream call that can block on the peer (``readexactly``, ``drain``,
-  ``wait_closed``, ``open_connection``, ...) without an enclosing
-  ``asyncio.wait_for``.  Every socket await in the serving layer is
-  bounded; the codec helpers exist precisely so call sites never
-  write a bare stream await.
+  ``wait_closed``, ``open_connection``, ...) that neither sits in the
+  body of an ``async with asyncio.timeout(...)`` (or ``timeout_at``)
+  nor is wrapped in ``asyncio.wait_for``.  Every socket await in the
+  serving layer is bounded; the codec helpers exist precisely so call
+  sites never write a bare stream await.
 """
 
 from __future__ import annotations
@@ -49,15 +50,18 @@ _QUEUE_TYPES = {"Queue", "LifoQueue", "PriorityQueue"}
 
 #: Stream-API attribute calls that block on the remote peer.  A bare
 #: ``await`` on any of these is a hang waiting to happen; each must
-#: sit inside ``asyncio.wait_for`` (or ``wait`` / ``timeout``).
+#: sit in a timeout scope or inside ``asyncio.wait_for`` (or ``wait``).
 _RISKY_AWAITS = {
     "read", "readline", "readexactly", "readuntil", "drain",
     "wait_closed", "open_connection", "start_tls",
 }
 
-#: Wrappers that bound an await: the timeout context managers and
-#: ``asyncio.wait_for`` / ``asyncio.wait``.
-_TIMEOUT_WRAPPERS = {"wait_for", "wait", "timeout", "timeout_at"}
+#: Awaited wrappers whose first argument is the bounded call.
+_TIMEOUT_WRAPPERS = {"wait_for", "wait"}
+
+#: Context managers that bound every await in their ``async with``
+#: body: ``asyncio.timeout`` / ``asyncio.timeout_at``.
+_TIMEOUT_SCOPES = {"timeout", "timeout_at"}
 
 
 def _in_scope(subject: SourceFile, config: CheckConfig) -> bool:
@@ -155,21 +159,51 @@ def _is_timeout_wrapped(value: ast.expr) -> bool:
             and _call_name(value) in _TIMEOUT_WRAPPERS)
 
 
+def _is_timeout_scope(node: ast.AsyncWith) -> bool:
+    """Whether an ``async with`` enters ``timeout(...)`` or
+    ``timeout_at(...)`` (``async with lock:`` bounds nothing)."""
+    return any(isinstance(item.context_expr, ast.Call)
+               and _call_name(item.context_expr) in _TIMEOUT_SCOPES
+               for item in node.items)
+
+
+def _unscoped_awaits(node: ast.AST,
+                     scoped: bool = False) -> Iterator[ast.Await]:
+    """Every ``await`` under ``node`` outside a timeout scope.
+
+    A timeout scope covers its ``async with`` body; a nested ``def``
+    or ``lambda`` in that body runs later, outside it, so it starts
+    unscoped again.
+    """
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.Lambda)):
+        scoped = False
+    elif isinstance(node, ast.Await) and not scoped:
+        yield node
+    if isinstance(node, ast.AsyncWith) and _is_timeout_scope(node):
+        for item in node.items:
+            yield from _unscoped_awaits(item, scoped)
+        for stmt in node.body:
+            yield from _unscoped_awaits(stmt, True)
+        return
+    for child in ast.iter_child_nodes(node):
+        yield from _unscoped_awaits(child, scoped)
+
+
 @rule(
     "serve.missing-timeout",
     Severity.ERROR,
     KIND_SOURCE,
-    "bare await on a stream operation (read/drain/connect) without "
-    "asyncio.wait_for — a stalled peer wedges the task forever",
+    "bare await on a stream operation (read/drain/connect) outside "
+    "an asyncio.timeout scope and without asyncio.wait_for — a "
+    "stalled peer wedges the task forever",
 )
 def check_missing_timeout(subject: SourceFile,
                           config: CheckConfig) -> Iterator[Finding]:
     """Flag awaits on peer-blocking stream calls with no timeout."""
     if not _in_scope(subject, config):
         return
-    for node in ast.walk(subject.tree):
-        if not isinstance(node, ast.Await):
-            continue
+    for node in _unscoped_awaits(subject.tree):
         if _is_timeout_wrapped(node.value):
             continue
         name = _risky_await_name(node)
@@ -178,8 +212,9 @@ def check_missing_timeout(subject: SourceFile,
         yield Finding(
             rule="serve.missing-timeout",
             severity=Severity.ERROR,
-            message=(f"bare 'await ...{name}(...)' with no "
-                     f"asyncio.wait_for bound: a stalled peer "
+            message=(f"bare 'await ...{name}(...)' with no timeout: "
+                     f"bound it with 'async with asyncio.timeout(...)'"
+                     f" or asyncio.wait_for, or a stalled peer "
                      f"blocks this task indefinitely"),
             location=Location(file=subject.path, line=node.lineno,
                               obj=name),

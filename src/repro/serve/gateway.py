@@ -373,8 +373,8 @@ class Gateway:
         if self._server is not None:
             self._server.close()
             try:
-                await asyncio.wait_for(self._server.wait_closed(),
-                                       self.config.drain_timeout)
+                async with asyncio.timeout(self.config.drain_timeout):
+                    await self._server.wait_closed()
             except asyncio.TimeoutError:  # pragma: no cover
                 pass
         loop = asyncio.get_running_loop()
@@ -490,10 +490,10 @@ class Gateway:
     async def _dial(self, conn: _GatewayConn,
                     state: _BackendState) -> _Upstream:
         spec = state.spec
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(spec.host, spec.port),
-            self.config.connect_timeout,
-        )
+        async with asyncio.timeout(self.config.connect_timeout):
+            reader, writer = await asyncio.open_connection(
+                spec.host, spec.port
+            )
         upstream = _Upstream(shard=spec.shard, reader=reader,
                              writer=writer)
         upstream.pump_task = asyncio.get_running_loop().create_task(
@@ -567,9 +567,11 @@ class Gateway:
 
     # ---------------------------------------------------------- health
     async def _health_loop(self) -> None:
-        # On Python 3.11 a ``wait_for`` inside a probe that finishes as
-        # stop() cancels this task returns its result and swallows the
-        # cancel, so the flag stop() sets first is what ends the loop:
+        # stop() sets _stopping, drains, and only then cancels this
+        # task, so a probe can still return while the gateway stops:
+        # one that completes during the drain, or one that absorbs
+        # the cancel (_probe_ready's timeout scopes pass it on, but a
+        # substitute probe may not).  So the flag ends the loop:
         # checked after every probe, before the ring changes or the
         # next backend is probed.
         while not self._stopping:
@@ -607,24 +609,25 @@ async def _probe_ready(host: str, port: int,
                        timeout: float) -> bool:
     """One ``GET /readyz`` against a worker admin plane."""
     try:
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port), timeout
-        )
+        async with asyncio.timeout(timeout):
+            reader, writer = await asyncio.open_connection(host, port)
     except (OSError, asyncio.TimeoutError):
         return False
     try:
         writer.write(b"GET /readyz HTTP/1.1\r\nHost: gateway\r\n"
                      b"Connection: close\r\n\r\n")
-        await asyncio.wait_for(writer.drain(), timeout)
-        status_line = await asyncio.wait_for(reader.readline(),
-                                             timeout)
+        async with asyncio.timeout(timeout):
+            await writer.drain()
+        async with asyncio.timeout(timeout):
+            status_line = await reader.readline()
         return b" 200 " in status_line
     except (OSError, asyncio.TimeoutError):
         return False
     finally:
         writer.close()
         try:
-            await asyncio.wait_for(writer.wait_closed(), timeout)
+            async with asyncio.timeout(timeout):
+                await writer.wait_closed()
         except (OSError, asyncio.TimeoutError):
             pass
 
@@ -633,7 +636,8 @@ async def _close_writer(writer: asyncio.StreamWriter) -> None:
     """Close a transport without letting a stuck peer wedge us."""
     writer.close()
     try:
-        await asyncio.wait_for(writer.wait_closed(), 5.0)
+        async with asyncio.timeout(5.0):
+            await writer.wait_closed()
     except (asyncio.TimeoutError, ConnectionError):
         pass
 

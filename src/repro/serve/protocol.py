@@ -351,19 +351,31 @@ def decode_frame(data: bytes) -> Frame:
     return decode_body(data[4:])
 
 
+async def _readexactly(reader: asyncio.StreamReader, count: int,
+                       timeout: Optional[float]) -> bytes:
+    """``reader.readexactly(count)`` bounded by ``timeout``.
+
+    The timeout scope bounds the await in place, so bytes the reader
+    already holds come back with no new Task and no extra event-loop
+    turn.
+    """
+    async with asyncio.timeout(timeout):
+        return await reader.readexactly(count)
+
+
 async def read_frame(reader: asyncio.StreamReader,
                      timeout: Optional[float] = None) -> Optional[Frame]:
     """Read one frame from a stream; ``None`` on clean EOF.
 
-    Every await is bounded by ``timeout`` (``None`` waits forever —
-    callers on untrusted sockets pass a real number).  EOF *between*
-    frames returns ``None``; EOF inside a frame raises an
+    Every read is bounded by ``timeout`` on its own (``None`` waits
+    forever — callers on untrusted sockets pass a real number).  EOF
+    *between* frames returns ``None``; EOF inside a frame raises an
     unrecoverable :class:`FrameError`, as does an oversized length
     prefix — in both cases the stream cannot be re-synchronized and
     the connection must close.
     """
     try:
-        prefix = await asyncio.wait_for(reader.readexactly(4), timeout)
+        prefix = await _readexactly(reader, 4, timeout)
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             return None  # clean EOF on a frame boundary
@@ -381,13 +393,9 @@ async def read_frame(reader: asyncio.StreamReader,
             # Undersized frames go through decode_body so the
             # failure classifies exactly as before (recoverable:
             # the promised byte count was fully consumed).
-            body = await asyncio.wait_for(
-                reader.readexactly(body_len), timeout
-            )
+            body = await _readexactly(reader, body_len, timeout)
             return decode_body(body)
-        header = await asyncio.wait_for(
-            reader.readexactly(HEADER_BYTES), timeout
-        )
+        header = await _readexactly(reader, HEADER_BYTES, timeout)
         remaining = body_len - HEADER_BYTES
         trace: Optional[Tuple[int, int]] = None
         if header[2] == TRACE_VERSION and remaining >= TRACE_EXT_BYTES:
@@ -395,14 +403,10 @@ async def read_frame(reader: asyncio.StreamReader,
             # the payload buffer below is still adopted unsliced; an
             # undersized traced frame skips this read and classifies
             # in decode_payload (recoverable — fully consumed).
-            ext = await asyncio.wait_for(
-                reader.readexactly(TRACE_EXT_BYTES), timeout
-            )
+            ext = await _readexactly(reader, TRACE_EXT_BYTES, timeout)
             trace = _TRACE_EXT.unpack(ext)
             remaining -= TRACE_EXT_BYTES
-        payload = await asyncio.wait_for(
-            reader.readexactly(remaining), timeout
-        )
+        payload = await _readexactly(reader, remaining, timeout)
     except asyncio.IncompleteReadError:
         raise FrameError("connection closed mid-frame",
                          recoverable=False) from None
@@ -424,7 +428,8 @@ async def write_frame(writer: asyncio.StreamWriter, frame: Frame,
     writer.write(head)
     if payload:
         writer.write(payload)
-    await asyncio.wait_for(writer.drain(), timeout)
+    async with asyncio.timeout(timeout):
+        await writer.drain()
 
 
 __all__ = [

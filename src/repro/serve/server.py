@@ -323,15 +323,13 @@ class CryptoServer:
         if self._server is not None:
             self._server.close()
             try:
-                await asyncio.wait_for(
-                    self._server.wait_closed(),
-                    self.config.drain_timeout,
-                )
+                async with asyncio.timeout(self.config.drain_timeout):
+                    await self._server.wait_closed()
             except asyncio.TimeoutError:  # pragma: no cover - defensive
                 pass
         try:
-            await asyncio.wait_for(self._queue.join(),
-                                   self.config.drain_timeout)
+            async with asyncio.timeout(self.config.drain_timeout):
+                await self._queue.join()
         except asyncio.TimeoutError:
             pass  # forced: undrained items die with the workers
         for worker in self._workers:
@@ -418,6 +416,11 @@ class CryptoServer:
                 self._count(reply)
                 continue
             _INFLIGHT.inc()
+            # A buffered frame is read without yielding, so yield once
+            # here: an idle worker then takes this item before the
+            # next frame is read, and queue_depth counts only work no
+            # worker has taken.
+            await asyncio.sleep(0)
 
     async def _send(self, writer: asyncio.StreamWriter,
                     write_lock: asyncio.Lock, frame: Frame) -> None:
@@ -489,10 +492,9 @@ class CryptoServer:
             else:
                 exec_start = time.perf_counter()
                 try:
-                    reply = await asyncio.wait_for(
-                        handler(item.session, frame),
-                        self.config.request_timeout,
-                    )
+                    async with asyncio.timeout(
+                            self.config.request_timeout):
+                        reply = await handler(item.session, frame)
                 except asyncio.TimeoutError:
                     reply = frame.error(
                         Status.TIMEOUT,
@@ -640,7 +642,8 @@ async def _close_writer(writer: asyncio.StreamWriter) -> None:
     """Close a transport without letting a stuck peer wedge us."""
     writer.close()
     try:
-        await asyncio.wait_for(writer.wait_closed(), 5.0)
+        async with asyncio.timeout(5.0):
+            await writer.wait_closed()
     except (asyncio.TimeoutError, ConnectionError):
         pass
 

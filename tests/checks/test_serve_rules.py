@@ -137,6 +137,54 @@ class TestMissingTimeout:
             """, "serve.missing-timeout")
         assert findings == []
 
+    def test_timeout_scope_is_fine(self):
+        findings = lint(
+            """
+            import asyncio
+            async def f(reader, writer, loop):
+                async with asyncio.timeout(5.0):
+                    data = await reader.readexactly(4)
+                writer.write(data)
+                async with asyncio.timeout_at(loop.time() + 5.0):
+                    await writer.drain()
+            """, "serve.missing-timeout")
+        assert findings == []
+
+    def test_await_after_timeout_scope_triggers(self):
+        findings = lint(
+            """
+            import asyncio
+            async def f(reader):
+                async with asyncio.timeout(5.0):
+                    await reader.readexactly(4)
+                return await reader.readexactly(4)
+            """, "serve.missing-timeout")
+        assert [f.location.line for f in findings] == [6]
+        assert "asyncio.timeout" in findings[0].message
+        assert "wait_for" in findings[0].message
+
+    def test_nested_function_in_timeout_scope_triggers(self):
+        """A coroutine defined in the scope runs later, outside it."""
+        findings = lint(
+            """
+            import asyncio
+            async def f(reader):
+                async with asyncio.timeout(5.0):
+                    async def later():
+                        return await reader.readexactly(4)
+                return later
+            """, "serve.missing-timeout")
+        assert len(findings) == 1
+
+    def test_lock_scope_triggers(self):
+        findings = lint(
+            """
+            async def f(writer, lock):
+                async with lock:
+                    await writer.drain()
+            """, "serve.missing-timeout")
+        assert len(findings) == 1
+
     def test_unrelated_awaits_ignored(self):
         findings = lint(
             """

@@ -353,10 +353,10 @@ class TestGatewayLifecycle:
 
     def test_stop_ends_health_loop_when_a_probe_swallows_cancel(
             self, monkeypatch):
-        """On Python 3.11 a probe's ``wait_for`` that finishes as
-        stop() cancels the health loop returns its result and drops
-        the cancel; stop() must still return, without probing the
-        remaining backends or touching the ring."""
+        """A probe that absorbs stop()'s cancel of the health loop
+        (as a 3.11 ``wait_for`` finishing at that moment did) returns
+        its result anyway; stop() must still return, without probing
+        the remaining backends or touching the ring."""
         interval = 0.1
 
         async def scenario():

@@ -242,3 +242,49 @@ class TestStreamIO:
             assert "limit" in str(exc_info.value)
 
         asyncio.run(scenario())
+
+
+class _StalledDrain(_OneShotStream):
+    """A writer whose transport never drains."""
+
+    async def drain(self):
+        await asyncio.Event().wait()
+
+
+class TestStreamTimeouts:
+    BUDGET = 0.1
+
+    def test_read_stalled_mid_header_times_out(self):
+        """A prefix and 3 header bytes, then nothing (no EOF): the
+        header read fails on its own budget."""
+
+        async def scenario():
+            wire = encode_frame(Frame(op=Op.PING, payload=b"abc"))
+            reader = asyncio.StreamReader()
+            reader.feed_data(wire[:4 + 3])
+            loop = asyncio.get_running_loop()
+            start = loop.time()
+            # The outer scope turns a missing bound into a failure
+            # instead of a hang.
+            async with asyncio.timeout(10 * self.BUDGET):
+                with pytest.raises(asyncio.TimeoutError):
+                    await read_frame(reader, timeout=self.BUDGET)
+            assert loop.time() - start >= 0.8 * self.BUDGET
+
+        asyncio.run(scenario())
+
+    def test_write_stalled_drain_times_out(self):
+        async def scenario():
+            writer = _StalledDrain()
+            frame = Frame(op=Op.PING, request_id=5, payload=b"stuck")
+            loop = asyncio.get_running_loop()
+            start = loop.time()
+            async with asyncio.timeout(10 * self.BUDGET):
+                with pytest.raises(asyncio.TimeoutError):
+                    await write_frame(writer, frame,
+                                      timeout=self.BUDGET)
+            assert loop.time() - start >= 0.8 * self.BUDGET
+            # The frame was handed to the transport before the drain.
+            assert bytes(writer.buffer) == encode_frame(frame)
+
+        asyncio.run(scenario())

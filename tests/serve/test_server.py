@@ -21,6 +21,7 @@ from repro.serve.protocol import (
     Mode,
     Op,
     Status,
+    encode_frame,
     read_frame,
     write_frame,
 )
@@ -229,7 +230,6 @@ class TestEndToEnd:
             try:
                 # A well-delimited frame with bad magic: BAD_FRAME
                 # response, and the stream stays usable.
-                from repro.serve.protocol import encode_frame
                 wire = bytearray(encode_frame(Frame(op=Op.PING)))
                 wire[4:6] = b"XX"
                 writer.write(bytes(wire))
@@ -280,9 +280,9 @@ class TestEndToEnd:
         self, monkeypatch
     ):
         # The crypto call itself stalls in the pool thread, past the
-        # budget.  The handler's wait_for in _process is the only
-        # timer: one TIMEOUT reply, one timeout count, and the same
-        # connection still answers.
+        # budget.  The handler's timeout scope in _process is the
+        # only timer: one TIMEOUT reply, one timeout count, and the
+        # same connection still answers.
         release = threading.Event()
 
         def stalled(key: bytes, payload: bytes) -> bytes:
@@ -333,12 +333,16 @@ class TestEndToEnd:
 
         asyncio.run(scenario())
 
-    def test_full_queue_answers_overloaded(self):
+    @pytest.mark.parametrize("workers,burst", [(1, 3), (2, 4)])
+    def test_full_queue_answers_overloaded(self, workers, burst):
         async def scenario():
-            # One worker wedged by a stalled handler, queue depth 1:
-            # the first request occupies the worker, the second sits
-            # in the queue, the third must bounce with OVERLOADED.
-            config = ServeConfig(port=0, queue_depth=1, workers=1,
+            # Every worker wedged by a stalled handler, queue depth 1:
+            # the first `workers` pipelined requests each occupy an
+            # idle worker (so none counts against the queue), the
+            # next sits in the queue, the last must bounce with
+            # OVERLOADED.
+            config = ServeConfig(port=0, queue_depth=1,
+                                 workers=workers,
                                  request_timeout=30.0,
                                  drain_timeout=0.2)
             server = await _started(config)
@@ -351,7 +355,7 @@ class TestEndToEnd:
             host, port = server.address
             reader, writer = await asyncio.open_connection(host, port)
             try:
-                for request_id in (1, 2, 3):
+                for request_id in range(1, burst + 1):
                     await write_frame(
                         writer,
                         Frame(op=Op.PING, request_id=request_id),
@@ -359,9 +363,52 @@ class TestEndToEnd:
                     )
                 reply = await read_frame(reader, timeout=5.0)
                 assert reply.status is Status.OVERLOADED
-                assert reply.request_id == 3
+                assert reply.request_id == burst
             finally:
                 writer.close()
+                await server.stop()
+
+        asyncio.run(scenario())
+
+    def test_slow_loris_peer_closed_after_io_timeout(self):
+        """A peer that sends a 4-byte length prefix and 3 header
+        bytes, then stalls, is cut off by the header read's
+        ``io_timeout`` (0.2 s): it reads EOF after ~0.2 s with no
+        reply bytes, ``repro_serve_open_connections`` drops back by
+        one, and a connection opened afterwards is served."""
+
+        async def scenario():
+            server = await _started(ServeConfig(port=0, io_timeout=0.2))
+            host, port = server.address
+            gauge = global_registry().get("repro_serve_open_connections")
+            before = gauge.value
+            loop = asyncio.get_running_loop()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                try:
+                    wire = encode_frame(Frame(op=Op.PING, request_id=1))
+                    start = loop.time()
+                    writer.write(wire[:4 + 3])
+                    await writer.drain()
+                    await asyncio.sleep(0.05)
+                    assert gauge.value == before + 1
+                    async with asyncio.timeout(5.0):
+                        tail = await reader.read()
+                    elapsed = loop.time() - start
+                finally:
+                    writer.close()
+                assert tail == b""  # EOF, and no reply bytes before it
+                assert 0.15 <= elapsed < 2.0
+                assert gauge.value == before
+                # Opened (and used at once, well inside io_timeout)
+                # after the stalled peer was dropped: served as usual.
+                async with CryptoClient(
+                    host, port, retry=RetryPolicy(attempts=1)
+                ) as client:
+                    reply = await client.ping(b"after")
+                    assert (reply.status, reply.payload) == (
+                        Status.OK, b"after")
+            finally:
                 await server.stop()
 
         asyncio.run(scenario())
