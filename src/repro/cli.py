@@ -15,11 +15,11 @@ Exposes the reproduction's main flows without writing Python:
     repro-aes vcd --blocks 1 --out wave.vcd
     repro-aes lint --strict --format sarif
     repro-aes sta --variant both --device Acex1K
-    repro-aes bench --quick --out BENCH_software_throughput.json
+    repro-aes bench                 # the backend equivalence gate
     repro-aes stats --blocks 4 --format prom
     repro-aes serve --port 9999 --metrics-out serve-metrics.json
     repro-aes loadgen --port 9999 --clients 8 --requests 32
-    repro-aes --trace trace.json bench --quick
+    repro-aes --trace trace.json stats --blocks 2
 
 ``--trace FILE`` works with every subcommand: it records spans across
 the whole run and writes Chrome-trace JSON on exit.
@@ -367,33 +367,28 @@ def cmd_proto(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import render_report, run_bench, \
-        write_report
+    from repro.perf.bench import cross_check, cross_check_ghash
     from repro.perf.engine import BackendMismatch
 
     try:
-        report = run_bench(
-            quick=args.quick,
-            sizes=args.size or None,
-            reps=args.reps,
-            backend_names=args.backend or None,
-            workers=args.workers,
-            serve=not args.no_serve,
-            ghash=not args.no_ghash,
-            ghash_names=args.ghash or None,
-            cluster=not args.no_cluster,
-        )
+        cipher = cross_check()
+        ghash = cross_check_ghash()
     except BackendMismatch as exc:
-        # The equivalence gate failed: a backend produced bytes the
-        # straightforward model disagrees with.  No numbers are
-        # written — a fast wrong answer is not a benchmark.
+        # A backend or GHASH provider produced bytes the golden model
+        # disagrees with: a fast wrong answer fails the gate.
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    out = write_report(report, Path(args.out))
-    print(render_report(report))
-    print(f"\nwrote {out}")
+    backends = cipher["backends"]
+    primitives = cipher["primitives"]
+    providers = ghash["ghash_providers"]
+    assert isinstance(backends, list) and isinstance(primitives, list)
+    assert isinstance(providers, list)
+    print(f"equivalence: {len(backends)} backend(s) "
+          f"x {len(primitives)} primitive(s) x {cipher['keys']} key(s), "
+          f"{cipher['mismatches']} mismatch(es)")
+    print(f"ghash equivalence: {len(providers)} provider(s), "
+          f"{ghash['ghash_cases']} case(s), "
+          f"{ghash['ghash_mismatches']} mismatch(es)")
     return 0
 
 
@@ -856,39 +851,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="software throughput bench: backend x mode x size "
-             "matrix with an equivalence gate; persists the "
-             "trajectory JSON",
+        help="equivalence gate: every backend and GHASH provider "
+             "against the golden model, bit for bit (timing lives "
+             "in bench/run.py)",
     )
-    p.add_argument("--quick", action="store_true",
-                   help="the CI smoke matrix: fewer sizes, one rep, "
-                        "tighter baseline measurement cap")
-    p.add_argument("--out", default="BENCH_software_throughput.json",
-                   help="where to write the trajectory JSON")
-    p.add_argument("--backend", action="append", metavar="NAME",
-                   help="restrict to these backends (repeatable; "
-                        "baseline always runs — it defines the "
-                        "speedup denominator)")
-    p.add_argument("--size", action="append", type=int,
-                   metavar="BYTES",
-                   help="override the pinned message sizes "
-                        "(repeatable, multiples of 16)")
-    p.add_argument("--reps", type=int, default=None,
-                   help="timing repetitions per workload")
-    p.add_argument("--workers", type=int, default=1,
-                   help="shard count for the parallelizable modes")
-    p.add_argument("--no-serve", action="store_true",
-                   help="skip the loopback serve scenario (matrix "
-                        "and equivalence gate only)")
-    p.add_argument("--ghash", action="append", metavar="NAME",
-                   help="restrict the GHASH section to these "
-                        "providers (repeatable; bitwise always "
-                        "runs — it defines the speedup denominator)")
-    p.add_argument("--no-ghash", action="store_true",
-                   help="skip the GHASH provider section")
-    p.add_argument("--no-cluster", action="store_true",
-                   help="skip the multi-process cluster scaling "
-                        "scenario (no worker processes spawned)")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser(

@@ -1,4 +1,4 @@
-"""Batched software throughput engine and benchmark harness.
+"""Batched software throughput engine and its equivalence gate.
 
 The paper's §1 motivation is that backbone channels "cannot lose
 processing speed running cryptography algorithms in general software".
@@ -21,11 +21,9 @@ way high-traffic deployments actually run block ciphers:
   a backend with native modes runs CTR encryption in one call.
   Feedback modes (CBC/CFB) stay serial by construction — the paper's
   point that chaining makes per-block latency the whole story.
-- :mod:`repro.perf.bench` — the benchmark harness: a pinned workload
-  matrix (backend x mode x message size), a bit-for-bit equivalence
-  gate against the golden model before any timing, and the persisted
-  ``BENCH_software_throughput.json`` trajectory that later PRs assert
-  no-regression against.
+- :mod:`repro.perf.bench` — the equivalence gate behind ``repro-aes
+  bench``: every backend and GHASH provider bit for bit against the
+  golden model.  Timing lives in ``bench/run.py``.
 
 The bulk paths of :mod:`repro.aes.modes` and :mod:`repro.aes.gcm`
 route through :func:`repro.perf.engine.default_engine`; GCM seals and

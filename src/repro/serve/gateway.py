@@ -259,6 +259,7 @@ class Gateway:
         self._ring = HashRing(replicas=self.config.ring_replicas)
         self._backends: Dict[str, _BackendState] = {}
         self._conns: Set[_GatewayConn] = set()
+        self._conn_tasks: Set["asyncio.Task[None]"] = set()
         self._conn_keys = itertools.count(0x67570000)
         self._server: Optional[asyncio.base_events.Server] = None
         self._admin: Optional[AdminServer] = None
@@ -391,6 +392,9 @@ class Gateway:
             self._health_task = None
         for conn in list(self._conns):
             await conn.close()
+        # As in CryptoServer.stop(): wait for handlers still closing.
+        if self._conn_tasks:
+            await asyncio.wait(self._conn_tasks, timeout=_CLOSE_TIMEOUT_S)
         if self._admin is not None:
             # Last: /readyz has answered 503 since _stopping flipped.
             await self._admin.stop()
@@ -399,6 +403,10 @@ class Gateway:
     # ----------------------------------------------------- connections
     async def _on_connection(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        if task is not None:
+            self._conn_tasks.add(task)
+            task.add_done_callback(self._conn_tasks.discard)
         conn = _GatewayConn(reader, writer,
                             fallback_key=next(self._conn_keys))
         self._conns.add(conn)
@@ -632,11 +640,16 @@ async def _probe_ready(host: str, port: int,
             pass
 
 
+#: How long closing one transport (or stop() waiting for handlers
+#: still closing theirs) may take before a stuck peer is given up on.
+_CLOSE_TIMEOUT_S = 5.0
+
+
 async def _close_writer(writer: asyncio.StreamWriter) -> None:
     """Close a transport without letting a stuck peer wedge us."""
     writer.close()
     try:
-        async with asyncio.timeout(5.0):
+        async with asyncio.timeout(_CLOSE_TIMEOUT_S):
             await writer.wait_closed()
     except (asyncio.TimeoutError, ConnectionError):
         pass

@@ -192,6 +192,7 @@ class CryptoServer:
         self._server: Optional[asyncio.base_events.Server] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._writers: Set[asyncio.StreamWriter] = set()
+        self._conn_tasks: Set["asyncio.Task[None]"] = set()
         # The event loop keeps only weak references to tasks, so the
         # remotely-triggered stop() task is pinned here until done.
         self._stop_task: Optional["asyncio.Task[None]"] = None
@@ -338,6 +339,10 @@ class CryptoServer:
         self._workers = []
         for writer in list(self._writers):
             await _close_writer(writer)
+        # A handler whose peer closed first has left _writers but may
+        # still be closing its transport; asyncio.run would cancel it.
+        if self._conn_tasks:
+            await asyncio.wait(self._conn_tasks, timeout=_CLOSE_TIMEOUT_S)
         if self._executor is not None:
             self._executor.shutdown(wait=False)
         if self._admin is not None:
@@ -349,6 +354,10 @@ class CryptoServer:
     # ----------------------------------------------------- connections
     async def _on_connection(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        if task is not None:
+            self._conn_tasks.add(task)
+            task.add_done_callback(self._conn_tasks.discard)
         session = Session(session_id=next(self._session_ids))
         write_lock = asyncio.Lock()
         self._writers.add(writer)
@@ -638,11 +647,16 @@ _CRYPTO_OPS: Dict[Tuple[Op, Mode],
 }
 
 
+#: How long closing one transport (or stop() waiting for handlers
+#: still closing theirs) may take before a stuck peer is given up on.
+_CLOSE_TIMEOUT_S = 5.0
+
+
 async def _close_writer(writer: asyncio.StreamWriter) -> None:
     """Close a transport without letting a stuck peer wedge us."""
     writer.close()
     try:
-        async with asyncio.timeout(5.0):
+        async with asyncio.timeout(_CLOSE_TIMEOUT_S):
             await writer.wait_closed()
     except (asyncio.TimeoutError, ConnectionError):
         pass

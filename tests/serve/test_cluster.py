@@ -242,9 +242,3 @@ class TestClusterCli:
         args = build_parser().parse_args(
             ["loadgen", "--port", "1"])
         assert args.sessions is None
-
-    def test_bench_no_cluster_flag_parses(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["bench", "--no-cluster"])
-        assert args.no_cluster is True

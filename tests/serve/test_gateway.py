@@ -429,6 +429,24 @@ class TestGatewayLifecycle:
 
         asyncio.run(scenario())
 
+    def test_stop_waits_for_handlers_already_closing(self):
+        """As for the server: a handler whose peer closed just before
+        stop() is still in its ``finally``; stop() waits for it."""
+
+        async def scenario():
+            gateway = Gateway(GatewayConfig(port=0))
+            await gateway.start()
+            host, port = gateway.address
+            _, writer = await asyncio.open_connection(host, port)
+            writer.close()
+            await asyncio.sleep(0)
+            await gateway.stop()
+            return [task for task in asyncio.all_tasks()
+                    if task.get_coro().__qualname__
+                    == "Gateway._on_connection"]
+
+        assert asyncio.run(scenario()) == []
+
     def test_session_load_through_gateway(self):
         """The cluster loadgen against in-process backends: every
         request answered, zero errors, per-shard latency windows

@@ -447,6 +447,24 @@ class TestEndToEnd:
 
         asyncio.run(scenario())
 
+    def test_stop_waits_for_handlers_already_closing(self):
+        """A peer that closes just before stop() leaves its handler
+        in its ``finally``, out of the tracked writers; stop() must
+        still wait for it, or asyncio.run cancels it at teardown."""
+
+        async def scenario():
+            server = await _started()
+            host, port = server.address
+            _, writer = await asyncio.open_connection(host, port)
+            writer.close()
+            await asyncio.sleep(0)
+            await server.stop()
+            return [task for task in asyncio.all_tasks()
+                    if task.get_coro().__qualname__
+                    == "CryptoServer._on_connection"]
+
+        assert asyncio.run(scenario()) == []
+
     def test_shutdown_frame_stops_server(self):
         async def scenario():
             server = await _started()

@@ -74,13 +74,6 @@ def test_served_requests_create_no_tasks(through_gateway):
             if gateway is not None:
                 await gateway.stop()
             await backend.stop()
-            # stop() does not wait for a connection handler that is
-            # already closing; let those finish, because Python
-            # 3.11.7's start_server callback logs an error for a
-            # handler that asyncio.run cancels at teardown.
-            leftover = asyncio.all_tasks() - {asyncio.current_task()}
-            if leftover:
-                await asyncio.wait(leftover, timeout=5.0)
         requests = REQUESTS * len(payloads)
         assert not created, (
             f"{len(created)} Tasks for {requests} requests: "

@@ -173,58 +173,30 @@ class TestArtifacts:
 
 
 class TestBench:
-    def test_quick_bench_writes_trajectory(self, capsys, tmp_path):
-        import json
-
-        out_file = tmp_path / "bench.json"
-        code, out = run_cli(capsys, "bench", "--quick",
-                            "--backend", "sliced",
-                            "--size", "256", "--reps", "1",
-                            "--no-cluster",
-                            "--out", str(out_file))
+    def test_gate_passes_and_writes_nothing(self, capsys, tmp_path,
+                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out = run_cli(capsys, "bench")
         assert code == 0
-        assert "software throughput" in out
-        assert "wrote" in out
-        report = json.loads(out_file.read_text())
-        assert report["schema"] == \
-            "repro-aes/software-throughput/v6"
-        assert report["equivalence"]["mismatches"] == 0
-        assert report["equivalence"]["ghash_mismatches"] == 0
-        assert report["ghash"]["workloads"]
-        assert report["git_rev"]
-        assert "repro_engine_blocks_total" in report["obs"]
-        backends = {row["backend"] for row in report["workloads"]}
-        assert {"baseline", "sliced"} <= backends
-        assert report["serve"]["errors"] == 0
-        assert report["serve"]["requests_per_s"] > 0
+        assert "x 3 primitive(s) x 2 key(s), 0 mismatch(es)" in out
+        assert "ghash equivalence:" in out
+        assert "case(s), 0 mismatch(es)" in out
+        assert list(tmp_path.iterdir()) == []
 
-    def test_no_serve_flag_skips_scenario(self, capsys, tmp_path):
-        import json
+    def test_mismatch_exits_1_naming_the_backend(self, capsys,
+                                                 monkeypatch):
+        from repro.perf import bench
+        from tests.perf.test_bench import _CorruptBackend
 
-        out_file = tmp_path / "bench.json"
-        code, out = run_cli(capsys, "bench", "--quick",
-                            "--backend", "sliced",
-                            "--size", "256", "--reps", "1",
-                            "--no-serve", "--no-ghash",
-                            "--no-cluster",
-                            "--out", str(out_file))
-        assert code == 0
-        report = json.loads(out_file.read_text())
-        assert report["serve"] is None
-        assert report["ghash"] is None
-        assert report["cluster"] is None
-
-    def test_unknown_backend_exits(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["bench", "--quick", "--backend", "warp",
-                  "--size", "256",
-                  "--out", str(tmp_path / "bench.json")])
-
-    def test_unaligned_size_exits(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["bench", "--quick", "--backend", "sliced",
-                  "--size", "100",
-                  "--out", str(tmp_path / "bench.json")])
+        registry = {**bench.available_backends(),
+                    "corrupt": _CorruptBackend()}
+        monkeypatch.setattr(bench, "available_backends",
+                            lambda: registry)
+        code = main(["bench"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "'corrupt'" in captured.err
+        assert "mismatch(es)" not in captured.out
 
 
 class TestStats:

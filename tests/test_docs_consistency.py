@@ -160,8 +160,8 @@ class TestServingDocsPinProtocol:
 
 
 class TestUsageDocsPinBackends:
-    """docs/usage.md's backend/provider matrix and bench schema must
-    track the registries and the persisted schema string."""
+    """docs/usage.md's backend/provider matrix must track the
+    registries."""
 
     USAGE = (REPO / "docs" / "usage.md").read_text()
 
@@ -176,11 +176,3 @@ class TestUsageDocsPinBackends:
         for name in available_providers():
             assert f"`{name}`" in self.USAGE, name
         assert "`auto`" in self.USAGE
-
-    def test_bench_schema_documented(self):
-        from repro.perf.bench import SCHEMA
-        assert SCHEMA in self.USAGE
-
-    def test_ghash_flags_documented(self):
-        assert "--no-ghash" in self.USAGE
-        assert "--ghash" in self.USAGE
