@@ -1,4 +1,4 @@
-"""Pluggable GHASH providers: bitwise, byte-table, numpy-vectorized.
+"""Pluggable GHASH providers: byte-table and numpy-vectorized.
 
 GHASH is multiplication in GF(2^128) with GCM's reflected bit order
 (SP 800-38D §6.3): field elements live in 128-bit ints whose bit 127
@@ -9,10 +9,10 @@ end of the integer.  :mod:`repro.aes.gcm` keeps a table-free
 against it (see ``tests/aes/test_ghash.py`` and the bench equivalence
 gate).
 
-Three providers, mirroring the cipher backend ladder in
-:mod:`repro.perf.backends`:
+Two providers, mirroring the cipher backend ladder in
+:mod:`repro.perf.backends`; ``auto`` picks ``vector`` where numpy
+imports and ``table`` elsewhere:
 
-- ``bitwise`` — the golden shift-and-xor multiply, one bit at a time.
 - ``table`` — per-subkey byte tables ``T[j][v] = (v · x^(8j)) · H``
   so a block multiply is 16 lookups and 16 xors instead of 128
   shift/xor rounds.  Tables are cached per subkey (LRU, zeroized on
@@ -263,7 +263,7 @@ def forget(h: int) -> None:
 class GhashProvider:
     """One GHASH implementation; ``digest`` folds byte parts."""
 
-    #: Registry / bench name.
+    #: Registry name.
     name = "abstract"
     #: Whether the provider batches block multiplies (numpy).
     vectorized = False
@@ -274,29 +274,6 @@ class GhashProvider:
 
     def forget(self, h: int) -> None:
         """Drop any per-subkey state (tables); default: stateless."""
-
-
-def _fold_bitwise(y: int, h: int, part: bytes) -> int:
-    full = len(part) - len(part) % BLOCK
-    for index in range(0, full, BLOCK):
-        y = gf128_mul(
-            y ^ int.from_bytes(part[index:index + BLOCK], "big"), h)
-    if full < len(part):
-        tail = part[full:] + bytes(BLOCK - (len(part) - full))
-        y = gf128_mul(y ^ int.from_bytes(tail, "big"), h)
-    return y
-
-
-class BitwiseGhash(GhashProvider):
-    """The golden model: per-bit shift-and-xor multiplies."""
-
-    name = "bitwise"
-
-    def digest(self, h: int, parts: Sequence[bytes]) -> int:
-        y = 0
-        for part in parts:
-            y = _fold_bitwise(y, h, part)
-        return y
 
 
 def _fold_table(y: int, part: bytes,
@@ -412,17 +389,13 @@ class VectorGhash(GhashProvider):
         return _fold_table(acc, part[body:], table_set.tables)
 
 
-_BITWISE_PROVIDER = BitwiseGhash()
 _TABLE_PROVIDER = TableGhash()
 _VECTOR_PROVIDER = VectorGhash()
 
 
 def available_providers() -> Dict[str, GhashProvider]:
     """Providers usable in this interpreter, keyed by name."""
-    providers: Dict[str, GhashProvider] = {
-        "bitwise": _BITWISE_PROVIDER,
-        "table": _TABLE_PROVIDER,
-    }
+    providers: Dict[str, GhashProvider] = {"table": _TABLE_PROVIDER}
     if have_numpy():
         providers["vector"] = _VECTOR_PROVIDER
     return providers
@@ -463,7 +436,7 @@ def default_provider() -> GhashProvider:
 
 
 def set_default_provider(name: str) -> GhashProvider:
-    """Pin the process-wide provider (bench / CLI override)."""
+    """Pin the process-wide provider by name."""
     global _DEFAULT
     provider = get_provider(name)
     with _DEFAULT_LOCK:
@@ -473,7 +446,6 @@ def set_default_provider(name: str) -> GhashProvider:
 
 __all__ = [
     "BLOCK",
-    "BitwiseGhash",
     "GhashProvider",
     "TableGhash",
     "VECTOR_LANES",

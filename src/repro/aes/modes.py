@@ -115,7 +115,7 @@ def ecb_encrypt(key: bytes, plaintext: bytes) -> bytes:
     """
     plaintext = _require_aligned(plaintext, "plaintext")
     _MODE_OPS.labels(mode="ecb", op="encrypt").inc()
-    return _bulk_engine().xcrypt_ecb(key, plaintext)
+    return _bulk_engine().encrypt_blocks(key, plaintext)
 
 
 def ecb_decrypt(key: bytes, ciphertext: bytes) -> bytes:

@@ -927,8 +927,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "/readyz, /quantiles); 0 = OS-assigned")
     p.add_argument("--shared-port", type=int, default=None,
                    help="direct mode: all workers share this port "
-                        "(SO_REUSEPORT or a pre-fork listener) and "
-                        "no gateway runs (0 = OS-assigned)")
+                        "through SO_REUSEPORT and no gateway runs "
+                        "(0 = OS-assigned)")
     p.add_argument("--queue-depth", type=int, default=64,
                    help="per-worker bounded request queue depth")
     p.add_argument("--worker-tasks", type=int, default=4,

@@ -15,7 +15,7 @@ evidence as a :class:`StatsReport` that renders in four formats:
 
 The hardware counters go into a *fresh* registry scoped to the one
 observed run, so repeated ``stats`` invocations never double-count;
-software metrics (mode ops, engine shards) accumulate in the global
+software metrics (mode ops, engine calls) accumulate in the global
 registry as usual.
 """
 

@@ -7,18 +7,18 @@ way high-traffic deployments actually run block ciphers:
 
 - :mod:`repro.perf.backends` — pluggable bulk-encryption backends: the
   straightforward model (:class:`repro.aes.cipher.AES128`, the golden
-  reference), the per-block T-table path (:mod:`repro.aes.fast`), and
-  a word-sliced *batch* T-table backend that amortizes key expansion
-  through an LRU round-key cache and processes many blocks per call —
-  vectorized with numpy when available, pure Python otherwise.
+  reference) and a word-sliced *batch* T-table backend that amortizes
+  key expansion through an LRU round-key cache and processes many
+  blocks per call — vectorized with numpy when available, pure Python
+  otherwise.
 - :mod:`repro.perf.evp` — OpenSSL EVP over ctypes: ECB blocks plus
   native CTR and one-shot GCM, registered only where libcrypto passes
   its known-answer tests.  ``auto`` selects it there, ``sliced``
   everywhere else.
 - :mod:`repro.perf.engine` — :class:`~repro.perf.engine.BatchEngine`,
-  one interface over every backend with ``concurrent.futures``
-  sharding for the parallelizable modes (ECB, CTR keystream, GCTR);
-  a backend with native modes runs CTR encryption in one call.
+  one interface over every backend for the parallelizable modes (ECB,
+  CTR keystream, GCTR); a backend with native modes runs CTR
+  encryption in one call.
   Feedback modes (CBC/CFB) stay serial by construction — the paper's
   point that chaining makes per-block latency the whole story.
 - :mod:`repro.perf.bench` — the equivalence gate behind ``repro-aes
@@ -35,7 +35,6 @@ from repro.perf.backends import (
     BaselineBackend,
     RoundKeyCache,
     SlicedBackend,
-    TTableBackend,
     available_backends,
     get_backend,
     have_numpy,
@@ -57,7 +56,6 @@ __all__ = [
     "EvpBackend",
     "RoundKeyCache",
     "SlicedBackend",
-    "TTableBackend",
     "available_backends",
     "default_engine",
     "forget_key",

@@ -1,18 +1,14 @@
 """Bulk-encryption backends for the batch throughput engine.
 
 A backend turns ``(key, many 16-byte blocks)`` into ciphertext in one
-call.  Three are provided, in increasing order of software ambition:
+call.  Two are provided here:
 
 ``baseline``
     The straightforward model, exactly as the mode layer used it
     before the engine existed: construct :class:`repro.aes.cipher.
     AES128` (one key expansion per call) and loop block by block.
-    This is the reference every other backend must match bit-for-bit,
-    and the denominator of every speedup the bench reports.
-
-``ttable``
-    The per-block T-table path (:class:`repro.aes.fast.FastAES128`):
-    fused round tables, still one Python method call per block.
+    This is the reference every other backend must match bit-for-bit
+    in the equivalence gate (``repro-aes bench``).
 
 ``sliced``
     The batch backend this module exists for.  Round keys come from a
@@ -31,7 +27,7 @@ modes (ECB encrypt, CTR, GCTR) only ever use the encrypt direction —
 the same property that lets the paper's smallest device variant serve
 CTR links.
 
-A fourth backend, ``evp`` (:mod:`repro.perf.evp`), runs ECB, CTR and
+A third backend, ``evp`` (:mod:`repro.perf.evp`), runs ECB, CTR and
 GCM natively through OpenSSL where a libcrypto passes its known-answer
 tests; ``auto`` selects it there and ``sliced`` everywhere else.
 """
@@ -44,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.aes.cipher import AES128
 from repro.aes.constants import SBOX
-from repro.aes.fast import T0, T1, T2, T3, FastAES128
+from repro.aes.fast import T0, T1, T2, T3
 from repro.aes.key_schedule import expand_key
 
 try:  # optional vectorization — detected, never required
@@ -150,14 +146,14 @@ class Backend:
 
     ``encrypt_blocks`` receives validated input — a 16-byte key and a
     16-byte-aligned buffer — and returns the ECB encryption of every
-    block.  Engines layer counter generation, XOR and sharding on top,
+    block.  Engines layer counter generation and XOR on top,
     unless the backend has ``native_modes``: then the engine's
     ``xcrypt_ctr`` hands CTR to :meth:`ctr`, and :mod:`repro.aes.gcm`
     seals and opens through :meth:`gcm_seal` / :meth:`gcm_open` in one
     call each.
     """
 
-    #: Registry/bench name; subclasses override.
+    #: Registry name; subclasses override.
     name = "abstract"
 
     #: Longest IV :meth:`gcm_seal` and :meth:`gcm_open` take; longer
@@ -207,15 +203,6 @@ class BaselineBackend(Backend):
             aes.encrypt_block(data[i:i + BLOCK])
             for i in range(0, len(data), BLOCK)
         )
-
-
-class TTableBackend(Backend):
-    """Per-block T-table path (:class:`repro.aes.fast.FastAES128`)."""
-
-    name = "ttable"
-
-    def encrypt_blocks(self, key: bytes, data: bytes) -> bytes:
-        return FastAES128(key).encrypt_ecb(data)
 
 
 class SlicedBackend(Backend):
@@ -373,7 +360,6 @@ def available_backends() -> Dict[str, Backend]:
     """Fresh instances of every backend, keyed by registry name."""
     backends: Dict[str, Backend] = {
         BaselineBackend.name: BaselineBackend(),
-        TTableBackend.name: TTableBackend(),
         SlicedBackend.name: SlicedBackend(),
     }
     # OpenSSL EVP registers only where a libcrypto passes its

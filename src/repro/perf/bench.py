@@ -68,8 +68,8 @@ def cross_check(backends: Optional[Dict[str, Backend]] = None,
     """Verify every backend against the straightforward model.
 
     Raises :class:`BackendMismatch` naming the first divergent
-    (backend, primitive) pair; returns the summary recorded in the
-    bench JSON when everything agrees.
+    (backend, primitive) pair; returns the summary ``repro-aes bench``
+    prints when everything agrees.
     """
     if backends is None:
         backends = available_backends()
@@ -85,7 +85,7 @@ def cross_check(backends: Optional[Dict[str, Backend]] = None,
     primitives: Dict[
         str, Callable[[BatchEngine, bytes], Sequence[bytes]]
     ] = {
-        "ecb": lambda eng, key: (eng.xcrypt_ecb(key, aligned),
+        "ecb": lambda eng, key: (eng.encrypt_blocks(key, aligned),
                                  _serial_ecb(key, aligned)),
         "ctr": lambda eng, key: (eng.xcrypt_ctr(key, nonce, ragged),
                                  _serial_ctr(key, nonce, ragged)),
@@ -121,8 +121,7 @@ def cross_check_ghash(providers: Optional[Dict[str, object]] = None,
     multi-part split (GCM's AAD/ciphertext/lengths layout), and a
     buffer long enough to cross the vector provider's lane
     threshold.  Raises :class:`BackendMismatch` on the first
-    divergence; returns the summary merged into the bench JSON's
-    ``equivalence`` section.
+    divergence; returns the summary ``repro-aes bench`` prints.
     """
     from repro.aes import ghash as ghash_mod
     from repro.aes.gcm import _ghash as golden

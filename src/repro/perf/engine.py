@@ -1,16 +1,13 @@
 """The batch throughput engine: one interface over every backend.
 
 :class:`BatchEngine` is the software counterpart of the paper's IP
-wrapper: the caller hands it a key and a buffer, and the engine picks
-how the blocks actually get processed — which backend runs the T-table
-math, and whether the buffer is sharded across worker threads with
-``concurrent.futures``.
+wrapper: the caller hands it a key and a buffer, and the engine's
+backend runs the block math.
 
 Only the *parallelizable* primitives live here: ECB encryption, CTR
 keystream generation, and GCTR (GCM's 32-bit-counter variant).  Each
-encrypts an independent block stream, so a buffer can be cut into
-contiguous shards and processed concurrently.  Each builds its counter
-blocks, encrypts them with ``encrypt_blocks`` and XORs; only
+encrypts an independent block stream: it builds its counter blocks,
+encrypts them in one ``encrypt_blocks`` backend call and XORs; only
 ``xcrypt_ctr`` hands a whole buffer to a backend with native modes
 (``evp``, what ``auto`` selects where libcrypto passes its
 known-answer tests).  The feedback modes (CBC, CFB) are deliberately
@@ -27,17 +24,13 @@ does not change when the implementation under it does.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 from repro.obs.metrics import global_registry
 from repro.obs.tracing import trace_span
 from repro.perf.backends import Backend, get_backend
 
 BLOCK = 16
-
-#: Below this many blocks a shard is not worth a thread hop.
-MIN_SHARD_BLOCKS = 256
 
 # Engine instrumentation: children are bound once at import so the
 # per-call cost on the hot path is a dict-free method call.
@@ -51,14 +44,10 @@ _BLOCKS = _REGISTRY.counter(
     "repro_engine_blocks_total",
     "16-byte blocks processed by the batch engine",
 )
-_SHARD_SECONDS = _REGISTRY.histogram(
+_BACKEND_SECONDS = _REGISTRY.histogram(
     "repro_engine_shard_seconds",
-    "Wall-clock seconds spent encrypting one shard",
+    "Wall-clock seconds spent in one backend encrypt_blocks call",
     labels=("backend",),
-)
-_WORKERS_EFFECTIVE = _REGISTRY.gauge(
-    "repro_engine_workers_effective",
-    "Effective worker count of the last sharded call",
 )
 _BACKEND_SELECTED = _REGISTRY.counter(
     "repro_engine_backend_selected_total",
@@ -81,23 +70,15 @@ class BackendMismatch(ValueError):
 class BatchEngine:
     """Batched encryption over a pluggable backend.
 
-    ``backend`` is a registry name (``baseline`` / ``ttable`` /
-    ``sliced`` / ``evp`` / ``auto``) or a
-    :class:`~repro.perf.backends.Backend` instance.  ``workers`` > 1
-    shards large buffers across a thread pool; the default of 1 keeps
-    everything on the calling thread (CPython's GIL serializes the
-    pure-Python backends anyway — the sharding pays off for vectorized
-    or future native backends, and the shard plan is identical either
-    way, so results never depend on the worker count).
+    ``backend`` is a registry name (``baseline`` / ``sliced`` /
+    ``evp`` / ``auto``) or a :class:`~repro.perf.backends.Backend`
+    instance.  Every call runs on the calling thread.
     """
 
-    def __init__(self, backend: Union[str, Backend] = "auto",
-                 workers: int = 1):
+    def __init__(self, backend: Union[str, Backend] = "auto"):
         if isinstance(backend, str):
             backend = get_backend(backend)
         self._backend = backend
-        self._workers = max(1, int(workers))
-        self._effective_workers = 1
         _BACKEND_SELECTED.labels(backend=backend.name).inc()
 
     @property
@@ -105,26 +86,14 @@ class BatchEngine:
         """The backend currently doing the block math."""
         return self._backend
 
-    @property
-    def workers(self) -> int:
-        """Configured shard ceiling for the parallelizable primitives."""
-        return self._workers
-
-    @property
-    def effective_workers(self) -> int:
-        """Workers the last call actually used.
-
-        The shard plan can produce fewer shards than the configured
-        ``workers`` (small buffers shard less); the executor is sized
-        to the shards, never the configured ceiling, and this property
-        (plus the ``repro_engine_workers_effective`` gauge) reports
-        what really ran.
-        """
-        return self._effective_workers
-
     # ------------------------------------------------------------ ECB
     def encrypt_blocks(self, key: bytes, data: bytes) -> bytes:
-        """Encrypt an aligned buffer block-by-block (ECB direction)."""
+        """Encrypt an aligned buffer block-by-block (ECB direction).
+
+        Decryption needs the inverse cipher, which stays on the
+        straightforward model — every backend here is encrypt-only,
+        like the paper's smallest device variant.
+        """
         key = bytes(key)
         if len(key) != BLOCK:
             raise ValueError(
@@ -139,40 +108,15 @@ class BatchEngine:
             return b""
         _OPS_ENCRYPT.inc()
         _BLOCKS.inc(len(data) // BLOCK)
-        shards = self._shards(data)
-        effective = min(self._workers, len(shards))
-        self._effective_workers = effective
-        _WORKERS_EFFECTIVE.set(effective)
         with trace_span("engine.encrypt_blocks",
                         backend=self._backend.name,
-                        blocks=len(data) // BLOCK,
-                        shards=len(shards), workers=effective):
-            if len(shards) == 1:
-                return self._encrypt_shard(key, data)
-            with ThreadPoolExecutor(max_workers=effective) as pool:
-                parts = pool.map(
-                    lambda shard: self._encrypt_shard(key, shard),
-                    shards,
-                )
-                return b"".join(parts)
-
-    def _encrypt_shard(self, key: bytes, shard: bytes) -> bytes:
-        """One backend call, timed into the shard-latency histogram."""
-        start = time.perf_counter()
-        out = self._backend.encrypt_blocks(key, shard)
-        _SHARD_SECONDS.labels(backend=self._backend.name).observe(
-            time.perf_counter() - start
-        )
-        return out
-
-    def xcrypt_ecb(self, key: bytes, data: bytes) -> bytes:
-        """ECB over the batch path (encrypt direction only).
-
-        Decryption needs the inverse cipher, which stays on the
-        straightforward model — every backend here is encrypt-only,
-        like the paper's smallest device variant.
-        """
-        return self.encrypt_blocks(key, data)
+                        blocks=len(data) // BLOCK):
+            start = time.perf_counter()
+            out = self._backend.encrypt_blocks(key, data)
+            _BACKEND_SECONDS.labels(backend=self._backend.name).observe(
+                time.perf_counter() - start
+            )
+            return out
 
     # ------------------------------------------------------------ CTR
     def keystream(self, key: bytes, nonce: bytes, blocks: int,
@@ -238,23 +182,6 @@ class BatchEngine:
             key, _counter_blocks(head, start, blocks, 4))
         return _xor_bytes(data, stream[:len(data)])
 
-    # ------------------------------------------------------- sharding
-    def _shards(self, data: bytes) -> List[bytes]:
-        """Cut an aligned buffer into contiguous worker shards.
-
-        The plan depends only on the buffer size and the configured
-        worker count — never on timing — so output ordering (and thus
-        the ciphertext) is deterministic.
-        """
-        blocks = len(data) // BLOCK
-        if self._workers == 1 or blocks < 2 * MIN_SHARD_BLOCKS:
-            return [data]
-        shard_count = min(self._workers,
-                          max(1, blocks // MIN_SHARD_BLOCKS))
-        per_shard = -(-blocks // shard_count)  # ceil
-        step = per_shard * BLOCK
-        return [data[i:i + step] for i in range(0, len(data), step)]
-
 
 def _ctr_nonce(nonce: bytes) -> bytes:
     nonce = bytes(nonce)
@@ -290,11 +217,9 @@ def default_engine() -> BatchEngine:
 
     Auto-selects the backend — ``evp`` where libcrypto passes its
     known-answer tests, else ``sliced`` (numpy-vectorized when
-    available) — with serial sharding: the fastest configuration that
-    needs no tuning.  :mod:`repro.aes.gcm` also seals and opens
-    through this engine's backend when it has native modes.  Callers
-    wanting a specific backend or worker count build their own
-    :class:`BatchEngine`.
+    available).  :mod:`repro.aes.gcm` also seals and opens through
+    this engine's backend when it has native modes.  Callers wanting
+    a specific backend build their own :class:`BatchEngine`.
     """
     global _DEFAULT
     if _DEFAULT is None:

@@ -14,10 +14,10 @@ lifecycle machinery to run them as one service:
   on a clean stop.
 - **Topologies** — the default puts workers on OS-assigned ports
   behind the session-sharded :class:`~repro.serve.gateway.Gateway`;
-  with ``shared_port`` set, all workers serve one port directly
-  (``SO_REUSEPORT`` where the platform has it, a pre-fork shared
-  listener passed through the process boundary otherwise) and no
-  gateway runs.
+  with ``shared_port`` set, all workers bind one port directly with
+  ``SO_REUSEPORT`` and no gateway runs.  Shared-port mode refuses to
+  start on a platform without ``SO_REUSEPORT``; the gateway topology
+  runs everywhere.
 - **Supervisor** — monitors worker processes; a worker that dies with
   a nonzero exit code is restarted under the same shard name with
   exponential backoff (a clean exit 0 is taken as intentional and
@@ -76,13 +76,10 @@ class ClusterConfig:
     gateway_port: int = 0
     #: Gateway admin/scrape plane; ``None`` leaves it off.
     admin_port: Optional[int] = None
-    #: Direct mode: all workers share this one port and no gateway
-    #: runs.  ``0`` asks the OS for a free port up front.
+    #: Direct mode: all workers share this one port through
+    #: ``SO_REUSEPORT`` and no gateway runs.  ``0`` asks the OS for a
+    #: free port up front.
     shared_port: Optional[int] = None
-    #: Force (True) or forbid (False) ``SO_REUSEPORT`` in direct
-    #: mode; ``None`` auto-detects.  With it off, one pre-fork
-    #: listening socket is passed to every worker instead.
-    reuse_port: Optional[bool] = None
     #: Per-worker bounded request queue depth.
     queue_depth: int = 64
     #: Per-worker asyncio worker tasks (``ServeConfig.workers``).
@@ -111,19 +108,17 @@ class ClusterConfig:
 
 
 def _worker_main(index: int, conn: Connection,
-                 options: Dict[str, object],
-                 shared: Optional[socket.socket]) -> None:
+                 options: Dict[str, object]) -> None:
     """Worker process entry point (module-level: the ``spawn`` start
     method pickles the target by qualified name and re-imports it)."""
-    asyncio.run(_worker_async(index, conn, options, shared))
+    asyncio.run(_worker_async(index, conn, options))
 
 
 async def _worker_async(index: int, conn: Connection,
-                        options: Dict[str, object],
-                        shared: Optional[socket.socket]) -> None:
+                        options: Dict[str, object]) -> None:
     config = ServeConfig(**options)  # type: ignore[arg-type]
     server = CryptoServer(config)
-    await server.start(sock=shared)
+    await server.start()
     stop_requested = asyncio.Event()
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGTERM, signal.SIGINT):
@@ -145,38 +140,33 @@ async def _worker_async(index: int, conn: Connection,
     conn.close()
 
 
-def _make_shared_socket(host: str, port: int,
-                        reuse_port: Optional[bool]) -> \
-        Tuple[socket.socket, bool]:
-    """The direct-mode shared socket, bound up front.
+def _make_shared_socket(host: str, port: int) -> socket.socket:
+    """The direct-mode port reservation, bound up front.
 
-    With ``SO_REUSEPORT`` (returns ``(sock, True)``): the socket is
-    bound but **not** listening — it only holds the port reservation
-    (the kernel balances connections across *listening* sockets, so
-    a non-listening placeholder never steals one) while each worker
-    binds its own listening socket on the same port.  Without it
-    (``(sock, False)``): the socket is listening and is passed to
-    every worker, which accept on the shared file descriptor.
+    The socket is bound with ``SO_REUSEPORT`` but **not** listening:
+    it only holds the port (the kernel balances connections across
+    *listening* sockets, so a non-listening placeholder never steals
+    one) while each worker binds its own listening socket on the same
+    port.  Without ``SO_REUSEPORT`` there is no shared-port mode: a
+    listener created here and handed to every worker would serve with
+    Nagle's algorithm on (see docs/serving.md, "Shared-port mode").
 
     Runs in synchronous context only (constructor time): socket
     syscalls must stay off the event loop.
     """
-    use_reuseport = (hasattr(socket, "SO_REUSEPORT")
-                     if reuse_port is None else reuse_port)
+    if not hasattr(socket, "SO_REUSEPORT"):
+        raise RuntimeError(
+            "shared-port mode needs SO_REUSEPORT, which this platform "
+            "lacks; leave shared_port unset to run the workers behind "
+            "the gateway topology")
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
-        if use_reuseport:
-            sock.setsockopt(socket.SOL_SOCKET,
-                            socket.SO_REUSEPORT, 1)
-            sock.bind((host, port))
-            return sock, True
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         sock.bind((host, port))
-        sock.listen(128)
-        return sock, False
     except BaseException:
         sock.close()
         raise
+    return sock
 
 
 @dataclass
@@ -221,12 +211,9 @@ class Supervisor:
         self._stopping = False
         self._stopped = asyncio.Event()
         self._shared_sock: Optional[socket.socket] = None
-        self._workers_rebind = False
         if self.config.shared_port is not None:
-            self._shared_sock, self._workers_rebind = \
-                _make_shared_socket(self.config.host,
-                                    self.config.shared_port,
-                                    self.config.reuse_port)
+            self._shared_sock = _make_shared_socket(
+                self.config.host, self.config.shared_port)
 
     def handles(self) -> Tuple[WorkerHandle, ...]:
         """The live worker handles, by index."""
@@ -291,15 +278,11 @@ class Supervisor:
     # --------------------------------------------------------- spawning
     def _worker_options(self, index: int) -> Dict[str, object]:
         config = self.config
-        port = 0
-        reuse = False
-        if self._shared_sock is not None and self._workers_rebind:
-            port = self._shared_sock.getsockname()[1]
-            reuse = True
+        shared = self._shared_sock is not None
         return {
             "host": config.host,
-            "port": port,
-            "reuse_port": reuse,
+            "port": self.shared_address[1] if shared else 0,
+            "reuse_port": shared,
             "queue_depth": config.queue_depth,
             "workers": config.worker_tasks,
             "request_timeout": config.request_timeout,
@@ -313,13 +296,9 @@ class Supervisor:
     async def _spawn(self, index: int,
                      restarts: int) -> WorkerHandle:
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        shared = (self._shared_sock
-                  if (self._shared_sock is not None
-                      and not self._workers_rebind) else None)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(index, child_conn, self._worker_options(index),
-                  shared),
+            args=(index, child_conn, self._worker_options(index)),
             name=f"repro-serve-worker-{index}",
             daemon=True,
         )

@@ -27,7 +27,7 @@ explicit limits, bounded buffering, measured behaviour:
 
 Crypto executes on a small thread pool through
 :func:`repro.perf.engine.default_engine` (via the mode layer), so a
-large buffer is batched/sharded by the engine while the event loop
+large buffer is batched by the engine while the event loop
 stays responsive.  Everything is instrumented into the process-global
 :mod:`repro.obs` registry — request/byte/error counters, an in-flight
 gauge, a latency histogram and ``serve.*`` spans.
@@ -38,7 +38,6 @@ from __future__ import annotations
 import asyncio
 import itertools
 import logging
-import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -112,8 +111,7 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0
     #: Bind with ``SO_REUSEPORT`` so several worker processes can
-    #: share one port (the cluster's direct topology).  Ignored when
-    #: :meth:`CryptoServer.start` is handed a pre-bound socket.
+    #: share one port (the cluster's direct topology).
     reuse_port: bool = False
     #: Bound of the shared request queue — the backpressure valve.
     queue_depth: int = 64
@@ -222,15 +220,8 @@ class CryptoServer:
         self._admin: Optional[AdminServer] = None
 
     # ------------------------------------------------------- lifecycle
-    async def start(self,
-                    sock: Optional[socket.socket] = None) -> None:
-        """Bind the listening socket and start the worker tasks.
-
-        ``sock`` serves on an already-bound listening socket instead
-        of binding ``host:port`` — the cluster's pre-fork shared
-        listener, created in the parent and passed across the
-        process boundary.
-        """
+    async def start(self) -> None:
+        """Bind the listening socket and start the worker tasks."""
         if self._server is not None:
             raise RuntimeError("server already started")
         # Twice the worker count: a timed-out job's thread cannot be
@@ -247,20 +238,10 @@ class CryptoServer:
             asyncio.get_running_loop().create_task(self._worker())
             for _ in range(max(1, self.config.workers))
         ]
-        if sock is not None:
-            self._server = await asyncio.start_server(
-                self._on_connection, sock=sock
-            )
-        elif self.config.reuse_port:
-            self._server = await asyncio.start_server(
-                self._on_connection, self.config.host,
-                self.config.port, reuse_port=True,
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._on_connection, self.config.host,
-                self.config.port
-            )
+        self._server = await asyncio.start_server(
+            self._on_connection, self.config.host, self.config.port,
+            reuse_port=self.config.reuse_port,
+        )
         if self.config.admin_port is not None:
             self._admin = AdminServer(
                 self.config.host,

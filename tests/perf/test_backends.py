@@ -15,7 +15,6 @@ from repro.perf.backends import (
     BaselineBackend,
     RoundKeyCache,
     SlicedBackend,
-    TTableBackend,
     available_backends,
     get_backend,
     have_numpy,
@@ -29,8 +28,7 @@ def serial_ecb(key, data):
 
 
 def all_backends():
-    backends = [BaselineBackend(), TTableBackend(),
-                SlicedBackend(vectorize=False)]
+    backends = [BaselineBackend(), SlicedBackend(vectorize=False)]
     if have_numpy():
         backends.append(SlicedBackend(vectorize=True))
     return backends
@@ -181,7 +179,7 @@ class TestRoundKeyCacheHygiene:
         key = bytes(range(16))
         engine = default_engine()
         cache = getattr(engine.backend, "cache", None)
-        engine.xcrypt_ecb(key, bytes(32))  # populate schedule cache
+        engine.encrypt_blocks(key, bytes(32))  # populate schedule cache
         subkey = int.from_bytes(
             AES128(key).encrypt_block(bytes(16)), "big")
         ghash_mod.get_provider("table").digest(subkey, (b"x" * 16,))
@@ -199,7 +197,7 @@ class TestRoundKeyCacheHygiene:
 class TestRegistry:
     def test_registry_names(self):
         from repro.perf.evp import have_evp
-        expected = {"baseline", "ttable", "sliced"}
+        expected = {"baseline", "sliced"}
         if have_evp():
             expected.add("evp")
         assert set(available_backends()) == expected

@@ -1,4 +1,4 @@
-"""BatchEngine primitives vs serial references, sharding, validation."""
+"""BatchEngine primitives vs serial references, validation."""
 
 import random
 
@@ -7,11 +7,7 @@ import pytest
 from repro.aes.cipher import AES128
 from repro.obs.metrics import global_registry
 from repro.perf.backends import BaselineBackend, available_backends
-from repro.perf.engine import (
-    MIN_SHARD_BLOCKS,
-    BatchEngine,
-    default_engine,
-)
+from repro.perf.engine import BatchEngine, default_engine
 
 KEY = bytes(range(16))
 NONCE = bytes(range(8))
@@ -49,7 +45,7 @@ def serial_gctr(key, icb, data):
 class TestPrimitives:
     def test_ecb_matches_serial(self):
         data = random.Random(1).randbytes(16 * 20)
-        assert BatchEngine().xcrypt_ecb(KEY, data) == \
+        assert BatchEngine().encrypt_blocks(KEY, data) == \
             serial_ecb(KEY, data)
 
     def test_keystream_matches_serial(self):
@@ -79,7 +75,7 @@ class TestPrimitives:
 
     def test_empty_inputs(self):
         engine = BatchEngine()
-        assert engine.xcrypt_ecb(KEY, b"") == b""
+        assert engine.encrypt_blocks(KEY, b"") == b""
         assert engine.xcrypt_ctr(KEY, NONCE, b"") == b""
         assert engine.keystream(KEY, NONCE, 0) == b""
         assert engine.gctr(KEY, bytes(16), b"") == b""
@@ -88,11 +84,11 @@ class TestPrimitives:
 class TestValidation:
     def test_bad_key_length(self):
         with pytest.raises(ValueError):
-            BatchEngine().xcrypt_ecb(bytes(8), bytes(16))
+            BatchEngine().encrypt_blocks(bytes(8), bytes(16))
 
     def test_unaligned_ecb(self):
         with pytest.raises(ValueError):
-            BatchEngine().xcrypt_ecb(KEY, bytes(15))
+            BatchEngine().encrypt_blocks(KEY, bytes(15))
 
     def test_bad_nonce_length(self):
         with pytest.raises(ValueError):
@@ -136,33 +132,6 @@ class TestCounterRange:
             serial_gctr(KEY, icb, data)
 
 
-class TestSharding:
-    def test_sharded_equals_serial(self):
-        data = random.Random(4).randbytes(16 * 4 * MIN_SHARD_BLOCKS)
-        serial = BatchEngine(workers=1)
-        sharded = BatchEngine(workers=4)
-        assert sharded.xcrypt_ecb(KEY, data) == \
-            serial.xcrypt_ecb(KEY, data)
-        assert sharded.xcrypt_ctr(KEY, NONCE, data) == \
-            serial.xcrypt_ctr(KEY, NONCE, data)
-
-    def test_small_buffers_stay_single_shard(self):
-        engine = BatchEngine(workers=8)
-        data = bytes(16 * (2 * MIN_SHARD_BLOCKS - 1))
-        assert engine._shards(data) == [data]
-
-    def test_shard_plan_is_contiguous(self):
-        engine = BatchEngine(workers=4)
-        data = bytes(16 * 4 * MIN_SHARD_BLOCKS)
-        shards = engine._shards(data)
-        assert len(shards) > 1
-        assert b"".join(shards) == data
-        assert all(len(s) % 16 == 0 for s in shards)
-
-    def test_workers_floor(self):
-        assert BatchEngine(workers=0).workers == 1
-
-
 class TestConstruction:
     def test_backend_by_name(self):
         assert BatchEngine("baseline").backend.name == "baseline"
@@ -175,31 +144,6 @@ class TestConstruction:
         assert default_engine() is default_engine()
 
 
-class TestEffectiveWorkers:
-    """The worker clamp: the executor is sized to the shard plan,
-    never the configured ceiling, and the engine reports what ran."""
-
-    def test_defaults_to_one(self):
-        assert BatchEngine().effective_workers == 1
-
-    def test_small_buffer_clamps_to_one(self):
-        engine = BatchEngine(workers=8)
-        engine.xcrypt_ecb(KEY, bytes(16 * 4))
-        assert engine.effective_workers == 1
-
-    def test_large_buffer_uses_configured_workers(self):
-        engine = BatchEngine(workers=4)
-        engine.xcrypt_ecb(KEY, bytes(16 * 4 * MIN_SHARD_BLOCKS))
-        assert engine.effective_workers == 4
-
-    def test_never_exceeds_shard_count(self):
-        engine = BatchEngine(workers=64)
-        data = bytes(16 * 4 * MIN_SHARD_BLOCKS)
-        engine.xcrypt_ecb(KEY, data)
-        assert engine.effective_workers == len(engine._shards(data))
-        assert engine.effective_workers < 64
-
-
 class TestEngineMetrics:
     def test_ops_blocks_and_gauge_recorded(self):
         from repro.obs.metrics import global_registry
@@ -207,14 +151,12 @@ class TestEngineMetrics:
         registry = global_registry()
         ops = registry.get("repro_engine_ops_total")
         blocks = registry.get("repro_engine_blocks_total")
-        gauge = registry.get("repro_engine_workers_effective")
         before_ops = ops.labels(primitive="encrypt_blocks").value
         before_blocks = blocks.value
-        BatchEngine("baseline").xcrypt_ecb(KEY, bytes(16 * 3))
+        BatchEngine("baseline").encrypt_blocks(KEY, bytes(16 * 3))
         assert ops.labels(primitive="encrypt_blocks").value == \
             before_ops + 1
         assert blocks.value == before_blocks + 3
-        assert gauge.value == 1
 
     def test_shard_latency_observed(self):
         from repro.obs.metrics import global_registry
@@ -222,7 +164,7 @@ class TestEngineMetrics:
         hist = global_registry().get("repro_engine_shard_seconds")
         child = hist.labels(backend="baseline")
         before = child.count
-        BatchEngine("baseline").xcrypt_ecb(KEY, bytes(16 * 2))
+        BatchEngine("baseline").encrypt_blocks(KEY, bytes(16 * 2))
         assert child.count == before + 1
         assert child.sum >= 0
 
@@ -231,6 +173,6 @@ class TestEngineMetrics:
 
         counter = global_registry().get(
             "repro_engine_backend_selected_total")
-        before = counter.labels(backend="ttable").value
-        BatchEngine("ttable")
-        assert counter.labels(backend="ttable").value == before + 1
+        before = counter.labels(backend="sliced").value
+        BatchEngine("sliced")
+        assert counter.labels(backend="sliced").value == before + 1

@@ -4,8 +4,8 @@ gateway.
 These are the failure-path tests the in-loop gateway suite cannot
 express: a worker process killed mid-load and restarted by the
 supervisor, a clean exit shrinking the pool, and the shared-port
-(no-gateway) topology in both of its modes.  Everything binds
-OS-assigned loopback ports; each scenario owns its own event loop.
+(no-gateway) topology.  Everything binds OS-assigned loopback ports;
+each scenario owns its own event loop.
 """
 
 import asyncio
@@ -190,11 +190,14 @@ class TestClusterEndToEnd:
 class TestSharedPortTopology:
     """Direct mode: every worker serves one port, no gateway."""
 
-    def _round_trip(self, reuse_port):
+    @pytest.mark.skipif(
+        not hasattr(socket, "SO_REUSEPORT"),
+        reason="platform has no SO_REUSEPORT",
+    )
+    def test_so_reuseport(self):
         async def scenario():
             cluster = Cluster(ClusterConfig(
-                workers=2, shared_port=0, reuse_port=reuse_port,
-                worker_admin=False,
+                workers=2, shared_port=0, worker_admin=False,
             ))
             await cluster.start()
             try:
@@ -211,15 +214,12 @@ class TestSharedPortTopology:
 
         asyncio.run(scenario())
 
-    def test_prefork_shared_listener(self):
-        self._round_trip(reuse_port=False)
-
-    @pytest.mark.skipif(
-        not hasattr(socket, "SO_REUSEPORT"),
-        reason="platform has no SO_REUSEPORT",
-    )
-    def test_so_reuseport(self):
-        self._round_trip(reuse_port=True)
+    def test_refused_without_so_reuseport(self, monkeypatch):
+        """No shared-port mode without SO_REUSEPORT: the cluster
+        refuses at construction and points at the gateway topology."""
+        monkeypatch.delattr(socket, "SO_REUSEPORT", raising=False)
+        with pytest.raises(RuntimeError, match="SO_REUSEPORT.*gateway"):
+            Cluster(ClusterConfig(workers=2, shared_port=0))
 
 
 class TestClusterCli:

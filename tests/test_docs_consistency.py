@@ -168,7 +168,7 @@ class TestUsageDocsPinBackends:
     def test_backend_matrix_names_registry(self):
         # Every selectable backend name appears in the docs, whether
         # or not it registers on this host (evp is host-dependent).
-        for name in ("baseline", "ttable", "sliced", "evp"):
+        for name in ("baseline", "sliced", "evp"):
             assert f"`{name}`" in self.USAGE, name
 
     def test_ghash_providers_documented(self):
