@@ -30,9 +30,10 @@ fully padded concatenation the old ``_ghash`` call sites did.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 BLOCK = 16
 
@@ -153,11 +154,15 @@ class _TableSet:
     and, lazily, numpy hi/lo table pairs for ``H`` powers (the vector
     provider steps lanes by ``H^W``)."""
 
-    __slots__ = ("tables", "numpy_packs")
+    __slots__ = ("tables", "numpy_packs", "users", "dropped")
 
     def __init__(self, h: int) -> None:
         self.tables = _build_tables(h)
         self.numpy_packs: Dict[int, Tuple[object, object]] = {}
+        #: Digests holding the set (:meth:`_TableCache.use`).
+        self.users = 0
+        #: Out of the cache; the last holder wipes it.
+        self.dropped = False
 
     def numpy_pack(self, h: int, power: int) -> Tuple[object, object]:
         pack = self.numpy_packs.get(power)
@@ -194,7 +199,9 @@ class _TableCache:
     Same hygiene contract as ``repro.perf.backends.RoundKeyCache``:
     dropping an entry overwrites the derived material instead of
     leaving it for the allocator to hand out.  Thread-safe — the
-    serve layer digests frames from a thread pool.
+    serve layer digests frames from a thread pool, and forgets keys
+    on the event loop while they may still be digesting, so a set
+    dropped while a digest holds it is zeroized when that digest ends.
     """
 
     def __init__(self, capacity: int = 16) -> None:
@@ -221,20 +228,51 @@ class _TableCache:
             self._entries[h] = entry
             while len(self._entries) > self._capacity:
                 _, evicted = self._entries.popitem(last=False)
-                evicted.wipe()
+                if self._drop(evicted):
+                    evicted.wipe()
         return entry
+
+    @contextlib.contextmanager
+    def use(self, h: int) -> Iterator[_TableSet]:
+        """The set for ``h``, held for the ``with`` body.  Dropping it
+        meanwhile (discard, eviction, clear) leaves the wipe to its
+        last holder, so a digest in flight never reads zeroed tables.
+        """
+        while True:
+            entry = self.get(h)
+            with self._lock:
+                if not entry.dropped:
+                    entry.users += 1
+                    break
+        try:
+            yield entry
+        finally:
+            with self._lock:
+                entry.users -= 1
+                idle = entry.dropped and not entry.users
+            if idle:
+                entry.wipe()
+
+    @staticmethod
+    def _drop(entry: _TableSet) -> bool:
+        """Mark ``entry`` out of the cache (lock held); True when no
+        digest holds it, so the caller wipes it now."""
+        entry.dropped = True
+        return not entry.users
 
     def discard(self, h: int) -> None:
         with self._lock:
             entry = self._entries.pop(h, None)
-        if entry is not None:
-            entry.wipe()
+            if entry is None or not self._drop(entry):
+                return
+        entry.wipe()
 
     def clear(self) -> None:
         with self._lock:
-            entries = list(self._entries.values())
+            idle = [entry for entry in self._entries.values()
+                    if self._drop(entry)]
             self._entries.clear()
-        for entry in entries:
+        for entry in idle:
             entry.wipe()
 
     def __len__(self) -> int:
@@ -256,6 +294,12 @@ def forget(h: int) -> None:
     on session teardown.
     """
     _TABLES.discard(h)
+
+
+def cached_subkeys() -> int:
+    """How many subkeys have cached tables: 0 where GCM runs natively,
+    which builds none."""
+    return len(_TABLES)
 
 
 # ------------------------------------------------------------- providers
@@ -295,11 +339,11 @@ class TableGhash(GhashProvider):
     name = "table"
 
     def digest(self, h: int, parts: Sequence[bytes]) -> int:
-        tables = _TABLES.get(h).tables
-        y = 0
-        for part in parts:
-            y = _fold_table(y, part, tables)
-        return y
+        with _TABLES.use(h) as table_set:
+            y = 0
+            for part in parts:
+                y = _fold_table(y, part, table_set.tables)
+            return y
 
     def forget(self, h: int) -> None:
         _TABLES.discard(h)
@@ -324,11 +368,11 @@ class VectorGhash(GhashProvider):
         np = _numpy()
         if np is None:
             return _TABLE_PROVIDER.digest(h, parts)
-        table_set = _TABLES.get(h)
-        y = 0
-        for part in parts:
-            y = self._fold_part(np, y, h, part, table_set)
-        return y
+        with _TABLES.use(h) as table_set:
+            y = 0
+            for part in parts:
+                y = self._fold_part(np, y, h, part, table_set)
+            return y
 
     def forget(self, h: int) -> None:
         _TABLES.discard(h)
@@ -451,6 +495,7 @@ __all__ = [
     "VECTOR_LANES",
     "VectorGhash",
     "available_providers",
+    "cached_subkeys",
     "default_provider",
     "forget",
     "get_provider",

@@ -240,13 +240,18 @@ def forget_key(key: bytes) -> None:
 
     Best-effort by design: a malformed key has nothing cached, and
     hygiene on teardown must never raise into connection cleanup.
+    Finding the tables means deriving the hash subkey with the golden
+    cipher, so that is skipped while no tables are cached at all, as
+    where GCM runs natively.
     """
     if _DEFAULT is not None:
         cache = getattr(_DEFAULT.backend, "cache", None)
         if cache is not None:
             cache.discard(key)
+    from repro.aes import ghash as _ghash
+    if not _ghash.cached_subkeys():
+        return
     try:
-        from repro.aes import ghash as _ghash
         from repro.aes.cipher import AES128
         subkey = int.from_bytes(
             AES128(key).encrypt_block(bytes(BLOCK)), "big")

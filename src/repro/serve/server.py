@@ -1,10 +1,9 @@
 """The asyncio crypto server: BatchEngine traffic over TCP.
 
-This is the subsystem the ROADMAP's "heavy traffic" north star has
-been building toward: the batching layer (:mod:`repro.perf`) and the
-observability layer (:mod:`repro.obs`) meeting real concurrency.  The
-design follows the same discipline as the hardware bus protocol —
-explicit limits, bounded buffering, measured behaviour:
+The batching layer (:mod:`repro.perf`) and the observability layer
+(:mod:`repro.obs`) behind one TCP service.  The design follows the
+same discipline as the hardware bus protocol — explicit limits,
+bounded buffering, measured behaviour:
 
 - **Sessions** — each connection owns a :class:`Session`; its key
   arrives via a ``LOAD_KEY`` frame and lives only in that object
@@ -17,18 +16,24 @@ explicit limits, bounded buffering, measured behaviour:
 - **Timeouts** — every await on a socket is bounded, and each
   request's execution gets ``request_timeout`` seconds before the
   worker abandons it with a ``TIMEOUT`` error frame (the connection
-  survives).  The ``serve.missing-timeout`` lint rule enforces the
-  socket half of this mechanically.
+  survives).  A request served on the event loop (below) is bounded
+  by its size instead.  The ``serve.missing-timeout`` lint rule
+  enforces the socket half of this mechanically.
 - **Graceful shutdown** — :meth:`CryptoServer.stop` stops accepting,
   drains the queued requests (bounded by ``drain_timeout``), then
   closes connections; a ``SHUTDOWN`` frame triggers the same path
   remotely, which is how the CI smoke and the bench loopback scenario
   end their runs cleanly.
 
-Crypto executes on a small thread pool through
-:func:`repro.perf.engine.default_engine` (via the mode layer), so a
-large buffer is batched by the engine while the event loop
-stays responsive.  Everything is instrumented into the process-global
+Crypto runs through :func:`repro.perf.engine.default_engine` (via the
+mode layer).  Where that engine's backend has native modes, a CTR
+request, a GCM seal or open, or an ECB encryption of at most
+:data:`INLINE_MAX_PAYLOAD_BYTES` is one libcrypto call shorter than a
+thread-pool round trip, so it runs on the event loop.  Everything
+else runs on a small thread pool, where the call releases the GIL
+and the loop keeps reading frames: larger payloads, ECB decryption
+(the golden per-block cipher) and every request on the ``sliced``
+fallback.  Everything is instrumented into the process-global
 :mod:`repro.obs` registry — request/byte/error counters, an in-flight
 gauge, a latency histogram and ``serve.*`` spans.
 """
@@ -47,7 +52,7 @@ from typing import Awaitable, Callable, Dict, List, Optional, Set, \
 from repro.aes import gcm, modes
 from repro.obs.metrics import WindowedQuantileSet, global_registry
 from repro.obs.metrics import render_prometheus as _render_registries
-from repro.perf.engine import forget_key
+from repro.perf.engine import default_engine, forget_key
 from repro.obs.tracing import format_span_id, trace_record, trace_span
 from repro.serve.admin import AdminServer
 from repro.serve.protocol import (
@@ -95,6 +100,10 @@ _REQUEST_SECONDS = _REGISTRY.histogram(
     "Wall-clock seconds from dequeue to response written",
     labels=("op",),
 )
+_EXECUTOR_HOPS = _REGISTRY.counter(
+    "repro_serve_executor_hops_total",
+    "Crypto requests handed to the server's thread pool",
+)
 _BYTES_IN = _BYTES.labels(direction="in")
 _BYTES_OUT = _BYTES.labels(direction="out")
 
@@ -115,7 +124,8 @@ class ServeConfig:
     reuse_port: bool = False
     #: Bound of the shared request queue — the backpressure valve.
     queue_depth: int = 64
-    #: Worker tasks draining the queue (each owns a pool thread).
+    #: Worker tasks draining the queue; the thread pool for the
+    #: requests not served on the event loop has twice as many threads.
     workers: int = 4
     #: Per-request execution budget, seconds.
     request_timeout: float = 10.0
@@ -141,6 +151,12 @@ class Session:
 
     session_id: int
     key: Optional[bytes] = field(default=None, repr=False)
+
+    def load(self, key: bytes) -> None:
+        """Install ``key``, first forgetting the replaced key's
+        derived state as :meth:`close` does."""
+        self.close()
+        self.key = key
 
     def close(self) -> None:
         """Session teardown hygiene: forget the key's derived state.
@@ -234,6 +250,10 @@ class CryptoServer:
             max_workers=2 * max(1, self.config.workers),
             thread_name_prefix="repro-serve",
         )
+        # Resolve the engine, and the libcrypto probe behind it, on
+        # the pool: _runs_inline then never probes on the event loop.
+        await asyncio.get_running_loop().run_in_executor(
+            self._executor, default_engine)
         self._workers = [
             asyncio.get_running_loop().create_task(self._worker())
             for _ in range(max(1, self.config.workers))
@@ -527,7 +547,7 @@ class CryptoServer:
                 Status.BAD_REQUEST,
                 f"LOAD_KEY payload must be {KEY_BYTES} bytes",
             )
-        session.key = frame.payload
+        session.load(frame.payload)
         return frame.response()
 
     async def _op_ping(self, session: Session, frame: Frame) -> Frame:
@@ -544,12 +564,17 @@ class CryptoServer:
                 Status.BAD_REQUEST,
                 f"no {frame.mode.name} handler for {frame.op.name}",
             )
-        loop = asyncio.get_running_loop()
         try:
-            # _process already bounds this handler by request_timeout.
-            out = await loop.run_in_executor(
-                self._executor, work, session.key, frame.payload
-            )
+            if _runs_inline(work, frame.payload):
+                # Bounded by construction: one libcrypto call over at
+                # most INLINE_MAX_PAYLOAD_BYTES, cheaper than a hop.
+                out = work(session.key, frame.payload)
+            else:
+                # _process bounds this await by request_timeout.
+                _EXECUTOR_HOPS.inc()
+                out = await asyncio.get_running_loop().run_in_executor(
+                    self._executor, work, session.key, frame.payload
+                )
         except gcm.AuthenticationError:
             # The GCM layer already bumped its auth-failure counter.
             return frame.error(Status.AUTH_FAILED,
@@ -560,11 +585,12 @@ class CryptoServer:
 
 
 # The crypto table: (op, mode) -> callable(session_key, payload).
-# Every entry runs on the worker thread pool and routes its bulk work
-# through ``repro.perf.default_engine()`` via the mode layer, so
-# concurrent requests share the engine's batching.  (Dispatch through
-# this table also keeps the ECB entries out of the ``ct.raw-ecb``
-# call-site lint — the service legitimately exposes ECB as an op.)
+# Every entry routes its bulk work through
+# ``repro.perf.default_engine()`` via the mode layer; _runs_inline
+# decides whether it runs on the event loop or the thread pool.
+# (Dispatch through this table also keeps the ECB entries out of the
+# ``ct.raw-ecb`` call-site lint — the service legitimately exposes
+# ECB as an op.)
 def _ctr_split(payload: bytes) -> Tuple[bytes, bytes]:
     if len(payload) < CTR_NONCE_BYTES:
         raise ValueError(
@@ -627,6 +653,41 @@ _CRYPTO_OPS: Dict[Tuple[Op, Mode],
     (Op.DECRYPT, Mode.GCM): _gcm_decrypt,
 }
 
+#: The entries whose whole work is one libcrypto call where the
+#: default engine's backend has native modes.  ECB decryption runs
+#: the golden per-block cipher, so it is not one of them.
+_NATIVE_OPS = frozenset(
+    (modes.ecb_encrypt, _ctr_xcrypt, _gcm_encrypt, _gcm_decrypt))
+
+#: Largest payload served on the event loop: the measured crossover
+#: of a native call on the calling thread against a no-op round trip
+#: through the thread pool.  OpenSSL 3.0 on a 2-vCPU Xeon guest,
+#: Python 3.11, medians of 300 calls, 2-5 fresh processes per size;
+#: the hop read 70-169 us (median 122).  CTR / GCM seal / GCM open /
+#: ECB encrypt, in us:
+#:
+#:   1 KiB     41-73 / 41-45 / 40-44 / 40-46
+#:   16 KiB    37-45 / 39-51 / 48-49 / 43-48
+#:   64 KiB    40-65 / 71-79 / 67-76 / 39-64
+#:   80 KiB    55-60 / 148-201 / 49-70 / 59-67
+#:   112 KiB   73-75 / 323-328 / 89-92 / 70
+#:   160 KiB   361-387 / 472-544 / 272-421 / 220-246
+#:
+#: GCM seal crosses the hop first: it makes four payload-sized
+#: buffers, and once their sum passes glibc's 128 KiB trim threshold
+#: the freed heap top goes back to the OS and page-faults again on the
+#: next call.  So below this a call blocks the loop for less than the
+#: hop it saves, and above it the pool keeps the loop reading frames.
+INLINE_MAX_PAYLOAD_BYTES = 64 << 10
+
+
+def _runs_inline(work: Callable[[bytes, bytes], bytes],
+                 payload: bytes) -> bool:
+    """Whether a request runs on the event loop, not the pool."""
+    return (work in _NATIVE_OPS
+            and len(payload) <= INLINE_MAX_PAYLOAD_BYTES
+            and default_engine().backend.native_modes)
+
 
 #: How long closing one transport (or stop() waiting for handlers
 #: still closing theirs) may take before a stuck peer is given up on.
@@ -643,5 +704,5 @@ async def _close_writer(writer: asyncio.StreamWriter) -> None:
         pass
 
 
-__all__ = ["GCM_MAX_PLAINTEXT_BYTES", "CryptoServer", "ServeConfig",
-           "Session"]
+__all__ = ["GCM_MAX_PLAINTEXT_BYTES", "INLINE_MAX_PAYLOAD_BYTES",
+           "CryptoServer", "ServeConfig", "Session"]

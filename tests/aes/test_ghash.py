@@ -9,6 +9,8 @@ the end-to-end mode with each provider installed as the default.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -211,3 +213,53 @@ class TestTableHygiene:
         assert len(cache) == 0
         for table_set in sets:
             assert not any(any(row) for row in table_set.tables)
+
+    def test_drop_while_held_leaves_the_wipe_to_the_holder(self):
+        cache = ghash_mod._TableCache(capacity=1)
+        with cache.use(3) as held, cache.use(3) as again:
+            assert again is held
+            cache.get(5)  # evicts subkey 3 while two holders use it
+            assert 3 not in cache
+            assert any(any(row) for row in held.tables)
+        assert not any(any(row) for row in held.tables)
+        with cache.use(5) as held:
+            cache.discard(5)
+            assert any(any(row) for row in held.tables)
+            with cache.use(5) as fresh:  # a dropped set is not reused
+                assert fresh is not held
+        assert not any(any(row) for row in held.tables)
+
+    def test_forget_during_digests_never_corrupts_them(self):
+        """Three threads digest under one subkey while a fourth forgets
+        it as fast as it can: every digest must still be exact."""
+        h = _RNG.getrandbits(128) | 1
+        data = _RNG.randbytes(64 * BLOCK)
+        expected = _ghash(h, data)
+        provider = get_provider("table")
+        results = []
+        stop = threading.Event()
+
+        def digest():
+            for _ in range(20):
+                results.append(provider.digest(h, (data,)))
+
+        def forget():
+            while not stop.is_set():
+                ghash_mod.forget(h)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        forgetter = threading.Thread(target=forget)
+        digesters = [threading.Thread(target=digest) for _ in range(3)]
+        try:
+            forgetter.start()
+            for thread in digesters:
+                thread.start()
+            for thread in digesters:
+                thread.join(60)
+        finally:
+            stop.set()
+            forgetter.join(60)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in (forgetter, *digesters))
+        assert results == [expected] * 60
