@@ -30,7 +30,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.ip.control import Variant
 
@@ -407,9 +407,69 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
+def _run_service(make_service: Callable[[], Any],
+                 announce: Callable[[Any], None],
+                 serve_seconds: Optional[float]) -> None:
+    """Start ``make_service()``, ``announce`` it, and run it until
+    Ctrl-C, SIGTERM, its own remote SHUTDOWN (``wait_stopped``) or
+    ``serve_seconds``; then drain and stop it."""
     import asyncio
+    import signal
 
+    async def _run() -> None:
+        service = make_service()
+        await service.start()
+        announce(service)
+        loop = asyncio.get_running_loop()
+        stop_requested = asyncio.Event()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            try:
+                loop.add_signal_handler(signum, stop_requested.set)
+            except NotImplementedError:  # pragma: no cover - win32
+                pass
+        waiters = [
+            asyncio.ensure_future(stop_requested.wait()),
+            asyncio.ensure_future(service.wait_stopped()),
+        ]
+        if serve_seconds is not None:
+            waiters.append(
+                asyncio.ensure_future(asyncio.sleep(serve_seconds))
+            )
+        _, pending = await asyncio.wait(
+            waiters, return_when=asyncio.FIRST_COMPLETED
+        )
+        for task in pending:
+            task.cancel()
+        await service.stop()
+
+    try:
+        asyncio.run(_run())
+    except KeyboardInterrupt:  # pragma: no cover - interactive
+        pass
+
+
+def _report_shutdown(args: argparse.Namespace, counter: str,
+                     summary: str) -> None:
+    """Print ``summary`` with the total of the ``counter`` family,
+    then write the ``--metrics-out`` snapshot if one was asked for."""
+    from repro.obs.metrics import global_registry
+
+    registry = global_registry()
+    family = registry.get(counter)
+    total = sum(child.value for child in family.children()) \
+        if family is not None else 0
+    print(summary.format(int(total)))
+    if args.metrics_out:
+        snapshot = (
+            registry.render_prometheus()
+            if args.metrics_format == "prom"
+            else registry.render_json()
+        )
+        Path(args.metrics_out).write_text(snapshot)
+        print(f"wrote {args.metrics_out} ({len(snapshot)} bytes)")
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.server import CryptoServer, ServeConfig
 
     config = ServeConfig(
@@ -422,66 +482,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
         slo_threshold_s=args.slo_threshold,
     )
 
-    async def _serve() -> None:
-        import signal
-
-        server = CryptoServer(config)
-        await server.start()
+    def announce(server: CryptoServer) -> None:
         host, port = server.address
         print(f"serving on {host}:{port}", flush=True)
         if config.admin_port is not None:
             admin_host, admin_port = server.admin_address
             print(f"admin on {admin_host}:{admin_port}", flush=True)
-        loop = asyncio.get_running_loop()
-        stop_requested = asyncio.Event()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop_requested.set)
-            except NotImplementedError:  # pragma: no cover - win32
-                pass
-        waiters = [
-            asyncio.ensure_future(stop_requested.wait()),
-            asyncio.ensure_future(server.wait_stopped()),
-        ]
-        if args.serve_seconds is not None:
-            waiters.append(
-                asyncio.ensure_future(
-                    asyncio.sleep(args.serve_seconds)
-                )
-            )
-        _, pending = await asyncio.wait(
-            waiters, return_when=asyncio.FIRST_COMPLETED
-        )
-        for task in pending:
-            task.cancel()
-        await server.stop()
 
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:  # pragma: no cover - interactive
-        pass
-
-    from repro.obs.metrics import global_registry
-
-    registry = global_registry()
-    requests = registry.get("repro_serve_requests_total")
-    served = sum(child.value for child in requests.children()) \
-        if requests is not None else 0
-    print(f"served {int(served)} request(s); shut down cleanly")
-    if args.metrics_out:
-        snapshot = (
-            registry.render_prometheus()
-            if args.metrics_format == "prom"
-            else registry.render_json()
-        )
-        Path(args.metrics_out).write_text(snapshot)
-        print(f"wrote {args.metrics_out} ({len(snapshot)} bytes)")
+    _run_service(lambda: CryptoServer(config), announce,
+                 args.serve_seconds)
+    _report_shutdown(args, "repro_serve_requests_total",
+                     "served {} request(s); shut down cleanly")
     return 0
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    import asyncio
-
     from repro.serve.cluster import Cluster, ClusterConfig
 
     config = ClusterConfig(
@@ -489,7 +504,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         workers=args.workers,
         gateway_port=args.gateway_port,
         admin_port=args.admin_port,
-        shared_port=args.shared_port,
         queue_depth=args.queue_depth,
         worker_tasks=args.worker_tasks,
         request_timeout=args.request_timeout,
@@ -497,71 +511,21 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         slo_threshold_s=args.slo_threshold,
     )
 
-    async def _cluster() -> None:
-        import signal
-
-        cluster = Cluster(config)
-        await cluster.start()
+    def announce(cluster: Cluster) -> None:
         host, port = cluster.address
-        if cluster.gateway is not None:
-            print(f"gateway on {host}:{port}", flush=True)
-            if config.admin_port is not None:
-                admin_host, admin_port = \
-                    cluster.gateway.admin_address
-                print(f"admin on {admin_host}:{admin_port}",
-                      flush=True)
-        else:
-            print(f"cluster on {host}:{port} (shared socket)",
-                  flush=True)
+        print(f"gateway on {host}:{port}", flush=True)
+        if config.admin_port is not None:
+            admin_host, admin_port = cluster.gateway.admin_address
+            print(f"admin on {admin_host}:{admin_port}", flush=True)
         for handle in cluster.supervisor.handles():
             print(f"worker {handle.index} on "
                   f"{handle.host}:{handle.port} "
                   f"(admin {handle.host}:{handle.admin_port})",
                   flush=True)
-        loop = asyncio.get_running_loop()
-        stop_requested = asyncio.Event()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop_requested.set)
-            except NotImplementedError:  # pragma: no cover - win32
-                pass
-        waiters = [
-            asyncio.ensure_future(stop_requested.wait()),
-            asyncio.ensure_future(cluster.wait_stopped()),
-        ]
-        if args.serve_seconds is not None:
-            waiters.append(
-                asyncio.ensure_future(
-                    asyncio.sleep(args.serve_seconds)
-                )
-            )
-        _, pending = await asyncio.wait(
-            waiters, return_when=asyncio.FIRST_COMPLETED
-        )
-        for task in pending:
-            task.cancel()
-        await cluster.stop()
 
-    try:
-        asyncio.run(_cluster())
-    except KeyboardInterrupt:  # pragma: no cover - interactive
-        pass
-
-    from repro.obs.metrics import global_registry
-
-    registry = global_registry()
-    routed = registry.get("repro_gateway_requests_total")
-    total = sum(child.value for child in routed.children()) \
-        if routed is not None else 0
-    print(f"routed {int(total)} frame(s); cluster shut down cleanly")
-    if args.metrics_out:
-        snapshot = (
-            registry.render_prometheus()
-            if args.metrics_format == "prom"
-            else registry.render_json()
-        )
-        Path(args.metrics_out).write_text(snapshot)
-        print(f"wrote {args.metrics_out} ({len(snapshot)} bytes)")
+    _run_service(lambda: Cluster(config), announce, args.serve_seconds)
+    _report_shutdown(args, "repro_gateway_requests_total",
+                     "routed {} frame(s); cluster shut down cleanly")
     return 0
 
 
@@ -569,7 +533,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
     import secrets
 
-    from repro.serve.client import run_load, run_session_load
+    from repro.serve.client import run_load
     from repro.serve.protocol import Mode
 
     mode = {"ecb": Mode.ECB, "ctr": Mode.CTR,
@@ -579,29 +543,14 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     else:
         loadgen_key = secrets.token_bytes(16)
     try:
-        # The shutdown frame is sent only after the admin scrape: the
-        # admin plane (and its quantile windows) dies with the server.
-        if args.sessions is not None:
-            # Cluster closed loop: M keyed sessions, each pinning a
-            # session id so the gateway shards them across workers.
-            report = asyncio.run(run_session_load(
-                args.host, args.port, loadgen_key,
-                sessions=args.sessions,
-                requests=args.requests,
-                mode=mode,
-                payload_bytes=args.size,
-                seed=args.seed,
-            ))
-        else:
-            report = asyncio.run(run_load(
-                args.host, args.port, loadgen_key,
-                clients=args.clients,
-                requests=args.requests,
-                mode=mode,
-                payload_bytes=args.size,
-                seed=args.seed,
-                shutdown=False,
-            ))
+        report = asyncio.run(run_load(
+            args.host, args.port, loadgen_key,
+            clients=args.clients,
+            requests=args.requests,
+            mode=mode,
+            payload_bytes=args.size,
+            seed=args.seed,
+        ))
     except (ConnectionError, OSError) as exc:
         raise SystemExit(
             f"error: cannot reach {args.host}:{args.port}: {exc}"
@@ -609,6 +558,8 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     print(report.render())
+    # The shutdown frame is sent only after the admin scrape: the
+    # admin plane (and its quantile windows) dies with the server.
     if args.admin_port is not None:
         _loadgen_admin_scrape(args.host, args.admin_port)
     if args.shutdown:
@@ -912,8 +863,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "cluster",
         help="run N crypto-server worker processes behind a "
-             "session-sharded gateway (or on one shared port); "
-             "Ctrl-C or a SHUTDOWN frame drains and stops",
+             "session-sharded gateway; Ctrl-C or a SHUTDOWN frame "
+             "drains and stops",
     )
     p.add_argument("--host", default="127.0.0.1",
                    help="bind address (default loopback)")
@@ -925,10 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--admin-port", type=int, default=None,
                    help="gateway admin/scrape plane (/metrics, "
                         "/readyz, /quantiles); 0 = OS-assigned")
-    p.add_argument("--shared-port", type=int, default=None,
-                   help="direct mode: all workers share this port "
-                        "through SO_REUSEPORT and no gateway runs "
-                        "(0 = OS-assigned)")
     p.add_argument("--queue-depth", type=int, default=64,
                    help="per-worker bounded request queue depth")
     p.add_argument("--worker-tasks", type=int, default=4,
@@ -960,13 +907,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, required=True,
                    help="port of the serve instance")
     p.add_argument("--clients", type=int, default=8,
-                   help="concurrent client connections")
-    p.add_argument("--sessions", type=int, default=None,
-                   help="cluster closed loop: this many concurrent "
-                        "keyed sessions, each pinning a session id "
-                        "so a gateway shards them across workers "
-                        "(replaces --clients; NO_KEY after a worker "
-                        "restart is absorbed by re-loading the key)")
+                   help="concurrent keyed sessions, one connection "
+                        "each: client i pins session id i+1, so a "
+                        "cluster gateway shards them across workers "
+                        "(NO_KEY after a worker restart is absorbed "
+                        "by re-loading the key)")
     p.add_argument("--requests", type=int, default=32,
                    help="requests per client")
     p.add_argument("--mode", default="ctr",
@@ -975,8 +920,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=1024,
                    help="payload bytes per request")
     p.add_argument("--key", default=None,
-                   help="16-byte session key, hex (default: a fresh "
-                        "random key from the secrets module)")
+                   help="16-byte base key, hex: client i loads the key "
+                        "derived from it and session id i+1 (default: "
+                        "a fresh random base key from the secrets "
+                        "module)")
     p.add_argument("--seed", type=int, default=2003,
                    help="payload/backoff seed (payloads only; keys "
                         "never come from this)")

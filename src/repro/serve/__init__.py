@@ -3,7 +3,9 @@
 ``repro.serve`` turns the repository's crypto stack into a service —
 the first subsystem where the batching layer (:mod:`repro.perf`) and
 the observability layer (:mod:`repro.obs`) meet real concurrency.
-It is stdlib-only asyncio, in three legs:
+It is stdlib-only asyncio, in five modules (plus the
+:mod:`repro.serve.admin` scrape plane the server and the gateway
+share):
 
 - :mod:`repro.serve.protocol` — the versioned, length-prefixed
   binary frame format (the network analogue of the pin-level bus
@@ -16,16 +18,15 @@ It is stdlib-only asyncio, in three legs:
   through :func:`repro.perf.engine.default_engine`, instrumented into
   the :mod:`repro.obs` registry.
 - :mod:`repro.serve.client` — the async client with connect/request
-  timeouts and capped, jittered exponential backoff, plus the
-  :func:`~repro.serve.client.run_load` and
-  :func:`~repro.serve.client.run_session_load` closed-loop load
-  generators.
+  timeouts and capped, jittered exponential backoff, plus
+  :func:`~repro.serve.client.run_load`, the closed-loop load
+  generator of keyed sessions.
 - :mod:`repro.serve.gateway` — the session-sharded cluster gateway:
   consistent-hash routing of session ids over worker backends, with
   health probes, shedding and connection draining.
 - :mod:`repro.serve.cluster` — multi-process workers under a
   supervisor (spawn, monitor, restart-on-crash, drain-then-stop),
-  composed with the gateway as one service.
+  behind the gateway as one service.
 
 ``repro-aes serve``, ``repro-aes cluster`` and ``repro-aes loadgen``
 expose the pieces on the command line; ``docs/serving.md`` is the
@@ -39,7 +40,6 @@ from repro.serve.client import (
     RetryPolicy,
     derive_session_key,
     run_load,
-    run_session_load,
 )
 from repro.serve.cluster import (
     Cluster,
@@ -95,5 +95,4 @@ __all__ = [
     "encode_frame",
     "derive_session_key",
     "run_load",
-    "run_session_load",
 ]

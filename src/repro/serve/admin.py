@@ -36,6 +36,7 @@ import logging
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.obs.tracing import active_tracer
+from repro.serve.protocol import CLOSE_TIMEOUT_S, close_writer
 
 _LOG = logging.getLogger(__name__)
 
@@ -94,7 +95,7 @@ class AdminServer:
             return
         self._server.close()
         try:
-            async with asyncio.timeout(5.0):
+            async with asyncio.timeout(CLOSE_TIMEOUT_S):
                 await self._server.wait_closed()
         except asyncio.TimeoutError:  # pragma: no cover - defensive
             pass
@@ -122,12 +123,7 @@ class AdminServer:
         except Exception:  # pragma: no cover - defensive
             _LOG.exception("admin request failed")
         finally:
-            writer.close()
-            try:
-                async with asyncio.timeout(5.0):
-                    await writer.wait_closed()
-            except (asyncio.TimeoutError, ConnectionError):
-                pass
+            await close_writer(writer)
 
     async def _readline(self, reader: asyncio.StreamReader) -> bytes:
         async with asyncio.timeout(self._io_timeout):

@@ -12,13 +12,12 @@ capped exponential backoff and jitter, the standard way a fleet of
 clients avoids synchronizing its retries into a thundering herd.
 
 :func:`run_load` is the closed-loop load generator behind
-``repro-aes loadgen`` and the bench's ``serve`` scenario: N client
-coroutines each load a key and issue encrypt requests back-to-back,
-and the report carries achieved requests/sec and byte rates.
-:func:`run_session_load` is its cluster-aware sibling: M concurrent
-*keyed sessions*, each pinning a distinct session id so the gateway
-shards them across workers, with ``NO_KEY`` responses (a restarted
-worker lost the session's key) absorbed by re-sending ``LOAD_KEY``.
+``repro-aes loadgen``: N concurrent *keyed sessions*, each pinning a
+distinct session id (so a cluster gateway shards them across
+workers) under its own derived key, issuing encrypt requests
+back-to-back.  A ``NO_KEY`` response (a restarted worker lost the
+session's key) is absorbed by re-sending ``LOAD_KEY``, and the report
+carries achieved requests/sec and byte rates.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from repro.serve.protocol import (
     Mode,
     Op,
     Status,
+    close_writer,
     read_frame,
     write_frame,
 )
@@ -129,14 +129,8 @@ class CryptoClient:
     async def close(self) -> None:
         """Close the connection; safe to call when not connected."""
         writer, self._reader, self._writer = self._writer, None, None
-        if writer is None:
-            return
-        writer.close()
-        try:
-            async with asyncio.timeout(5.0):
-                await writer.wait_closed()
-        except (asyncio.TimeoutError, ConnectionError):
-            pass
+        if writer is not None:
+            await close_writer(writer)
 
     @property
     def connected(self) -> bool:
@@ -337,7 +331,8 @@ def latency_percentiles(samples: List[float]) -> Dict[str, float]:
 
 def _build_payload(mode: Mode, payload_bytes: int,
                    seed: int) -> bytes:
-    """The deterministic request payload both loadgens share."""
+    """The deterministic request payload of every :func:`run_load`
+    client."""
     if mode is Mode.ECB and payload_bytes < 16:
         raise ValueError(
             "ECB needs payload_bytes >= 16 (one full block)"
@@ -356,21 +351,42 @@ def _build_payload(mode: Mode, payload_bytes: int,
                      f"not {mode.name}")
 
 
+def derive_session_key(base_key: bytes, session_id: int) -> bytes:
+    """A per-session AES key from one base key and a session id.
+
+    ``blake2b`` keyed-derivation (not a seeded RNG — key material
+    never comes from ``random``): deterministic given the base key,
+    so a session that must re-install its key after a worker restart
+    derives the same bytes, and distinct session ids give
+    independent keys.
+    """
+    return hashlib.blake2b(
+        base_key,
+        digest_size=KEY_BYTES,
+        salt=session_id.to_bytes(8, "big"),
+        person=b"repro-session",
+    ).digest()
+
+
 async def run_load(host: str, port: int, key: bytes,
                    clients: int = 8, requests: int = 32,
                    mode: Mode = Mode.CTR,
                    payload_bytes: int = 1024,
                    seed: int = 2003,
-                   shutdown: bool = False,
                    retry: Optional[RetryPolicy] = None) -> LoadReport:
-    """Closed-loop load: ``clients`` coroutines, ``requests`` each.
+    """Closed-loop load: ``clients`` keyed sessions, ``requests`` each.
 
-    Every client connects, installs ``key``, then issues ENCRYPT
+    Client *i* pins session id *i + 1* in every frame — against a
+    cluster gateway that is what consistent-hash-routes it to one
+    worker shard — and installs its own key,
+    ``derive_session_key(key, i + 1)``.  It then issues ENCRYPT
     requests back-to-back (closed loop: the next request leaves when
     the previous response lands).  Payloads are deterministic from
-    ``seed`` so runs compare like against like.  With ``shutdown``
-    set, one final SHUTDOWN frame asks the server to drain and stop
-    — how the CI smoke ends a serve process cleanly.
+    ``seed`` so runs compare like against like.  Transport drops and
+    retryable statuses go through the client's backoff; a ``NO_KEY``
+    reply (the server lost the session's key, as a restarted cluster
+    worker does) re-sends ``LOAD_KEY`` and retries the request
+    without counting it.
     """
     if clients < 1 or requests < 1:
         raise ValueError("clients and requests must be >= 1")
@@ -382,20 +398,33 @@ async def run_load(host: str, port: int, key: bytes,
     latencies: List[float] = []
 
     async def one_client(index: int) -> None:
+        session_id = index + 1
+        session_key = derive_session_key(key, session_id)
         client = CryptoClient(
-            host, port, retry=retry,
+            host, port, retry=retry, session_id=session_id,
             rng=random.Random(seed * 1000 + index),
         )
         answered = 0
+        reloads = 0
         try:
             await client.connect()
-            response = await client.load_key(key)
+            response = await client.load_key(session_key)
             if response.status is not Status.OK:
                 counts["errors"] += requests
                 return
-            for _ in range(requests):
+            while answered < requests:
                 sent = time.perf_counter()
                 response = await client.encrypt(mode, payload)
+                if (response.status is Status.NO_KEY
+                        and reloads < 2 * clients + 4):
+                    # The server lost this session's key (a worker
+                    # restart): re-install and retry the request
+                    # without counting it — bounded, so a server
+                    # that *never* keeps keys still terminates.
+                    reloads += 1
+                    reload = await client.load_key(session_key)
+                    if reload.status is Status.OK:
+                        continue
                 latencies.append(time.perf_counter() - sent)
                 answered += 1
                 name = response.status.name.lower()
@@ -419,15 +448,6 @@ async def run_load(host: str, port: int, key: bytes,
     await asyncio.gather(*(one_client(i) for i in range(clients)))
     seconds = time.perf_counter() - start
 
-    if shutdown:
-        closer = CryptoClient(host, port, retry=RetryPolicy(attempts=1))
-        try:
-            await closer.shutdown()
-        except (RequestFailed, ConnectionError, asyncio.TimeoutError):
-            pass
-        finally:
-            await closer.close()
-
     return LoadReport(
         clients=clients,
         requests=counts["ok"],
@@ -442,114 +462,6 @@ async def run_load(host: str, port: int, key: bytes,
     )
 
 
-def derive_session_key(base_key: bytes, session_id: int) -> bytes:
-    """A per-session AES key from one base key and a session id.
-
-    ``blake2b`` keyed-derivation (not a seeded RNG — key material
-    never comes from ``random``): deterministic given the base key,
-    so a session that must re-install its key after a worker restart
-    derives the same bytes, and distinct session ids give
-    independent keys.
-    """
-    return hashlib.blake2b(
-        base_key,
-        digest_size=KEY_BYTES,
-        salt=session_id.to_bytes(8, "big"),
-        person=b"repro-session",
-    ).digest()
-
-
-async def run_session_load(host: str, port: int, base_key: bytes,
-                           sessions: int = 8, requests: int = 32,
-                           mode: Mode = Mode.CTR,
-                           payload_bytes: int = 1024,
-                           seed: int = 2003,
-                           retry: Optional[RetryPolicy] = None,
-                           ) -> LoadReport:
-    """Cluster closed loop: ``sessions`` concurrent keyed sessions.
-
-    Each session is one client pinning a distinct nonzero session id
-    — against a cluster gateway that is what consistent-hash-routes
-    it to one worker shard — under its own derived key.  Two failure
-    modes beyond :func:`run_load` are absorbed here, because they are
-    normal cluster weather rather than errors: transport drops and
-    retryable statuses go through the client's backoff as usual, and
-    a ``NO_KEY`` response (the shard restarted and lost the session's
-    key) re-sends ``LOAD_KEY`` and retries the request.
-    """
-    if sessions < 1 or requests < 1:
-        raise ValueError("sessions and requests must be >= 1")
-    payload = _build_payload(mode, payload_bytes, seed)
-
-    counts: Dict[str, int] = {"ok": 0, "errors": 0,
-                              "bytes_out": 0, "bytes_in": 0}
-    statuses: Dict[str, int] = {}
-    latencies: List[float] = []
-
-    async def one_session(index: int) -> None:
-        session_id = index + 1
-        session_key = derive_session_key(base_key, session_id)
-        client = CryptoClient(
-            host, port, retry=retry, session_id=session_id,
-            rng=random.Random(seed * 1000 + index),
-        )
-        answered = 0
-        reloads = 0
-        try:
-            await client.connect()
-            response = await client.load_key(session_key)
-            if response.status is not Status.OK:
-                counts["errors"] += requests
-                return
-            done = 0
-            while done < requests:
-                sent = time.perf_counter()
-                response = await client.encrypt(mode, payload)
-                if (response.status is Status.NO_KEY
-                        and reloads < 2 * sessions + 4):
-                    # The shard lost this session's key (worker
-                    # restart): re-install and retry the request
-                    # without counting it — bounded, so a server
-                    # that *never* keeps keys still terminates.
-                    reloads += 1
-                    reload = await client.load_key(session_key)
-                    if reload.status is Status.OK:
-                        continue
-                latencies.append(time.perf_counter() - sent)
-                done += 1
-                answered += 1
-                name = response.status.name.lower()
-                statuses[name] = statuses.get(name, 0) + 1
-                if response.status is Status.OK:
-                    counts["ok"] += 1
-                    counts["bytes_out"] += len(payload)
-                    counts["bytes_in"] += len(response.payload)
-                else:
-                    counts["errors"] += 1
-        except (RequestFailed, ConnectionError,
-                asyncio.TimeoutError):
-            counts["errors"] += requests - answered
-        finally:
-            await client.close()
-
-    start = time.perf_counter()
-    await asyncio.gather(*(one_session(i) for i in range(sessions)))
-    seconds = time.perf_counter() - start
-
-    return LoadReport(
-        clients=sessions,
-        requests=counts["ok"],
-        errors=counts["errors"],
-        seconds=seconds,
-        bytes_out=counts["bytes_out"],
-        bytes_in=counts["bytes_in"],
-        mode=mode.name.lower(),
-        payload_bytes=payload_bytes,
-        statuses=statuses,
-        latency=latency_percentiles(latencies),
-    )
-
-
 __all__ = ["CryptoClient", "LoadReport", "RequestFailed",
            "RetryPolicy", "derive_session_key",
-           "latency_percentiles", "run_load", "run_session_load"]
+           "latency_percentiles", "run_load"]

@@ -8,16 +8,11 @@ lifecycle machinery to run them as one service:
 - **Workers** — spawned with the ``multiprocessing`` ``spawn`` start
   method (fork would duplicate a live event loop and pool threads;
   spawn re-imports this module cleanly, which is why
-  :func:`_worker_main` must stay module-level).  Each worker reports
-  its bound data and admin ports back through a pipe, installs a
-  SIGTERM handler that runs the server's drain-then-stop, and exits 0
-  on a clean stop.
-- **Topologies** — the default puts workers on OS-assigned ports
-  behind the session-sharded :class:`~repro.serve.gateway.Gateway`;
-  with ``shared_port`` set, all workers bind one port directly with
-  ``SO_REUSEPORT`` and no gateway runs.  Shared-port mode refuses to
-  start on a platform without ``SO_REUSEPORT``; the gateway topology
-  runs everywhere.
+  :func:`_worker_main` must stay module-level).  Each worker binds an
+  OS-assigned port behind the session-sharded
+  :class:`~repro.serve.gateway.Gateway`, reports its bound data and
+  admin ports back through a pipe, installs a SIGTERM handler that
+  runs the server's drain-then-stop, and exits 0 on a clean stop.
 - **Supervisor** — monitors worker processes; a worker that dies with
   a nonzero exit code is restarted under the same shard name with
   exponential backoff (a clean exit 0 is taken as intentional and
@@ -36,7 +31,6 @@ import asyncio
 import logging
 import multiprocessing
 import signal
-import socket
 import time
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
@@ -76,10 +70,6 @@ class ClusterConfig:
     gateway_port: int = 0
     #: Gateway admin/scrape plane; ``None`` leaves it off.
     admin_port: Optional[int] = None
-    #: Direct mode: all workers share this one port through
-    #: ``SO_REUSEPORT`` and no gateway runs.  ``0`` asks the OS for a
-    #: free port up front.
-    shared_port: Optional[int] = None
     #: Per-worker bounded request queue depth.
     queue_depth: int = 64
     #: Per-worker asyncio worker tasks (``ServeConfig.workers``).
@@ -140,35 +130,6 @@ async def _worker_async(index: int, conn: Connection,
     conn.close()
 
 
-def _make_shared_socket(host: str, port: int) -> socket.socket:
-    """The direct-mode port reservation, bound up front.
-
-    The socket is bound with ``SO_REUSEPORT`` but **not** listening:
-    it only holds the port (the kernel balances connections across
-    *listening* sockets, so a non-listening placeholder never steals
-    one) while each worker binds its own listening socket on the same
-    port.  Without ``SO_REUSEPORT`` there is no shared-port mode: a
-    listener created here and handed to every worker would serve with
-    Nagle's algorithm on (see docs/serving.md, "Shared-port mode").
-
-    Runs in synchronous context only (constructor time): socket
-    syscalls must stay off the event loop.
-    """
-    if not hasattr(socket, "SO_REUSEPORT"):
-        raise RuntimeError(
-            "shared-port mode needs SO_REUSEPORT, which this platform "
-            "lacks; leave shared_port unset to run the workers behind "
-            "the gateway topology")
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        sock.bind((host, port))
-    except BaseException:
-        sock.close()
-        raise
-    return sock
-
-
 @dataclass
 class WorkerHandle:
     """One live worker process as the supervisor tracks it."""
@@ -210,23 +171,11 @@ class Supervisor:
         self._monitor_task: Optional["asyncio.Task[None]"] = None
         self._stopping = False
         self._stopped = asyncio.Event()
-        self._shared_sock: Optional[socket.socket] = None
-        if self.config.shared_port is not None:
-            self._shared_sock = _make_shared_socket(
-                self.config.host, self.config.shared_port)
 
     def handles(self) -> Tuple[WorkerHandle, ...]:
         """The live worker handles, by index."""
         return tuple(self._handles[index]
                      for index in sorted(self._handles))
-
-    @property
-    def shared_address(self) -> Tuple[str, int]:
-        """Direct mode's shared (host, port)."""
-        if self._shared_sock is None:
-            raise RuntimeError("not in shared-socket mode")
-        host, port = self._shared_sock.getsockname()[:2]
-        return host, port
 
     # ------------------------------------------------------- lifecycle
     async def start(self) -> None:
@@ -271,18 +220,14 @@ class Supervisor:
             if self._on_worker_down is not None:
                 self._on_worker_down(handle)
         self._handles.clear()
-        if self._shared_sock is not None:
-            self._shared_sock.close()
         self._stopped.set()
 
     # --------------------------------------------------------- spawning
     def _worker_options(self, index: int) -> Dict[str, object]:
         config = self.config
-        shared = self._shared_sock is not None
         return {
             "host": config.host,
-            "port": self.shared_address[1] if shared else 0,
-            "reuse_port": shared,
+            "port": 0,
             "queue_depth": config.queue_depth,
             "workers": config.worker_tasks,
             "request_timeout": config.request_timeout,
@@ -390,23 +335,21 @@ class Cluster:
     def __init__(self,
                  config: Optional[ClusterConfig] = None) -> None:
         self.config = config or ClusterConfig()
-        self.gateway: Optional[Gateway] = None
-        if self.config.shared_port is None:
-            self.gateway = Gateway(
-                GatewayConfig(
-                    host=self.config.host,
-                    port=self.config.gateway_port,
-                    admin_port=self.config.admin_port,
-                    io_timeout=self.config.io_timeout,
-                    drain_timeout=self.config.drain_timeout,
-                    shed_inflight=self.config.shed_inflight,
-                    health_interval_s=self.config.health_interval_s,
-                    ring_replicas=self.config.ring_replicas,
-                    window_s=self.config.window_s,
-                    slo_threshold_s=self.config.slo_threshold_s,
-                ),
-                on_shutdown=self._shutdown_requested,
-            )
+        self.gateway: Gateway = Gateway(
+            GatewayConfig(
+                host=self.config.host,
+                port=self.config.gateway_port,
+                admin_port=self.config.admin_port,
+                io_timeout=self.config.io_timeout,
+                drain_timeout=self.config.drain_timeout,
+                shed_inflight=self.config.shed_inflight,
+                health_interval_s=self.config.health_interval_s,
+                ring_replicas=self.config.ring_replicas,
+                window_s=self.config.window_s,
+                slo_threshold_s=self.config.slo_threshold_s,
+            ),
+            on_shutdown=self._shutdown_requested,
+        )
         self.supervisor = Supervisor(
             self.config,
             on_worker_up=self._worker_up,
@@ -416,17 +359,15 @@ class Cluster:
 
     # ------------------------------------------------- worker tracking
     def _worker_up(self, handle: WorkerHandle) -> None:
-        if self.gateway is not None:
-            self.gateway.add_backend(BackendSpec(
-                shard=handle.shard,
-                host=handle.host,
-                port=handle.port,
-                admin_port=handle.admin_port or None,
-            ))
+        self.gateway.add_backend(BackendSpec(
+            shard=handle.shard,
+            host=handle.host,
+            port=handle.port,
+            admin_port=handle.admin_port or None,
+        ))
 
     def _worker_down(self, handle: WorkerHandle) -> None:
-        if self.gateway is not None:
-            self.gateway.remove_backend(handle.shard)
+        self.gateway.remove_backend(handle.shard)
 
     async def _shutdown_requested(self) -> None:
         await self.stop()
@@ -435,14 +376,12 @@ class Cluster:
     async def start(self) -> None:
         """Spawn the workers, then open the gateway over them."""
         await self.supervisor.start()
-        if self.gateway is not None:
-            await self.gateway.start()
+        await self.gateway.start()
 
     async def stop(self) -> None:
         """Drain-then-stop, outside in: gateway first (``/readyz``
         flips, in-flight requests drain), then the worker pool."""
-        if self.gateway is not None:
-            await self.gateway.stop()
+        await self.gateway.stop()
         await self.supervisor.stop()
         self._stopped.set()
 
@@ -452,10 +391,8 @@ class Cluster:
 
     @property
     def address(self) -> Tuple[str, int]:
-        """Where clients connect: the gateway, or the shared port."""
-        if self.gateway is not None:
-            return self.gateway.address
-        return self.supervisor.shared_address
+        """Where clients connect: the gateway."""
+        return self.gateway.address
 
 
 __all__ = [

@@ -47,10 +47,12 @@ from repro.obs.metrics import WindowedQuantileSet, global_registry
 from repro.obs.metrics import render_prometheus as _render_registries
 from repro.serve.admin import AdminServer
 from repro.serve.protocol import (
+    CLOSE_TIMEOUT_S,
     Frame,
     FrameError,
     Op,
     Status,
+    close_writer,
     read_frame,
     write_frame,
 )
@@ -211,7 +213,7 @@ class _GatewayConn:
                 await asyncio.gather(upstream.pump_task,
                                      return_exceptions=True)
         self.upstreams.clear()
-        await _close_writer(self.writer)
+        await close_writer(self.writer)
 
 
 @dataclass
@@ -394,7 +396,7 @@ class Gateway:
             await conn.close()
         # As in CryptoServer.stop(): wait for handlers still closing.
         if self._conn_tasks:
-            await asyncio.wait(self._conn_tasks, timeout=_CLOSE_TIMEOUT_S)
+            await asyncio.wait(self._conn_tasks, timeout=CLOSE_TIMEOUT_S)
         if self._admin is not None:
             # Last: /readyz has answered 503 since _stopping flipped.
             await self._admin.stop()
@@ -549,7 +551,7 @@ class Gateway:
         with retryable errors (the client's backoff absorbs them and
         the retry re-dials — possibly a restarted worker)."""
         conn.upstreams.pop(upstream.shard, None)
-        await _close_writer(upstream.writer)
+        await close_writer(upstream.writer)
         if not upstream.pending:
             return
         _LOG.warning(
@@ -638,21 +640,6 @@ async def _probe_ready(host: str, port: int,
                 await writer.wait_closed()
         except (OSError, asyncio.TimeoutError):
             pass
-
-
-#: How long closing one transport (or stop() waiting for handlers
-#: still closing theirs) may take before a stuck peer is given up on.
-_CLOSE_TIMEOUT_S = 5.0
-
-
-async def _close_writer(writer: asyncio.StreamWriter) -> None:
-    """Close a transport without letting a stuck peer wedge us."""
-    writer.close()
-    try:
-        async with asyncio.timeout(_CLOSE_TIMEOUT_S):
-            await writer.wait_closed()
-    except (asyncio.TimeoutError, ConnectionError):
-        pass
 
 
 __all__ = [

@@ -432,7 +432,24 @@ async def write_frame(writer: asyncio.StreamWriter, frame: Frame,
         await writer.drain()
 
 
+#: How long closing one transport (or ``stop()`` waiting for handlers
+#: still closing theirs) may take before a stuck peer is given up on.
+CLOSE_TIMEOUT_S = 5.0
+
+
+async def close_writer(writer: asyncio.StreamWriter) -> None:
+    """Close a transport, waiting at most :data:`CLOSE_TIMEOUT_S` for
+    it to close, so a stuck peer cannot wedge the closer."""
+    writer.close()
+    try:
+        async with asyncio.timeout(CLOSE_TIMEOUT_S):
+            await writer.wait_closed()
+    except (asyncio.TimeoutError, ConnectionError):
+        pass
+
+
 __all__ = [
+    "CLOSE_TIMEOUT_S",
     "CTR_NONCE_BYTES",
     "GCM_IV_BYTES",
     "GCM_TAG_BYTES",
@@ -450,6 +467,7 @@ __all__ = [
     "Mode",
     "Op",
     "Status",
+    "close_writer",
     "decode_body",
     "decode_frame",
     "decode_payload",

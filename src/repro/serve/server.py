@@ -22,8 +22,8 @@ bounded buffering, measured behaviour:
 - **Graceful shutdown** — :meth:`CryptoServer.stop` stops accepting,
   drains the queued requests (bounded by ``drain_timeout``), then
   closes connections; a ``SHUTDOWN`` frame triggers the same path
-  remotely, which is how the CI smoke and the bench loopback scenario
-  end their runs cleanly.
+  remotely, which is how ``repro-aes loadgen --shutdown`` and the CI
+  smoke end a serve process cleanly.
 
 Crypto runs through :func:`repro.perf.engine.default_engine` (via the
 mode layer).  Where that engine's backend has native modes, a CTR
@@ -56,6 +56,7 @@ from repro.perf.engine import default_engine, forget_key
 from repro.obs.tracing import format_span_id, trace_record, trace_span
 from repro.serve.admin import AdminServer
 from repro.serve.protocol import (
+    CLOSE_TIMEOUT_S,
     CTR_NONCE_BYTES,
     GCM_IV_BYTES,
     GCM_TAG_BYTES,
@@ -66,6 +67,7 @@ from repro.serve.protocol import (
     Mode,
     Op,
     Status,
+    close_writer,
     read_frame,
     write_frame,
 )
@@ -112,16 +114,15 @@ _BYTES_OUT = _BYTES.labels(direction="out")
 class ServeConfig:
     """Tuning knobs of one :class:`CryptoServer`.
 
-    The defaults suit a loopback deployment; the CLI exposes each.
-    ``port=0`` asks the OS for a free port (the bound address is
-    readable from :attr:`CryptoServer.address` after ``start``).
+    The defaults suit a loopback deployment; ``repro-aes serve``
+    exposes every field but ``io_timeout``, ``drain_timeout`` and
+    ``window_s``.  ``port=0`` asks the OS for a free port (the bound
+    address is readable from :attr:`CryptoServer.address` after
+    ``start``).
     """
 
     host: str = "127.0.0.1"
     port: int = 0
-    #: Bind with ``SO_REUSEPORT`` so several worker processes can
-    #: share one port (the cluster's direct topology).
-    reuse_port: bool = False
     #: Bound of the shared request queue — the backpressure valve.
     queue_depth: int = 64
     #: Worker tasks draining the queue; the thread pool for the
@@ -259,8 +260,7 @@ class CryptoServer:
             for _ in range(max(1, self.config.workers))
         ]
         self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port,
-            reuse_port=self.config.reuse_port,
+            self._on_connection, self.config.host, self.config.port
         )
         if self.config.admin_port is not None:
             self._admin = AdminServer(
@@ -339,11 +339,11 @@ class CryptoServer:
         await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers = []
         for writer in list(self._writers):
-            await _close_writer(writer)
+            await close_writer(writer)
         # A handler whose peer closed first has left _writers but may
         # still be closing its transport; asyncio.run would cancel it.
         if self._conn_tasks:
-            await asyncio.wait(self._conn_tasks, timeout=_CLOSE_TIMEOUT_S)
+            await asyncio.wait(self._conn_tasks, timeout=CLOSE_TIMEOUT_S)
         if self._executor is not None:
             self._executor.shutdown(wait=False)
         if self._admin is not None:
@@ -373,7 +373,7 @@ class CryptoServer:
             session.close()
             self._writers.discard(writer)
             _OPEN_CONNECTIONS.dec()
-            await _close_writer(writer)
+            await close_writer(writer)
 
     async def _connection_loop(self, reader: asyncio.StreamReader,
                                writer: asyncio.StreamWriter,
@@ -687,21 +687,6 @@ def _runs_inline(work: Callable[[bytes, bytes], bytes],
     return (work in _NATIVE_OPS
             and len(payload) <= INLINE_MAX_PAYLOAD_BYTES
             and default_engine().backend.native_modes)
-
-
-#: How long closing one transport (or stop() waiting for handlers
-#: still closing theirs) may take before a stuck peer is given up on.
-_CLOSE_TIMEOUT_S = 5.0
-
-
-async def _close_writer(writer: asyncio.StreamWriter) -> None:
-    """Close a transport without letting a stuck peer wedge us."""
-    writer.close()
-    try:
-        async with asyncio.timeout(_CLOSE_TIMEOUT_S):
-            await writer.wait_closed()
-    except (asyncio.TimeoutError, ConnectionError):
-        pass
 
 
 __all__ = ["GCM_MAX_PLAINTEXT_BYTES", "INLINE_MAX_PAYLOAD_BYTES",

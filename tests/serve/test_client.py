@@ -148,16 +148,36 @@ class TestRunLoad:
         text = report.render()
         assert "3 client(s)" in text and "req/s" in text
 
-    def test_shutdown_flag_stops_server(self):
+    def test_no_key_reply_reloads_the_key_and_retries(self):
+        """A server that loses the session key (as a restarted worker
+        does) answers NO_KEY once; the client re-sends LOAD_KEY and
+        the request is retried, not counted as an error."""
+        lost = []
+
         async def scenario():
             server = CryptoServer(ServeConfig(port=0))
+            original = server._op_xcrypt
+
+            async def forgetful(session, frame):
+                if not lost:
+                    lost.append(frame.request_id)
+                    session.key = None
+                return await original(session, frame)
+
+            server._handlers[Op.ENCRYPT] = forgetful
             await server.start()
             host, port = server.address
-            await run_load(host, port, bytes(16), clients=1,
-                           requests=1, shutdown=True)
-            await asyncio.wait_for(server.wait_stopped(), 10.0)
+            try:
+                return await run_load(host, port, bytes(16),
+                                      clients=1, requests=3)
+            finally:
+                await server.stop()
 
-        asyncio.run(scenario())
+        report = asyncio.run(scenario())
+        assert len(lost) == 1
+        assert report.requests == 3
+        assert report.errors == 0
+        assert report.statuses == {"ok": 3}
 
     def test_rejects_nonsense_parameters(self):
         async def scenario():

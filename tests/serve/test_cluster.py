@@ -3,21 +3,16 @@ gateway.
 
 These are the failure-path tests the in-loop gateway suite cannot
 express: a worker process killed mid-load and restarted by the
-supervisor, a clean exit shrinking the pool, and the shared-port
-(no-gateway) topology.  Everything binds OS-assigned loopback ports;
-each scenario owns its own event loop.
+supervisor, and a clean exit shrinking the pool.  Everything binds
+OS-assigned loopback ports; each scenario owns its own event loop.
 """
 
 import asyncio
-import socket
-
-import pytest
 
 from repro.serve.client import (
     CryptoClient,
     RetryPolicy,
     run_load,
-    run_session_load,
 )
 from repro.serve.cluster import Cluster, ClusterConfig
 from repro.serve.protocol import Mode, Status
@@ -67,9 +62,9 @@ class TestClusterEndToEnd:
                 placements = {sid: cluster.gateway.shard_for(sid)
                               for sid in range(1, 9)}
                 assert len(set(placements.values())) == 2
-                report = await run_session_load(
+                report = await run_load(
                     host, port, _BASE_KEY,
-                    sessions=8, requests=2, mode=Mode.CTR,
+                    clients=8, requests=2, mode=Mode.CTR,
                     payload_bytes=256,
                 )
                 assert report.errors == 0
@@ -117,9 +112,9 @@ class TestClusterEndToEnd:
 
                 killer = asyncio.get_running_loop().create_task(
                     kill_soon())
-                report = await run_session_load(
+                report = await run_load(
                     host, port, _BASE_KEY,
-                    sessions=6, requests=20, mode=Mode.CTR,
+                    clients=6, requests=20, mode=Mode.CTR,
                     payload_bytes=512,
                     retry=RetryPolicy(attempts=8, base_delay=0.05),
                 )
@@ -173,9 +168,9 @@ class TestClusterEndToEnd:
                 assert survivors[0].index == 0
                 assert victim.process.exitcode == 0
                 assert cluster.gateway.shards() == ("worker-0",)
-                report = await run_session_load(
+                report = await run_load(
                     host, port, _BASE_KEY,
-                    sessions=3, requests=3, mode=Mode.CTR,
+                    clients=3, requests=3, mode=Mode.CTR,
                     payload_bytes=256,
                     retry=RetryPolicy(attempts=4, base_delay=0.05),
                 )
@@ -187,41 +182,6 @@ class TestClusterEndToEnd:
         asyncio.run(scenario())
 
 
-class TestSharedPortTopology:
-    """Direct mode: every worker serves one port, no gateway."""
-
-    @pytest.mark.skipif(
-        not hasattr(socket, "SO_REUSEPORT"),
-        reason="platform has no SO_REUSEPORT",
-    )
-    def test_so_reuseport(self):
-        async def scenario():
-            cluster = Cluster(ClusterConfig(
-                workers=2, shared_port=0, worker_admin=False,
-            ))
-            await cluster.start()
-            try:
-                assert cluster.gateway is None
-                host, port = cluster.address
-                report = await run_load(
-                    host, port, _BASE_KEY,
-                    clients=3, requests=3, payload_bytes=256,
-                )
-                assert report.errors == 0
-                assert report.requests == 9
-            finally:
-                await cluster.stop()
-
-        asyncio.run(scenario())
-
-    def test_refused_without_so_reuseport(self, monkeypatch):
-        """No shared-port mode without SO_REUSEPORT: the cluster
-        refuses at construction and points at the gateway topology."""
-        monkeypatch.delattr(socket, "SO_REUSEPORT", raising=False)
-        with pytest.raises(RuntimeError, match="SO_REUSEPORT.*gateway"):
-            Cluster(ClusterConfig(workers=2, shared_port=0))
-
-
 class TestClusterCli:
     def test_cluster_parser_defaults(self):
         from repro.cli import build_parser
@@ -231,14 +191,3 @@ class TestClusterCli:
         assert args.workers == 3
         assert args.gateway_port == 0
         assert args.admin_port == 0
-        assert args.shared_port is None
-
-    def test_loadgen_sessions_flag_parses(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["loadgen", "--port", "1", "--sessions", "5"])
-        assert args.sessions == 5
-        args = build_parser().parse_args(
-            ["loadgen", "--port", "1"])
-        assert args.sessions is None

@@ -21,7 +21,7 @@ from repro.serve.client import (
     CryptoClient,
     RetryPolicy,
     derive_session_key,
-    run_session_load,
+    run_load,
 )
 from repro.serve.gateway import (
     BackendSpec,
@@ -448,18 +448,18 @@ class TestGatewayLifecycle:
         assert asyncio.run(scenario()) == []
 
     def test_session_load_through_gateway(self):
-        """The cluster loadgen against in-process backends: every
-        request answered, zero errors, per-shard latency windows
-        populated."""
+        """The loadgen's keyed sessions against in-process backends:
+        every request answered, zero errors, per-shard latency
+        windows populated."""
 
         async def scenario():
             backends = [await _backend() for _ in range(2)]
             gateway = await _gateway(backends)
             host, port = gateway.address
             try:
-                report = await run_session_load(
+                report = await run_load(
                     host, port, bytes(range(16)),
-                    sessions=6, requests=4, mode=Mode.CTR,
+                    clients=6, requests=4, mode=Mode.CTR,
                     payload_bytes=256,
                 )
             finally:

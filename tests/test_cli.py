@@ -458,11 +458,11 @@ class TestServeCommands:
 
 
 class TestClusterCommand:
-    """`repro-aes cluster` + `repro-aes loadgen --sessions`: the
-    multi-process topology end to end, as operators run it.  The
-    cluster is a subprocess (its own event loop, signal handling and
-    spawned workers); the session loadgen runs in-process and ends
-    the run with a SHUTDOWN frame through the gateway."""
+    """`repro-aes cluster` + `repro-aes loadgen`: the multi-process
+    topology end to end, as operators run it.  The cluster is a
+    subprocess (its own event loop, signal handling and spawned
+    workers); the loadgen's keyed sessions run in-process and end the
+    run with a SHUTDOWN frame through the gateway."""
 
     def test_cluster_loadgen_round_trip(self, capsys, tmp_path):
         import json
@@ -496,7 +496,7 @@ class TestClusterCommand:
                 workers
             code, out = run_cli(
                 capsys, "loadgen", "--port", str(port),
-                "--sessions", "4", "--requests", "3",
+                "--clients", "4", "--requests", "3",
                 "--mode", "gcm", "--size", "512", "--shutdown",
             )
             assert code == 0
