@@ -29,7 +29,7 @@ from repro.aes.ghash import default_provider as _ghash_provider
 from repro.obs.metrics import global_registry
 
 if TYPE_CHECKING:
-    from repro.perf.backends import Backend
+    from repro.perf.backends import Backend, Buffer
 
 BLOCK = 16
 
@@ -197,31 +197,36 @@ def _open(key: bytes, iv: bytes, ciphertext: bytes, tag: bytes,
     return _gctr_bulk(key, _inc32(j0), ciphertext)
 
 
-def gcm_encrypt(key: bytes, iv: bytes, plaintext: bytes,
+def gcm_encrypt(key: bytes, iv: bytes, plaintext: Buffer,
                 aad: bytes = b"") -> Tuple[bytes, bytes]:
-    """Encrypt and authenticate; returns (ciphertext, 16-byte tag)."""
+    """Encrypt and authenticate; returns (ciphertext, 16-byte tag).
+
+    ``plaintext`` may be a ``memoryview``: the native seal allocates no
+    copy of it.
+    """
     _check_lengths(len(plaintext), len(aad), len(iv))
     _GCM_OPS.labels(op="encrypt").inc()
-    key, iv, plaintext, aad = (bytes(key), bytes(iv), bytes(plaintext),
-                               bytes(aad))
+    key, iv, aad = bytes(key), bytes(iv), bytes(aad)
     native = _native_backend(iv)
     if native is not None:
         return native.gcm_seal(key, iv, aad, plaintext)
-    return _seal(key, iv, plaintext, aad)
+    return _seal(key, iv, bytes(plaintext), aad)
 
 
-def gcm_decrypt(key: bytes, iv: bytes, ciphertext: bytes, tag: bytes,
+def gcm_decrypt(key: bytes, iv: bytes, ciphertext: Buffer, tag: bytes,
                 aad: bytes = b"") -> bytes:
     """Verify and decrypt; raises :class:`AuthenticationError` on a
-    bad tag (and releases no plaintext in that case)."""
+    bad tag (and releases no plaintext in that case).
+
+    ``ciphertext`` may be a ``memoryview``: the native open allocates
+    no copy of it.
+    """
     _check_lengths(len(ciphertext), len(aad), len(iv))
     _GCM_OPS.labels(op="decrypt").inc()
-    key, iv, ciphertext, tag, aad = (bytes(key), bytes(iv),
-                                     bytes(ciphertext), bytes(tag),
-                                     bytes(aad))
+    key, iv, tag, aad = bytes(key), bytes(iv), bytes(tag), bytes(aad)
     native = _native_backend(iv)
     if native is None:
-        plaintext = _open(key, iv, ciphertext, tag, aad)
+        plaintext = _open(key, iv, bytes(ciphertext), tag, aad)
     else:
         plaintext = native.gcm_open(key, iv, aad, ciphertext, tag)
     if plaintext is None:

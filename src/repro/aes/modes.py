@@ -19,10 +19,13 @@ Padding: PKCS#7 helpers are provided for the byte-stream modes.
 from __future__ import annotations
 
 import hmac as _hmac
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.aes.cipher import AES128
 from repro.obs.metrics import global_registry
+
+if TYPE_CHECKING:
+    from repro.perf.backends import Buffer
 
 BLOCK = 16
 
@@ -161,7 +164,7 @@ def ctr_keystream(key: bytes, nonce: bytes, blocks: int) -> bytes:
     return _bulk_engine().keystream(key, nonce, blocks)
 
 
-def ctr_xcrypt(key: bytes, nonce: bytes, data: bytes) -> bytes:
+def ctr_xcrypt(key: bytes, nonce: bytes, data: Buffer) -> bytes:
     """CTR encrypt/decrypt (symmetric): data xor keystream.
 
     Works on any length — CTR is a stream mode, and notably only ever

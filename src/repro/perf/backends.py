@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import struct as _struct
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.aes.cipher import AES128
 from repro.aes.constants import SBOX
@@ -49,6 +49,23 @@ except ImportError:  # pragma: no cover - exercised where numpy absent
     _np = None
 
 BLOCK = 16
+
+#: What the native modes read: ``bytes``, or a ``memoryview`` of them
+#: that a caller passes instead of slicing a payload-sized copy.
+Buffer = Union[bytes, memoryview]
+
+
+def as_buffer(data: Any) -> Buffer:
+    """``data`` as a :data:`Buffer`, holding the bytes ``bytes(data)``
+    would.  ``bytes`` and one-dimensional ``'B'`` views pass through
+    uncopied; anything else ``bytes()`` takes (a ``bytearray``, an
+    iterable of ints, a view of wider items) goes through it, so every
+    backend accepts the same inputs."""
+    if isinstance(data, bytes) or (
+            isinstance(data, memoryview) and data.format == "B"
+            and data.ndim == 1):
+        return data
+    return bytes(data)
 
 #: AES-128 round count; the schedule is 4 * (_ROUNDS + 1) words.
 _ROUNDS = 10
@@ -175,18 +192,18 @@ class Backend:
         """Encrypt every 16-byte block of ``data`` under ``key``."""
         raise NotImplementedError
 
-    def ctr(self, key: bytes, counter: bytes, data: bytes) -> bytes:
+    def ctr(self, key: bytes, counter: bytes, data: Buffer) -> bytes:
         """``data`` xor the CTR keystream from the 16-byte ``counter``
         block, incremented as one 128-bit big-endian integer."""
         raise NotImplementedError
 
     def gcm_seal(self, key: bytes, iv: bytes, aad: bytes,
-                 plaintext: bytes) -> Tuple[bytes, bytes]:
+                 plaintext: Buffer) -> Tuple[bytes, bytes]:
         """AES-128-GCM encrypt: (ciphertext, 16-byte tag)."""
         raise NotImplementedError
 
     def gcm_open(self, key: bytes, iv: bytes, aad: bytes,
-                 ciphertext: bytes, tag: bytes) -> Optional[bytes]:
+                 ciphertext: Buffer, tag: bytes) -> Optional[bytes]:
         """AES-128-GCM verify and decrypt; ``None``, releasing no
         plaintext, when ``tag`` does not verify or is not 16 bytes."""
         raise NotImplementedError

@@ -28,7 +28,7 @@ from typing import Optional, Union
 
 from repro.obs.metrics import global_registry
 from repro.obs.tracing import trace_span
-from repro.perf.backends import Backend, get_backend
+from repro.perf.backends import Backend, Buffer, as_buffer, get_backend
 
 BLOCK = 16
 
@@ -142,13 +142,14 @@ class BatchEngine:
             key, _counter_blocks(nonce, initial, blocks, 8))
 
     def xcrypt_ctr(self, key: bytes, nonce: bytes,
-                   data: bytes) -> bytes:
+                   data: Buffer) -> bytes:
         """CTR encrypt/decrypt (symmetric): data xor keystream.
 
-        A backend with native modes runs the whole call; its 128-bit
-        increment starts at counter 0, so no buffer reaches the nonce.
+        A backend with native modes runs the whole call, allocating no
+        copy of a ``memoryview`` ``data``; its 128-bit increment starts
+        at counter 0, so no buffer reaches the nonce.
         """
-        data = bytes(data)
+        data = as_buffer(data)
         blocks = (len(data) + BLOCK - 1) // BLOCK
         if self._backend.native_modes and blocks:
             counter = _ctr_nonce(nonce) + bytes(8)
@@ -200,7 +201,7 @@ def _counter_blocks(head: bytes, start: int, blocks: int,
                     for i in range(blocks))
 
 
-def _xor_bytes(data: bytes, stream: bytes) -> bytes:
+def _xor_bytes(data: Buffer, stream: bytes) -> bytes:
     """XOR two equal-length buffers via one bignum op (C speed)."""
     if len(data) != len(stream):
         raise ValueError("XOR operands must be the same length")
@@ -240,9 +241,11 @@ def forget_key(key: bytes) -> None:
 
     Best-effort by design: a malformed key has nothing cached, and
     hygiene on teardown must never raise into connection cleanup.
-    Finding the tables means deriving the hash subkey with the golden
-    cipher, so that is skipped while no tables are cached at all, as
-    where GCM runs natively.
+    Finding the tables means deriving the hash subkey: one block
+    through the T-table cipher, which the test suite holds to the
+    golden model and which costs an order of magnitude less to key.
+    That is skipped while no tables are cached at all, as where GCM
+    runs natively.
     """
     if _DEFAULT is not None:
         cache = getattr(_DEFAULT.backend, "cache", None)
@@ -252,9 +255,9 @@ def forget_key(key: bytes) -> None:
     if not _ghash.cached_subkeys():
         return
     try:
-        from repro.aes.cipher import AES128
+        from repro.aes.fast import FastAES128
         subkey = int.from_bytes(
-            AES128(key).encrypt_block(bytes(BLOCK)), "big")
+            FastAES128(key).encrypt_block(bytes(BLOCK)), "big")
     except (TypeError, ValueError):
         return
     _ghash.forget(subkey)

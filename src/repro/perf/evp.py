@@ -33,7 +33,7 @@ from repro.aes.vectors import (
     SP800_38A_ECB128_KEY,
     SP800_38A_ECB128_PLAINTEXT,
 )
-from repro.perf.backends import Backend
+from repro.perf.backends import Backend, Buffer, as_buffer
 
 _BLOCK = 16
 
@@ -85,7 +85,8 @@ def _address(data: bytes) -> int:
 class _Lib:
     """Resolved libcrypto handle plus the EVP entry points we use.
 
-    Every primitive takes validated ``bytes`` and runs in a fresh
+    Every primitive takes validated ``bytes`` (or, for the payload, a
+    one-dimensional ``'B'`` view of them) and runs in a fresh
     cipher context, so the backend is thread-safe under the batch
     engine's executor with zero shared state.
     """
@@ -137,45 +138,52 @@ class _Lib:
         finally:
             self.free(ctx)
 
-    def _update(self, ctx: int, out: Optional[ctypes.Array],
-                data: bytes) -> int:
-        """Feed ``data`` to ``EVP_CipherUpdate`` in chunks of at most
-        :data:`_CHUNK` bytes, writing into ``out`` (``None`` for GCM
-        AAD); returns the bytes written."""
-        source = _address(data)
-        target = None if out is None else ctypes.addressof(out)
+    def _update(self, ctx: int, target: Optional[int], source: int,
+                size: int) -> int:
+        """Feed ``size`` bytes at ``source`` to ``EVP_CipherUpdate``
+        in chunks of at most :data:`_CHUNK` bytes, writing from
+        ``target`` on (``None`` for GCM AAD); returns the bytes
+        written."""
         written = ctypes.c_int(0)
         total = 0
-        for offset in range(0, len(data), _CHUNK):
-            size = min(_CHUNK, len(data) - offset)
+        for offset in range(0, size, _CHUNK):
+            chunk = min(_CHUNK, size - offset)
             _ok(self.update(ctx,
                             None if target is None else target + total,
                             ctypes.byref(written), source + offset,
-                            size),
+                            chunk),
                 "EVP_CipherUpdate")
             total += written.value
         return total
 
-    def _run(self, ctx: int, data: bytes,
+    def _run(self, ctx: int, data: Buffer,
              aad: bytes = b"") -> Optional[bytes]:
         """AAD, then ``data``, then finalise.  ``None`` when the final
         step refuses — a GCM tag that does not verify — with the
-        output buffer already zeroed."""
-        self._update(ctx, None, aad)
-        out = ctypes.create_string_buffer(len(data))
-        written = self._update(ctx, out, data)
+        output buffer already zeroed.
+
+        ctypes takes no address of a read-only view, so ``data`` is
+        copied into the output buffer and processed in place there:
+        the call allocates the output buffer and the returned
+        ``bytes``, and nothing else proportional to ``data``.
+        """
+        self._update(ctx, None, _address(aad), len(aad))
+        size = len(data)
+        out = ctypes.create_string_buffer(size)
+        target = ctypes.addressof(out)
+        memoryview(out).cast("B")[:] = data
+        written = self._update(ctx, target, target, size)
         tail = ctypes.c_int(0)
-        if self.final(ctx, ctypes.addressof(out) + written,
-                      ctypes.byref(tail)) != 1:
-            ctypes.memset(out, 0, len(data))
+        if self.final(ctx, target + written, ctypes.byref(tail)) != 1:
+            ctypes.memset(out, 0, size)
             return None
-        if written + tail.value != len(data):
+        if written + tail.value != size:
             raise RuntimeError(
-                f"EVP wrote {written + tail.value} of {len(data)} "
-                f"bytes")
+                f"EVP wrote {written + tail.value} of {size} bytes")
         return out.raw
 
-    def _produce(self, ctx: int, data: bytes, aad: bytes = b"") -> bytes:
+    def _produce(self, ctx: int, data: Buffer,
+                 aad: bytes = b"") -> bytes:
         out = self._run(ctx, data, aad)
         if out is None:
             raise RuntimeError("EVP_CipherFinal_ex failed")
@@ -187,13 +195,13 @@ class _Lib:
             _ok(self.set_padding(ctx, 0), "EVP_CIPHER_CTX_set_padding")
             return self._produce(ctx, data)
 
-    def ctr(self, key: bytes, counter: bytes, data: bytes) -> bytes:
+    def ctr(self, key: bytes, counter: bytes, data: Buffer) -> bytes:
         """AES-128-CTR from ``counter``, incremented as 128 bits."""
         with self._context("ctr", key, counter) as ctx:
             return self._produce(ctx, data)
 
     def gcm_seal(self, key: bytes, iv: bytes, aad: bytes,
-                 plaintext: bytes) -> Tuple[bytes, bytes]:
+                 plaintext: Buffer) -> Tuple[bytes, bytes]:
         """AES-128-GCM encrypt: (ciphertext, 16-byte tag)."""
         with self._context("gcm", key, iv) as ctx:
             ciphertext = self._produce(ctx, plaintext, aad)
@@ -203,7 +211,7 @@ class _Lib:
             return ciphertext, tag.raw
 
     def gcm_open(self, key: bytes, iv: bytes, aad: bytes,
-                 ciphertext: bytes, tag: bytes) -> Optional[bytes]:
+                 ciphertext: Buffer, tag: bytes) -> Optional[bytes]:
         """AES-128-GCM verify and decrypt; ``None`` on a bad tag."""
         with self._context("gcm", key, iv,
                            encrypt=False) as ctx:
@@ -305,8 +313,8 @@ class EvpBackend(Backend):
             return b""
         return lib.ecb(key, data)
 
-    def ctr(self, key: bytes, counter: bytes, data: bytes) -> bytes:
-        key, counter, data = bytes(key), bytes(counter), bytes(data)
+    def ctr(self, key: bytes, counter: bytes, data: Buffer) -> bytes:
+        key, counter, data = bytes(key), bytes(counter), as_buffer(data)
         lib = _checked_lib(key)
         if len(counter) != _BLOCK:
             raise ValueError(f"counter block must be {_BLOCK} bytes")
@@ -315,14 +323,14 @@ class EvpBackend(Backend):
         return lib.ctr(key, counter, data)
 
     def gcm_seal(self, key: bytes, iv: bytes, aad: bytes,
-                 plaintext: bytes) -> Tuple[bytes, bytes]:
+                 plaintext: Buffer) -> Tuple[bytes, bytes]:
         key, iv = bytes(key), bytes(iv)
         lib = _checked_lib(key)
         _check_iv(iv)
-        return lib.gcm_seal(key, iv, bytes(aad), bytes(plaintext))
+        return lib.gcm_seal(key, iv, bytes(aad), as_buffer(plaintext))
 
     def gcm_open(self, key: bytes, iv: bytes, aad: bytes,
-                 ciphertext: bytes, tag: bytes) -> Optional[bytes]:
+                 ciphertext: Buffer, tag: bytes) -> Optional[bytes]:
         key, iv, tag = bytes(key), bytes(iv), bytes(tag)
         lib = _checked_lib(key)
         _check_iv(iv)
@@ -330,7 +338,8 @@ class EvpBackend(Backend):
             # Never handed to libcrypto, which would check a shorter
             # tag as a truncated one.
             return None
-        return lib.gcm_open(key, iv, bytes(aad), bytes(ciphertext), tag)
+        return lib.gcm_open(key, iv, bytes(aad), as_buffer(ciphertext),
+                            tag)
 
 
 def _check_iv(iv: bytes) -> None:

@@ -17,8 +17,8 @@ bounded buffering, measured behaviour:
   request's execution gets ``request_timeout`` seconds before the
   worker abandons it with a ``TIMEOUT`` error frame (the connection
   survives).  A request served on the event loop (below) is bounded
-  by its size instead.  The ``serve.missing-timeout`` lint rule
-  enforces the socket half of this mechanically.
+  by the 1 MiB frame limit instead.  The ``serve.missing-timeout``
+  lint rule enforces the socket half of this mechanically.
 - **Graceful shutdown** — :meth:`CryptoServer.stop` stops accepting,
   drains the queued requests (bounded by ``drain_timeout``), then
   closes connections; a ``SHUTDOWN`` frame triggers the same path
@@ -27,15 +27,15 @@ bounded buffering, measured behaviour:
 
 Crypto runs through :func:`repro.perf.engine.default_engine` (via the
 mode layer).  Where that engine's backend has native modes, a CTR
-request, a GCM seal or open, or an ECB encryption of at most
-:data:`INLINE_MAX_PAYLOAD_BYTES` is one libcrypto call shorter than a
-thread-pool round trip, so it runs on the event loop.  Everything
-else runs on a small thread pool, where the call releases the GIL
-and the loop keeps reading frames: larger payloads, ECB decryption
-(the golden per-block cipher) and every request on the ``sliced``
-fallback.  Everything is instrumented into the process-global
-:mod:`repro.obs` registry — request/byte/error counters, an in-flight
-gauge, a latency histogram and ``serve.*`` spans.
+request, a GCM seal or open, or an ECB encryption is one libcrypto
+call over at most one frame's payload, measured cheaper than a
+thread-pool round trip at every size up to that limit, so it runs on
+the event loop.  The rest runs on a small thread pool, where the
+loop keeps reading frames: ECB decryption (the golden per-block
+cipher) and every request on the ``sliced`` fallback.  Everything is
+instrumented into the process-global :mod:`repro.obs` registry —
+request/byte/error counters, an in-flight gauge, a latency histogram
+and ``serve.*`` spans.
 """
 
 from __future__ import annotations
@@ -565,9 +565,9 @@ class CryptoServer:
                 f"no {frame.mode.name} handler for {frame.op.name}",
             )
         try:
-            if _runs_inline(work, frame.payload):
+            if _runs_inline(work):
                 # Bounded by construction: one libcrypto call over at
-                # most INLINE_MAX_PAYLOAD_BYTES, cheaper than a hop.
+                # most one frame (1 MiB), cheaper than a hop.
                 out = work(session.key, frame.payload)
             else:
                 # _process bounds this await by request_timeout.
@@ -588,15 +588,18 @@ class CryptoServer:
 # Every entry routes its bulk work through
 # ``repro.perf.default_engine()`` via the mode layer; _runs_inline
 # decides whether it runs on the event loop or the thread pool.
-# (Dispatch through this table also keeps the ECB entries out of the
-# ``ct.raw-ecb`` call-site lint — the service legitimately exposes
-# ECB as an op.)
-def _ctr_split(payload: bytes) -> Tuple[bytes, bytes]:
+# The CTR and GCM entries pass the payload-sized part of a request
+# on as a ``memoryview``, not a slice, so the native call allocates
+# no copy of it.  (Dispatch through this table also keeps the
+# ECB entries out of the ``ct.raw-ecb`` call-site lint — the service
+# legitimately exposes ECB as an op.)
+def _ctr_split(payload: bytes) -> Tuple[bytes, memoryview]:
     if len(payload) < CTR_NONCE_BYTES:
         raise ValueError(
             f"CTR payload needs a {CTR_NONCE_BYTES}-byte nonce prefix"
         )
-    return payload[:CTR_NONCE_BYTES], payload[CTR_NONCE_BYTES:]
+    return (payload[:CTR_NONCE_BYTES],
+            memoryview(payload)[CTR_NONCE_BYTES:])
 
 
 #: Largest plaintext a GCM ENCRYPT frame may carry: the response is
@@ -611,7 +614,7 @@ def _gcm_encrypt(k: bytes, payload: bytes) -> bytes:
         raise ValueError(
             f"GCM payload needs a {GCM_IV_BYTES}-byte IV prefix"
         )
-    plaintext = payload[GCM_IV_BYTES:]
+    plaintext = memoryview(payload)[GCM_IV_BYTES:]
     if len(plaintext) > GCM_MAX_PLAINTEXT_BYTES:
         # Checked before any crypto so the ciphertext+tag response is
         # always frameable (same up-front style as _check_lengths).
@@ -634,7 +637,8 @@ def _gcm_decrypt(k: bytes, payload: bytes) -> bytes:
         )
     iv = payload[:GCM_IV_BYTES]
     tag = payload[len(payload) - GCM_TAG_BYTES:]
-    body = payload[GCM_IV_BYTES:len(payload) - GCM_TAG_BYTES]
+    body = memoryview(payload)[GCM_IV_BYTES:
+                               len(payload) - GCM_TAG_BYTES]
     return gcm.gcm_decrypt(k, iv, body, tag)
 
 
@@ -659,35 +663,11 @@ _CRYPTO_OPS: Dict[Tuple[Op, Mode],
 _NATIVE_OPS = frozenset(
     (modes.ecb_encrypt, _ctr_xcrypt, _gcm_encrypt, _gcm_decrypt))
 
-#: Largest payload served on the event loop: the measured crossover
-#: of a native call on the calling thread against a no-op round trip
-#: through the thread pool.  OpenSSL 3.0 on a 2-vCPU Xeon guest,
-#: Python 3.11, medians of 300 calls, 2-5 fresh processes per size;
-#: the hop read 70-169 us (median 122).  CTR / GCM seal / GCM open /
-#: ECB encrypt, in us:
-#:
-#:   1 KiB     41-73 / 41-45 / 40-44 / 40-46
-#:   16 KiB    37-45 / 39-51 / 48-49 / 43-48
-#:   64 KiB    40-65 / 71-79 / 67-76 / 39-64
-#:   80 KiB    55-60 / 148-201 / 49-70 / 59-67
-#:   112 KiB   73-75 / 323-328 / 89-92 / 70
-#:   160 KiB   361-387 / 472-544 / 272-421 / 220-246
-#:
-#: GCM seal crosses the hop first: it makes four payload-sized
-#: buffers, and once their sum passes glibc's 128 KiB trim threshold
-#: the freed heap top goes back to the OS and page-faults again on the
-#: next call.  So below this a call blocks the loop for less than the
-#: hop it saves, and above it the pool keeps the loop reading frames.
-INLINE_MAX_PAYLOAD_BYTES = 64 << 10
 
-
-def _runs_inline(work: Callable[[bytes, bytes], bytes],
-                 payload: bytes) -> bool:
+def _runs_inline(work: Callable[[bytes, bytes], bytes]) -> bool:
     """Whether a request runs on the event loop, not the pool."""
-    return (work in _NATIVE_OPS
-            and len(payload) <= INLINE_MAX_PAYLOAD_BYTES
-            and default_engine().backend.native_modes)
+    return work in _NATIVE_OPS and default_engine().backend.native_modes
 
 
-__all__ = ["GCM_MAX_PLAINTEXT_BYTES", "INLINE_MAX_PAYLOAD_BYTES",
-           "CryptoServer", "ServeConfig", "Session"]
+__all__ = ["GCM_MAX_PLAINTEXT_BYTES", "CryptoServer", "ServeConfig",
+           "Session"]

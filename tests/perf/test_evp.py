@@ -7,6 +7,7 @@ registration tests assert the backend stays absent — the guard is
 the feature under test.
 """
 
+import array
 import asyncio
 import ctypes
 import random
@@ -121,6 +122,17 @@ def _auth_failures():
     return gcm._GCM_AUTH_FAILURES.value
 
 
+#: Payloads ``bytes()`` takes that are not ``bytes``, each built to
+#: hold the given bytes.
+_NON_BYTES = {
+    "list": list,
+    "bytearray": bytearray,
+    "strided-view": lambda data: memoryview(
+        bytes(b for b in data for _ in (0, 1)))[::2],
+    "wide-view": lambda data: memoryview(array.array("H", data)),
+}
+
+
 def _golden_ctr(key, counter, data):
     aes_blocks = available_backends()["baseline"]
     start = int.from_bytes(counter, "big")
@@ -197,6 +209,27 @@ class TestNativeModes:
         assert backend.ctr(key, counter, data) == expected_ctr
         assert backend.gcm_seal(key, iv, aad, data) == expected_gcm
         assert backend.gcm_open(key, iv, aad, *expected_gcm) == data
+
+    @pytest.mark.parametrize("kind", sorted(_NON_BYTES))
+    def test_payloads_read_as_bytes_would(self, kind):
+        # Both backends take what bytes() takes, with its result, though
+        # the native path copies no payload through bytes().
+        make = _NON_BYTES[kind]
+        key, nonce, iv = (_RNG.randbytes(16), _RNG.randbytes(8),
+                          _RNG.randbytes(12))
+        data = _RNG.randbytes(40)
+        assert bytes(make(data)) == data
+        for name in ("evp", "sliced"):
+            engine = BatchEngine(name)
+            assert engine.xcrypt_ctr(key, nonce, make(data)) == \
+                engine.xcrypt_ctr(key, nonce, data), name
+        ct, tag = gcm._seal(key, iv, data, b"aad")
+        assert EvpBackend().gcm_seal(key, iv, b"aad", make(data)) == \
+            (ct, tag)
+        assert EvpBackend().gcm_open(key, iv, b"aad", make(ct),
+                                     tag) == data
+        assert gcm.gcm_encrypt(key, iv, make(data), b"aad") == (ct, tag)
+        assert gcm.gcm_decrypt(key, iv, make(ct), tag, b"aad") == data
 
     def test_tampering_fails_without_plaintext(self):
         case = GCM_VECTORS[3]

@@ -1,36 +1,40 @@
-"""Which crypto requests cross to the thread pool, counted exactly.
+"""Which crypto requests cross to the thread pool, and what the
+native ones allocate, counted exactly.
 
-Where the default engine's backend has native modes, a CTR request,
-a GCM seal or open, or an ECB encryption whose payload is at most
-``INLINE_MAX_PAYLOAD_BYTES`` runs on the event loop.  Every other
-crypto request is one ``run_in_executor`` hop, and
-``repro_serve_executor_hops_total`` counts each.  Replies either side
-of the cutoff are checked against the golden model, and so are the
-inline error outcomes and the key hygiene of a session.
+Where the default engine's backend has native modes, a CTR request, a
+GCM seal or open, or an ECB encryption runs on the event loop at any
+size a frame can carry.  Every other crypto request is one
+``run_in_executor`` hop, and ``repro_serve_executor_hops_total``
+counts each.  Replies up to the frame limit are checked against
+references that run neither libcrypto's CTR nor its GCM, and the
+inline error outcomes, the peak memory of one native call and the key
+hygiene of a session are checked too.
 """
 
 import asyncio
-import functools
 import random
+import tracemalloc
 
 import pytest
 
 from repro.aes import gcm, ghash
 from repro.aes.cipher import AES128
 from repro.obs.metrics import global_registry
-from repro.perf.engine import default_engine
+from repro.perf.engine import BatchEngine, default_engine, forget_key
 from repro.perf.evp import have_evp
 from repro.serve.client import CryptoClient, RetryPolicy
 from repro.serve.protocol import (
     CTR_NONCE_BYTES,
     GCM_IV_BYTES,
     GCM_TAG_BYTES,
+    MAX_PAYLOAD_BYTES,
     Mode,
     Op,
     Status,
 )
 from repro.serve.server import (
-    INLINE_MAX_PAYLOAD_BYTES,
+    _CRYPTO_OPS,
+    GCM_MAX_PLAINTEXT_BYTES,
     CryptoServer,
     ServeConfig,
 )
@@ -38,7 +42,6 @@ from repro.serve.server import (
 KEY = bytes(range(16))
 NONCE = bytes(range(CTR_NONCE_BYTES))
 IV = bytes(range(GCM_IV_BYTES))
-CUTOFF = INLINE_MAX_PAYLOAD_BYTES
 REPEATS = 3
 
 needs_evp = pytest.mark.skipif(
@@ -97,22 +100,14 @@ async def _serve(requests, key=KEY):
 
 
 @needs_evp
-def test_native_requests_hop_only_above_the_cutoff():
-    small = _requests() * REPEATS
-    replies, hops = asyncio.run(_serve(small))
-    assert [r.status for r in replies] == [Status.OK] * len(small)
-    assert hops == 0
-    ctr = NONCE + bytes(CUTOFF + 1 - CTR_NONCE_BYTES)
-    large = [(Op.ENCRYPT, Mode.CTR, ctr),
-             (Op.DECRYPT, Mode.CTR, ctr),
-             (Op.ENCRYPT, Mode.GCM, IV + bytes(CUTOFF + 1 - GCM_IV_BYTES)),
-             (Op.DECRYPT, Mode.GCM,
-              _sealed(bytes(CUTOFF + 1 - GCM_IV_BYTES - GCM_TAG_BYTES))),
-             # The golden per-block cipher, at any size.
-             (Op.DECRYPT, Mode.ECB, bytes(64))] * REPEATS
-    replies, hops = asyncio.run(_serve(large))
-    assert [r.status for r in replies] == [Status.OK] * len(large)
-    assert hops == len(large)
+def test_native_requests_never_hop():
+    """Small native requests run on the loop; ECB decryption, the
+    golden per-block cipher, hops once per request at any size."""
+    requests = (_requests() + [(Op.DECRYPT, Mode.ECB, bytes(64))]) \
+        * REPEATS
+    replies, hops = asyncio.run(_serve(requests))
+    assert [r.status for r in replies] == [Status.OK] * len(requests)
+    assert hops == REPEATS
 
 
 def test_fallback_hops_once_per_crypto_request(no_evp):
@@ -122,57 +117,82 @@ def test_fallback_hops_once_per_crypto_request(no_evp):
     assert hops == len(requests)
 
 
-@functools.lru_cache(maxsize=1)
-def _golden_keystream() -> bytes:
-    """The AES128 CTR keystream for the largest CTR payload below:
-    ``KEY`` over ``NONCE`` || a 64-bit big-endian counter from 0."""
-    aes = AES128(KEY)
-    blocks = -(-(CUTOFF + 1 - CTR_NONCE_BYTES) // 16)
-    return b"".join(aes.encrypt_block(NONCE + i.to_bytes(8, "big"))
-                    for i in range(blocks))
+#: The native entries, by test id.
+NATIVE = {
+    "ctr-encrypt": (Op.ENCRYPT, Mode.CTR),
+    "ctr-decrypt": (Op.DECRYPT, Mode.CTR),
+    "gcm-encrypt": (Op.ENCRYPT, Mode.GCM),
+    "gcm-decrypt": (Op.DECRYPT, Mode.GCM),
+    "ecb-encrypt": (Op.ENCRYPT, Mode.ECB),
+}
 
 
-def _golden(op: Op, mode: Mode, size: int):
-    """A ``size``-byte request payload and the golden reply."""
+def _largest(op: Op, mode: Mode) -> int:
+    """The largest request payload a frame carries for ``op``/``mode``;
+    a GCM seal's reply grows by the tag and must fit a frame too."""
+    if (op, mode) == (Op.ENCRYPT, Mode.GCM):
+        return GCM_IV_BYTES + GCM_MAX_PLAINTEXT_BYTES
+    return MAX_PAYLOAD_BYTES
+
+
+#: Payload sizes: just past 64 KiB (where GCM seal's copies once sent
+#: it to the pool), the benchmark's 256 KiB and the frame limit.
+SIZES = {"64k-plus-1": lambda op, mode: (64 << 10) + 1,
+         "256k": lambda op, mode: 256 << 10,
+         "largest": _largest}
+
+
+def _reference(op: Op, mode: Mode, size: int):
+    """A ``size``-byte request payload (rounded up to a whole block for
+    ECB) and its expected reply.  CTR and ECB come from the ``sliced``
+    backend and GCM from the golden composition: neither runs
+    libcrypto's CTR or GCM, and a golden AES128 keystream at 1 MiB
+    would take seconds."""
+    sliced = BatchEngine("sliced")
+    if mode is Mode.ECB:
+        data = _data(-(-size // 16) * 16)
+        return data, sliced.encrypt_blocks(KEY, data)
     if mode is Mode.CTR:
         data = _data(size - CTR_NONCE_BYTES)
-        stream = _golden_keystream()[:len(data)]
-        return NONCE + data, bytes(a ^ b for a, b in zip(data, stream))
+        return NONCE + data, sliced.xcrypt_ctr(KEY, NONCE, data)
     if op is Op.ENCRYPT:
         plaintext = _data(size - GCM_IV_BYTES)
         ciphertext, tag = gcm._seal(KEY, IV, plaintext, b"")
         return IV + plaintext, ciphertext + tag
     plaintext = _data(size - GCM_IV_BYTES - GCM_TAG_BYTES)
     ciphertext, tag = gcm._seal(KEY, IV, plaintext, b"")
-    return (IV + ciphertext + tag,
-            gcm._open(KEY, IV, ciphertext, tag, b""))
+    return IV + ciphertext + tag, plaintext
 
 
-@pytest.mark.parametrize("delta", [-1, 0, 1],
-                         ids=["below", "at", "above"])
-@pytest.mark.parametrize("op", [Op.ENCRYPT, Op.DECRYPT],
-                         ids=["encrypt", "decrypt"])
-@pytest.mark.parametrize("mode", [Mode.CTR, Mode.GCM],
-                         ids=["ctr", "gcm"])
-def test_cutoff_boundary_matches_golden(mode, op, delta):
-    """Payloads of cutoff - 1, cutoff and cutoff + 1 bytes: the reply
-    is the golden model's, on the loop up to the cutoff and on the
-    pool past it."""
-    payload, expected = _golden(op, mode, CUTOFF + delta)
-    assert len(payload) == CUTOFF + delta
+@needs_evp
+@pytest.mark.parametrize("size", SIZES, ids=list(SIZES))
+@pytest.mark.parametrize("entry", NATIVE, ids=list(NATIVE))
+def test_large_native_requests_run_inline(entry, size):
+    """Past 64 KiB and up to the frame limit, a native request makes
+    no executor hop and its reply is the reference's."""
+    op, mode = NATIVE[entry]
+    payload, expected = _reference(op, mode, SIZES[size](op, mode))
     (reply,), hops = asyncio.run(_serve([(op, mode, payload)]))
     assert reply.status is Status.OK
     assert reply.payload == expected
-    native = default_engine().backend.native_modes
-    assert hops == (0 if native and delta <= 0 else 1)
+    assert hops == 0
+
+
+def _flipped_tag(size: int) -> bytes:
+    """A ``size``-byte GCM DECRYPT payload of ``secret``s whose tag
+    does not verify."""
+    plaintext = b"secret" * (size // 6)
+    sealed = bytearray(_sealed(
+        plaintext[:size - GCM_IV_BYTES - GCM_TAG_BYTES]))
+    sealed[-1] ^= 0x01
+    return bytes(sealed)
 
 
 def _error_case(case: str):
     """(session key, request, status, auth failures) of one case."""
-    if case == "flipped-tag":
-        sealed = bytearray(_sealed(b"secret"))
-        sealed[-1] ^= 0x01
-        return (KEY, (Op.DECRYPT, Mode.GCM, bytes(sealed)),
+    if case.startswith("flipped-tag"):
+        size = 256 << 10 if case.endswith("256k") else 34
+        return (KEY, (Op.DECRYPT, Mode.GCM, _flipped_tag(size)),
                 Status.AUTH_FAILED, 1)
     if case == "ctr-shorter-than-nonce":
         return KEY, (Op.ENCRYPT, Mode.CTR, b"abc"), Status.BAD_REQUEST, 0
@@ -180,8 +200,8 @@ def _error_case(case: str):
 
 
 @needs_evp
-@pytest.mark.parametrize("case", ["flipped-tag", "ctr-shorter-than-nonce",
-                                  "no-key"])
+@pytest.mark.parametrize("case", ["flipped-tag", "flipped-tag-256k",
+                                  "ctr-shorter-than-nonce", "no-key"])
 def test_inline_error_outcomes(case):
     """Error replies on the loop are the pool's: AUTH_FAILED releasing
     nothing and counted once, BAD_REQUEST, NO_KEY."""
@@ -195,6 +215,41 @@ def test_inline_error_outcomes(case):
 
 
 @needs_evp
+@pytest.mark.parametrize("entry", ["ctr-encrypt", "gcm-encrypt",
+                                   "gcm-decrypt"])
+def test_native_call_holds_at_most_two_payloads(entry):
+    """One native CTR, GCM seal or GCM open call at 256 KiB never holds
+    more than two payload-sized buffers at once; slicing the request
+    made it three."""
+    op, mode = NATIVE[entry]
+    payload, _ = _reference(op, mode, 256 << 10)
+    work = _CRYPTO_OPS[(op, mode)]
+    work(KEY, payload)  # warm anything lazy
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        work(KEY, payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 2 * len(payload) + (64 << 10)
+
+
+def _count_aes128(monkeypatch) -> list:
+    """A list that grows by one per golden AES128 constructed from now
+    on."""
+    constructed = []
+    original = AES128.__init__
+
+    def counting(self, key):
+        constructed.append(1)
+        original(self, key)
+
+    monkeypatch.setattr(AES128, "__init__", counting)
+    return constructed
+
+
+@needs_evp
 def test_native_session_constructs_no_aes128(monkeypatch):
     """LOAD_KEY, requests, LOAD_KEYs over a loaded key and the close
     run no golden cipher: native GCM builds no GHASH table, so
@@ -205,17 +260,23 @@ def test_native_session_constructs_no_aes128(monkeypatch):
     rekey = [(Op.LOAD_KEY, Mode.RAW, bytes(reversed(KEY))),
              (Op.LOAD_KEY, Mode.RAW, KEY)]
     requests = _requests() + rekey + _requests()
-    constructed = []
-    original = AES128.__init__
-
-    def counting(self, key):
-        constructed.append(1)
-        original(self, key)
-
-    monkeypatch.setattr(AES128, "__init__", counting)
+    constructed = _count_aes128(monkeypatch)
     replies, _ = asyncio.run(_serve(requests))
     assert [r.status for r in replies] == [Status.OK] * len(requests)
     assert len(constructed) == 0
+
+
+def test_fallback_forget_key_constructs_no_aes128(no_evp, monkeypatch):
+    """On the fallback path, forgetting a key whose GHASH tables a GCM
+    request cached finds the hash subkey without a golden AES128, and
+    still drops the tables."""
+    monkeypatch.setattr(ghash, "_TABLES", ghash._TableCache())
+    gcm.gcm_encrypt(KEY, IV, _data(64))
+    assert ghash.cached_subkeys() == 1
+    constructed = _count_aes128(monkeypatch)
+    forget_key(KEY)
+    assert len(constructed) == 0
+    assert ghash.cached_subkeys() == 0
 
 
 def test_load_key_over_loaded_key_releases_old_key(no_evp):
