@@ -23,8 +23,13 @@ an unbounded one always is.
 - ``serve.missing-timeout`` — an ``await`` applied directly to a
   stream call that can block on the peer (``readexactly``, ``drain``,
   ``wait_closed``, ``open_connection``, ...) that neither sits in the
-  body of an ``async with asyncio.timeout(...)`` (or ``timeout_at``)
-  nor is wrapped in ``asyncio.wait_for``.  Every socket await in the
+  body of an ``async with`` over ``asyncio.timeout``,
+  ``asyncio.timeout_at`` or :func:`repro.serve.protocol.deadline`
+  nor is handed to ``asyncio.wait_for`` (which the await is then on).
+  Scope names are resolved through the file's imports and its own
+  definitions, with names a function binds itself shadowing them, so
+  a local function that happens to be called ``timeout`` bounds
+  nothing.  Every socket await in the
   serving layer is bounded; the codec helpers exist precisely so call
   sites never write a bare stream await.
 """
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 import ast
 import fnmatch
-from typing import Iterator
+from typing import Dict, Iterator, List
 
 from repro.checks.crypto_lint import SourceFile
 from repro.checks.engine import (
@@ -56,12 +61,10 @@ _RISKY_AWAITS = {
     "wait_closed", "open_connection", "start_tls",
 }
 
-#: Awaited wrappers whose first argument is the bounded call.
-_TIMEOUT_WRAPPERS = {"wait_for", "wait"}
-
 #: Context managers that bound every await in their ``async with``
-#: body: ``asyncio.timeout`` / ``asyncio.timeout_at``.
-_TIMEOUT_SCOPES = {"timeout", "timeout_at"}
+#: body, by resolved name.
+_TIMEOUT_SCOPES = {"asyncio.timeout", "asyncio.timeout_at",
+                   "repro.serve.protocol.deadline"}
 
 
 def _in_scope(subject: SourceFile, config: CheckConfig) -> bool:
@@ -77,6 +80,91 @@ def _call_name(node: ast.Call) -> str:
     if isinstance(func, ast.Name):
         return func.id
     return ""
+
+
+def _bind_import(node: ast.AST, package: List[str],
+                 names: Dict[str, str]) -> None:
+    """Record what an import statement binds, by dotted name."""
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            top = alias.name.split(".")[0]
+            names[alias.asname or top] = (
+                alias.name if alias.asname else top)
+    elif isinstance(node, ast.ImportFrom):
+        base = [node.module] if node.module else []
+        if node.level:
+            base = package[:len(package) - node.level + 1] + base
+        for alias in node.names:
+            names[alias.asname or alias.name] = ".".join(
+                [*base, alias.name])
+
+
+def _module_parts(subject: SourceFile) -> List[str]:
+    """``src/repro/serve/protocol.py`` -> ``[repro, serve, protocol]``;
+    the package relative imports start from is all but the last."""
+    path = subject.path.replace("\\", "/").removesuffix(".py")
+    parts = path.split("/")
+    if "src" in parts:
+        parts = parts[len(parts) - parts[::-1].index("src"):]
+    return parts
+
+
+def _bindings(tree: ast.Module, parts: List[str]) -> Dict[str, str]:
+    """What each module-level name of the module ``parts`` names is
+    bound to: imports by the dotted name they import, and its own
+    functions and classes by ``<module>.<name>``.  A later binding
+    replaces an earlier one, as at run time."""
+    package = parts[:-1]
+    module = ".".join(package if parts[-1] == "__init__" else parts)
+    names: Dict[str, str] = {}
+    for node in tree.body:
+        _bind_import(node, package, names)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names[node.name] = f"{module}.{node.name}"
+    return names
+
+
+def _function_bindings(
+        func: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda,
+        names: Dict[str, str], package: List[str]) -> Dict[str, str]:
+    """``names`` as seen inside ``func``: a name the function binds
+    itself (a parameter, an assignment, a nested definition) shadows
+    the module's binding for the whole body, and its own imports
+    resolve as the module's do."""
+    inner = dict(names)
+    args = func.args
+    for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                args.vararg, args.kwarg):
+        if arg is not None:
+            inner.pop(arg.arg, None)
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            inner.pop(node.name, None)
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                     ast.Store):
+            inner.pop(node.id, None)
+        _bind_import(node, package, inner)
+        stack.extend(ast.iter_child_nodes(node))
+    return inner
+
+
+def _resolved_name(func: ast.expr, names: Dict[str, str]) -> str:
+    """The dotted name a called expression resolves to through
+    ``names``, or '' when its root is not bound there."""
+    attrs: List[str] = []
+    while isinstance(func, ast.Attribute):
+        attrs.append(func.attr)
+        func = func.value
+    if not isinstance(func, ast.Name) or func.id not in names:
+        return ""
+    return ".".join([names[func.id], *reversed(attrs)])
 
 
 def _maxsize_const(value: ast.expr):
@@ -152,22 +240,18 @@ def _risky_await_name(node: ast.Await) -> str:
     return name if name in _RISKY_AWAITS else ""
 
 
-def _is_timeout_wrapped(value: ast.expr) -> bool:
-    """Whether an awaited expression is an ``asyncio.wait_for``-style
-    wrapper (whose first argument is the risky call)."""
-    return (isinstance(value, ast.Call)
-            and _call_name(value) in _TIMEOUT_WRAPPERS)
-
-
-def _is_timeout_scope(node: ast.AsyncWith) -> bool:
-    """Whether an ``async with`` enters ``timeout(...)`` or
-    ``timeout_at(...)`` (``async with lock:`` bounds nothing)."""
+def _is_timeout_scope(node: ast.AsyncWith,
+                      names: Dict[str, str]) -> bool:
+    """Whether an ``async with`` enters one of :data:`_TIMEOUT_SCOPES`
+    (``async with lock:`` bounds nothing)."""
     return any(isinstance(item.context_expr, ast.Call)
-               and _call_name(item.context_expr) in _TIMEOUT_SCOPES
+               and _resolved_name(item.context_expr.func, names)
+               in _TIMEOUT_SCOPES
                for item in node.items)
 
 
-def _unscoped_awaits(node: ast.AST,
+def _unscoped_awaits(node: ast.AST, names: Dict[str, str],
+                     package: List[str],
                      scoped: bool = False) -> Iterator[ast.Await]:
     """Every ``await`` under ``node`` outside a timeout scope.
 
@@ -178,16 +262,18 @@ def _unscoped_awaits(node: ast.AST,
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                          ast.Lambda)):
         scoped = False
+        names = _function_bindings(node, names, package)
     elif isinstance(node, ast.Await) and not scoped:
         yield node
-    if isinstance(node, ast.AsyncWith) and _is_timeout_scope(node):
+    if isinstance(node, ast.AsyncWith) and _is_timeout_scope(node,
+                                                             names):
         for item in node.items:
-            yield from _unscoped_awaits(item, scoped)
+            yield from _unscoped_awaits(item, names, package, scoped)
         for stmt in node.body:
-            yield from _unscoped_awaits(stmt, True)
+            yield from _unscoped_awaits(stmt, names, package, True)
         return
     for child in ast.iter_child_nodes(node):
-        yield from _unscoped_awaits(child, scoped)
+        yield from _unscoped_awaits(child, names, package, scoped)
 
 
 @rule(
@@ -195,17 +281,17 @@ def _unscoped_awaits(node: ast.AST,
     Severity.ERROR,
     KIND_SOURCE,
     "bare await on a stream operation (read/drain/connect) outside "
-    "an asyncio.timeout scope and without asyncio.wait_for — a "
-    "stalled peer wedges the task forever",
+    "an asyncio.timeout or protocol.deadline scope and without "
+    "asyncio.wait_for — a stalled peer wedges the task forever",
 )
 def check_missing_timeout(subject: SourceFile,
                           config: CheckConfig) -> Iterator[Finding]:
     """Flag awaits on peer-blocking stream calls with no timeout."""
     if not _in_scope(subject, config):
         return
-    for node in _unscoped_awaits(subject.tree):
-        if _is_timeout_wrapped(node.value):
-            continue
+    parts = _module_parts(subject)
+    names = _bindings(subject.tree, parts)
+    for node in _unscoped_awaits(subject.tree, names, parts[:-1]):
         name = _risky_await_name(node)
         if not name:
             continue
@@ -214,8 +300,9 @@ def check_missing_timeout(subject: SourceFile,
             severity=Severity.ERROR,
             message=(f"bare 'await ...{name}(...)' with no timeout: "
                      f"bound it with 'async with asyncio.timeout(...)'"
-                     f" or asyncio.wait_for, or a stalled peer "
-                     f"blocks this task indefinitely"),
+                     f" (or repro.serve.protocol.deadline) or "
+                     f"asyncio.wait_for, or a stalled peer blocks "
+                     f"this task indefinitely"),
             location=Location(file=subject.path, line=node.lineno,
                               obj=name),
         )

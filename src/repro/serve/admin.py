@@ -36,7 +36,7 @@ import logging
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.obs.tracing import active_tracer
-from repro.serve.protocol import CLOSE_TIMEOUT_S, close_writer
+from repro.serve.protocol import CLOSE_TIMEOUT_S, close_writer, deadline
 
 _LOG = logging.getLogger(__name__)
 
@@ -95,7 +95,7 @@ class AdminServer:
             return
         self._server.close()
         try:
-            async with asyncio.timeout(CLOSE_TIMEOUT_S):
+            async with deadline(CLOSE_TIMEOUT_S):
                 await self._server.wait_closed()
         except asyncio.TimeoutError:  # pragma: no cover - defensive
             pass
@@ -116,7 +116,7 @@ class AdminServer:
             ).encode("ascii")
             writer.write(head)
             writer.write(payload)
-            async with asyncio.timeout(self._io_timeout):
+            async with deadline(self._io_timeout):
                 await writer.drain()
         except (ConnectionError, asyncio.TimeoutError):
             pass  # scraper vanished or stalled; nothing to answer
@@ -126,7 +126,7 @@ class AdminServer:
             await close_writer(writer)
 
     async def _readline(self, reader: asyncio.StreamReader) -> bytes:
-        async with asyncio.timeout(self._io_timeout):
+        async with deadline(self._io_timeout):
             line = await reader.readline()
         if len(line) > MAX_LINE_BYTES:
             raise ValueError("header line exceeds the line limit")

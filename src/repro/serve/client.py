@@ -46,6 +46,7 @@ from repro.serve.protocol import (
     Op,
     Status,
     close_writer,
+    deadline,
     read_frame,
     write_frame,
 )
@@ -121,7 +122,7 @@ class CryptoClient:
         """Open (or re-open) the connection, bounded by
         ``connect_timeout``."""
         await self.close()
-        async with asyncio.timeout(self.connect_timeout):
+        async with deadline(self.connect_timeout):
             self._reader, self._writer = await asyncio.open_connection(
                 self.host, self.port
             )

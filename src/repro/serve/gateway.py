@@ -53,6 +53,7 @@ from repro.serve.protocol import (
     Op,
     Status,
     close_writer,
+    deadline,
     read_frame,
     write_frame,
 )
@@ -376,13 +377,13 @@ class Gateway:
         if self._server is not None:
             self._server.close()
             try:
-                async with asyncio.timeout(self.config.drain_timeout):
+                async with deadline(self.config.drain_timeout):
                     await self._server.wait_closed()
             except asyncio.TimeoutError:  # pragma: no cover
                 pass
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.config.drain_timeout
-        while loop.time() < deadline and any(
+        drain_until = loop.time() + self.config.drain_timeout
+        while loop.time() < drain_until and any(
                 upstream.pending
                 for conn in self._conns
                 for upstream in conn.upstreams.values()):
@@ -500,7 +501,7 @@ class Gateway:
     async def _dial(self, conn: _GatewayConn,
                     state: _BackendState) -> _Upstream:
         spec = state.spec
-        async with asyncio.timeout(self.config.connect_timeout):
+        async with deadline(self.config.connect_timeout):
             reader, writer = await asyncio.open_connection(
                 spec.host, spec.port
             )
@@ -619,16 +620,16 @@ async def _probe_ready(host: str, port: int,
                        timeout: float) -> bool:
     """One ``GET /readyz`` against a worker admin plane."""
     try:
-        async with asyncio.timeout(timeout):
+        async with deadline(timeout):
             reader, writer = await asyncio.open_connection(host, port)
     except (OSError, asyncio.TimeoutError):
         return False
     try:
         writer.write(b"GET /readyz HTTP/1.1\r\nHost: gateway\r\n"
                      b"Connection: close\r\n\r\n")
-        async with asyncio.timeout(timeout):
+        async with deadline(timeout):
             await writer.drain()
-        async with asyncio.timeout(timeout):
+        async with deadline(timeout):
             status_line = await reader.readline()
         return b" 200 " in status_line
     except (OSError, asyncio.TimeoutError):
@@ -636,7 +637,7 @@ async def _probe_ready(host: str, port: int,
     finally:
         writer.close()
         try:
-            async with asyncio.timeout(timeout):
+            async with deadline(timeout):
                 await writer.wait_closed()
         except (OSError, asyncio.TimeoutError):
             pass

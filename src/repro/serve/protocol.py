@@ -44,10 +44,15 @@ to plain frames for the rest of the connection.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import enum
+import math
 import struct
 from dataclasses import dataclass, field
+from types import TracebackType
 from typing import Optional, Tuple
+
+from repro.obs.metrics import global_registry
 
 #: Two magic bytes opening every frame body ("RJ" for Rijndael).
 MAGIC = b"RJ"
@@ -351,15 +356,156 @@ def decode_frame(data: bytes) -> Frame:
     return decode_body(data[4:])
 
 
+_DEADLINE_ARMS = global_registry().counter(
+    "repro_serve_deadline_arms_total",
+    "Event-loop timers armed by serve-tier deadline scopes",
+)
+
+
+class _TaskDeadline:
+    """One task's bound: its innermost open scope and the single
+    timer handle armed for it (``armed`` is that handle's loop time,
+    infinite when none is armed)."""
+
+    __slots__ = ("task", "loop", "top", "handle", "armed")
+
+    def __init__(self, task: "asyncio.Task[object]",
+                 loop: asyncio.AbstractEventLoop) -> None:
+        self.task = task
+        self.loop = loop
+        self.top: Optional[_Deadline] = None
+        self.handle: Optional[asyncio.TimerHandle] = None
+        self.armed = math.inf
+
+    def arm(self, when: float) -> None:
+        if self.handle is not None:
+            self.handle.cancel()
+        self.handle = self.loop.call_at(when, self._fire)
+        self.armed = when
+        _DEADLINE_ARMS.inc()
+
+    def forget(self, task: "asyncio.Task[object]") -> None:
+        """Done callback: a finished task keeps no live timer."""
+        if self.handle is not None:
+            self.handle.cancel()
+            self.handle = None
+
+    def _fire(self) -> None:
+        self.handle = None
+        self.armed = math.inf
+        top = self.top
+        if top is None:
+            return  # every scope has exited: stay unarmed
+        now = self.loop.time()
+        if top.when > now:
+            # Armed for a scope that has since exited: move on to the
+            # deadline in force now.
+            self.arm(top.when)
+            return
+        # Expired.  The outermost scope whose deadline has passed owns
+        # the expiry, as the outermost expired asyncio.timeout would.
+        owner = top
+        while owner.outer is not None and owner.outer.when <= now:
+            owner = owner.outer
+        # The owner and every scope inside it stop bounding anything:
+        # a scope entered while the cancel unwinds (a cleanup await)
+        # is bounded by its own budget and the enclosing deadlines.
+        live = math.inf if owner.outer is None else owner.outer.when
+        scope: Optional[_Deadline] = top
+        while scope is not None and scope is not owner:
+            scope.when = live
+            scope = scope.outer
+        owner.when = live
+        owner.expired = True
+        self.task.cancel()
+        if live < math.inf:
+            self.arm(live)
+
+
+#: Each task's :class:`_TaskDeadline`.  A task runs in its own copy of
+#: the context it was created in, so a state inherited from the
+#: creating task is recognized by its ``task`` and replaced.
+_TASK_DEADLINE: contextvars.ContextVar[Optional[_TaskDeadline]] = (
+    contextvars.ContextVar("repro_serve_task_deadline", default=None))
+
+
+class _Deadline:
+    """One :func:`deadline` scope (see there)."""
+
+    __slots__ = ("budget", "state", "outer", "when", "cancelling",
+                 "expired")
+
+    def __init__(self, budget: Optional[float]) -> None:
+        self.budget = budget
+
+    async def __aenter__(self) -> "_Deadline":
+        task = asyncio.current_task()
+        if task is None:
+            raise RuntimeError("deadline() needs a running task")
+        state = _TASK_DEADLINE.get()
+        if state is None or state.task is not task:
+            state = _TaskDeadline(task, asyncio.get_running_loop())
+            _TASK_DEADLINE.set(state)
+            task.add_done_callback(state.forget)
+        outer = state.top
+        when = math.inf if outer is None else outer.when
+        if self.budget is not None:
+            when = min(when, state.loop.time() + self.budget)
+        self.state = state
+        self.outer = outer
+        self.when = when
+        self.cancelling = task.cancelling()
+        self.expired = False
+        state.top = self
+        if when < state.armed:
+            state.arm(when)
+        return self
+
+    async def __aexit__(self, exc_type: Optional[type],
+                        exc: Optional[BaseException],
+                        tb: Optional[TracebackType]) -> None:
+        self.state.top = self.outer
+        # asyncio.Timeout's bookkeeping: the expiry's own cancel is
+        # withdrawn, and only a cancel nobody else requested becomes
+        # TimeoutError; an outside cancel stays a CancelledError.
+        if (self.expired
+                and self.state.task.uncancel() <= self.cancelling
+                and exc_type is not None
+                and issubclass(exc_type, asyncio.CancelledError)):
+            raise TimeoutError from exc
+
+
+def deadline(budget: Optional[float]) -> _Deadline:
+    """Bound the awaits of an ``async with`` body by ``budget``
+    seconds (``None``: no bound of its own).
+
+    The drop-in for ``asyncio.timeout`` on the serving layer's hot
+    path.  Expiry cancels the task, and the scope whose budget ran
+    out turns that cancel into :class:`TimeoutError`; an outside
+    cancel stays a :class:`asyncio.CancelledError`.  Unlike
+    ``asyncio.timeout``, which arms and cancels one loop timer per
+    scope, each task keeps one deadline, ``min(enclosing deadline,
+    now + budget)`` inside a scope, and at most one armed timer.
+    Entering a scope re-arms it only if the new deadline falls before
+    the armed one, and leaving a scope leaves it armed.  A timer that
+    fires before the deadline in force re-arms at that deadline (or
+    drops if no scope is open), so a bound expires on time, never
+    late.  A warm task serving back-to-back requests therefore arms
+    no timer at all (``repro_serve_deadline_arms_total`` counts every
+    arm).
+    """
+    return _Deadline(budget)
+
+
 async def _readexactly(reader: asyncio.StreamReader, count: int,
                        timeout: Optional[float]) -> bytes:
     """``reader.readexactly(count)`` bounded by ``timeout``.
 
-    The timeout scope bounds the await in place, so bytes the reader
-    already holds come back with no new Task and no extra event-loop
-    turn.
+    The :func:`deadline` scope bounds the await in place, so bytes
+    the reader already holds come back with no new Task, no extra
+    event-loop turn and, on a warm task, no timer.
     """
-    async with asyncio.timeout(timeout):
+    async with deadline(timeout):
         return await reader.readexactly(count)
 
 
@@ -367,8 +513,9 @@ async def read_frame(reader: asyncio.StreamReader,
                      timeout: Optional[float] = None) -> Optional[Frame]:
     """Read one frame from a stream; ``None`` on clean EOF.
 
-    Every read is bounded by ``timeout`` on its own (``None`` waits
-    forever — callers on untrusted sockets pass a real number).  EOF
+    Every read is bounded by ``timeout`` on its own, in a
+    :func:`deadline` scope (``None`` waits forever — callers on
+    untrusted sockets pass a real number).  EOF
     *between* frames returns ``None``; EOF inside a frame raises an
     unrecoverable :class:`FrameError`, as does an oversized length
     prefix — in both cases the stream cannot be re-synchronized and
@@ -417,8 +564,9 @@ async def read_frame(reader: asyncio.StreamReader,
 
 async def write_frame(writer: asyncio.StreamWriter, frame: Frame,
                       timeout: Optional[float] = None) -> None:
-    """Serialize ``frame`` and drain the transport, bounded by
-    ``timeout`` so a stalled peer cannot wedge the writer.
+    """Serialize ``frame`` and drain the transport, bounded by a
+    ``timeout`` :func:`deadline` so a stalled peer cannot wedge the
+    writer.
 
     Head and payload are written as two parts — the transport
     buffers them back to back, so no joined copy of the frame is
@@ -428,7 +576,7 @@ async def write_frame(writer: asyncio.StreamWriter, frame: Frame,
     writer.write(head)
     if payload:
         writer.write(payload)
-    async with asyncio.timeout(timeout):
+    async with deadline(timeout):
         await writer.drain()
 
 
@@ -438,11 +586,12 @@ CLOSE_TIMEOUT_S = 5.0
 
 
 async def close_writer(writer: asyncio.StreamWriter) -> None:
-    """Close a transport, waiting at most :data:`CLOSE_TIMEOUT_S` for
-    it to close, so a stuck peer cannot wedge the closer."""
+    """Close a transport, waiting at most :data:`CLOSE_TIMEOUT_S` (a
+    :func:`deadline` scope) for it to close, so a stuck peer cannot
+    wedge the closer."""
     writer.close()
     try:
-        async with asyncio.timeout(CLOSE_TIMEOUT_S):
+        async with deadline(CLOSE_TIMEOUT_S):
             await writer.wait_closed()
     except (asyncio.TimeoutError, ConnectionError):
         pass
@@ -471,6 +620,7 @@ __all__ = [
     "decode_body",
     "decode_frame",
     "decode_payload",
+    "deadline",
     "encode_frame",
     "encode_frame_views",
     "read_frame",

@@ -17,8 +17,11 @@ bounded buffering, measured behaviour:
   request's execution gets ``request_timeout`` seconds before the
   worker abandons it with a ``TIMEOUT`` error frame (the connection
   survives).  A request served on the event loop (below) is bounded
-  by the 1 MiB frame limit instead.  The ``serve.missing-timeout``
-  lint rule enforces the socket half of this mechanically.
+  by the 1 MiB frame limit instead.  Each bound is a
+  :func:`~repro.serve.protocol.deadline` scope: a task keeps one
+  deadline and at most one armed timer, so the requests of a warm
+  connection arm none.  The ``serve.missing-timeout`` lint rule
+  enforces the socket half of this mechanically.
 - **Graceful shutdown** — :meth:`CryptoServer.stop` stops accepting,
   drains the queued requests (bounded by ``drain_timeout``), then
   closes connections; a ``SHUTDOWN`` frame triggers the same path
@@ -68,6 +71,7 @@ from repro.serve.protocol import (
     Op,
     Status,
     close_writer,
+    deadline,
     read_frame,
     write_frame,
 )
@@ -325,12 +329,12 @@ class CryptoServer:
         if self._server is not None:
             self._server.close()
             try:
-                async with asyncio.timeout(self.config.drain_timeout):
+                async with deadline(self.config.drain_timeout):
                     await self._server.wait_closed()
             except asyncio.TimeoutError:  # pragma: no cover - defensive
                 pass
         try:
-            async with asyncio.timeout(self.config.drain_timeout):
+            async with deadline(self.config.drain_timeout):
                 await self._queue.join()
         except asyncio.TimeoutError:
             pass  # forced: undrained items die with the workers
@@ -502,8 +506,7 @@ class CryptoServer:
             else:
                 exec_start = time.perf_counter()
                 try:
-                    async with asyncio.timeout(
-                            self.config.request_timeout):
+                    async with deadline(self.config.request_timeout):
                         reply = await handler(item.session, frame)
                 except asyncio.TimeoutError:
                     reply = frame.error(

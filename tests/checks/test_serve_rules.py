@@ -2,6 +2,8 @@
 
 import textwrap
 
+import pytest
+
 from repro.checks.crypto_lint import SourceFile
 from repro.checks.engine import KIND_SOURCE, CheckConfig, run_rules
 
@@ -203,6 +205,94 @@ class TestMissingTimeout:
                 return await reader.readexactly(4)
             """, "serve.missing-timeout",
             path="examples/demo.py")
+        assert findings == []
+
+    def test_fake_timeout_scope_triggers(self):
+        """Re-injection: a do-nothing context manager that is merely
+        called ``timeout`` bounds nothing (it passed by its last name
+        alone before scopes were resolved through the imports)."""
+        findings = lint(
+            """
+            from contextlib import asynccontextmanager
+
+            @asynccontextmanager
+            async def timeout(budget):
+                yield
+
+            async def f(reader):
+                async with timeout(5.0):
+                    return await reader.readexactly(4)
+            """, "serve.missing-timeout")
+        assert [f.location.line for f in findings] == [10]
+
+    def test_local_name_shadowing_a_scope_triggers(self):
+        """A name the function binds itself is not the module's
+        import: here ``deadline`` is a float, so the ``async with``
+        would fail at run time and bounds nothing."""
+        findings = lint(
+            """
+            from repro.serve.protocol import deadline
+
+            async def f(reader, loop):
+                deadline = loop.time() + 5.0
+                async with deadline(5.0):
+                    return await reader.readexactly(4)
+            """, "serve.missing-timeout")
+        assert len(findings) == 1
+
+    @pytest.mark.parametrize("code", [
+        """
+        from asyncio import timeout
+        async def f(reader):
+            async with timeout(5.0):
+                return await reader.readexactly(4)
+        """,
+        """
+        import asyncio as aio
+        async def f(reader):
+            async with aio.timeout(5.0):
+                return await reader.readexactly(4)
+        """,
+        """
+        from repro.serve.protocol import deadline
+        async def f(reader):
+            async with deadline(5.0):
+                return await reader.readexactly(4)
+        """,
+        """
+        from repro.serve import protocol
+        async def f(reader):
+            async with protocol.deadline(5.0):
+                return await reader.readexactly(4)
+        """,
+        """
+        from .protocol import deadline as bound
+        async def f(reader):
+            async with bound(5.0):
+                return await reader.readexactly(4)
+        """,
+        """
+        async def f(reader):
+            from repro.serve.protocol import deadline
+            async with deadline(5.0):
+                return await reader.readexactly(4)
+        """,
+    ], ids=["from-asyncio", "aliased-asyncio", "helper", "helper-module",
+            "helper-relative", "helper-local-import"])
+    def test_resolved_scopes_are_fine(self, code):
+        assert lint(code, "serve.missing-timeout") == []
+
+    def test_helper_is_resolved_in_its_own_module(self):
+        findings = lint(
+            """
+            def deadline(budget):
+                ...
+
+            async def f(reader):
+                async with deadline(5.0):
+                    return await reader.readexactly(4)
+            """, "serve.missing-timeout",
+            path="src/repro/serve/protocol.py")
         assert findings == []
 
 

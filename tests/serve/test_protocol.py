@@ -1,9 +1,12 @@
-"""Frame codec tests: round-trips and hostile-input rejection."""
+"""Frame codec tests: round-trips, hostile-input rejection and the
+per-task deadline that bounds every codec await."""
 
 import asyncio
+import time
 
 import pytest
 
+from repro.obs.metrics import global_registry
 from repro.serve.protocol import (
     HEADER_BYTES,
     MAGIC,
@@ -17,6 +20,7 @@ from repro.serve.protocol import (
     Mode,
     Op,
     Status,
+    deadline,
     decode_body,
     decode_frame,
     encode_frame,
@@ -286,5 +290,169 @@ class TestStreamTimeouts:
             assert loop.time() - start >= 0.8 * self.BUDGET
             # The frame was handed to the transport before the drain.
             assert bytes(writer.buffer) == encode_frame(frame)
+
+        asyncio.run(scenario())
+
+
+def _deadline_arms():
+    return global_registry().get("repro_serve_deadline_arms_total").value
+
+
+class TestDeadline:
+    """The per-task deadline behind every serve-tier bound, checked
+    against ``asyncio.timeout``, whose drop-in it is."""
+
+    BUDGET = 0.1
+
+    @pytest.mark.parametrize("armed_by", ["earlier", "later", "exited"])
+    def test_expires_on_time_whatever_armed_the_timer(self, armed_by):
+        """The task's timer may have been armed before this scope:
+        by an exited scope due earlier (it fires first and re-arms),
+        by an enclosing scope due later, or by an exited scope due
+        later (this scope re-arms it earlier).  The scope expires at
+        its own deadline in each case: not at the stale one."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            async with asyncio.timeout(10 * self.BUDGET):
+                if armed_by == "earlier":
+                    async with deadline(self.BUDGET / 5):
+                        pass
+                elif armed_by == "exited":
+                    async with deadline(100.0):
+                        pass
+                async with deadline(
+                        100.0 if armed_by == "later" else None):
+                    start = loop.time()
+                    with pytest.raises(TimeoutError):
+                        async with deadline(self.BUDGET):
+                            await asyncio.sleep(100.0)
+                    expired = loop.time() - start
+            # Timers may fire up to the clock's resolution early.
+            assert 0.9 * self.BUDGET <= expired < 5 * self.BUDGET
+
+        asyncio.run(scenario())
+
+    @staticmethod
+    async def _nested(scope, outer_budget, inner_budget):
+        """What each level of two nested scopes sees."""
+        seen = []
+        try:
+            async with scope(outer_budget):
+                try:
+                    async with scope(inner_budget):
+                        await asyncio.sleep(100.0)
+                except BaseException as exc:
+                    seen.append(("inner", type(exc).__name__))
+                    raise
+        except BaseException as exc:
+            seen.append(("outer", type(exc).__name__))
+        seen.append(("cancelling", asyncio.current_task().cancelling()))
+        return seen
+
+    @pytest.mark.parametrize("outer,inner", [
+        (10.0, 0.05), (0.05, 10.0), (0.05, 0.05), (None, 0.05),
+        (0.05, None),
+    ], ids=["inner-expires", "outer-expires", "same-deadline",
+            "outer-unbounded", "inner-unbounded"])
+    def test_nested_scopes_match_asyncio_timeout(self, outer, inner):
+        """The scope whose own budget ran out raises TimeoutError,
+        and the enclosing scope sees what ``asyncio.timeout`` shows
+        it: the inner TimeoutError, or a CancelledError it converts
+        itself."""
+        expected = asyncio.run(
+            self._nested(asyncio.timeout, outer, inner))
+        assert asyncio.run(self._nested(deadline, outer, inner)) \
+            == expected
+        assert ("outer", "TimeoutError") in expected
+
+    @staticmethod
+    async def _cancelled_inside(scope, also_expire):
+        """An outside cancel of a task waiting in a scope, alone or
+        landing with the scope's own expiry."""
+        loop = asyncio.get_running_loop()
+
+        async def victim():
+            async with scope(0.05):
+                await asyncio.sleep(100.0)
+
+        task = loop.create_task(victim())
+        await asyncio.sleep(0.01)
+        if also_expire:
+            # Hold the loop past the deadline: on the next turn the
+            # cancel runs, then the due timer, before the task resumes.
+            time.sleep(0.06)
+            loop.call_soon(task.cancel)
+        else:
+            task.cancel()
+        try:
+            await task
+        except BaseException as exc:
+            return type(exc).__name__, task.cancelling()
+        return "returned", task.cancelling()
+
+    @pytest.mark.parametrize("also_expire", [False, True],
+                             ids=["alone", "with-expiry"])
+    def test_outside_cancel_stays_cancelled(self, also_expire):
+        """``stop()`` cancelling a worker inside its handler scope
+        must end the worker, not read as a request timeout."""
+        expected = asyncio.run(
+            self._cancelled_inside(asyncio.timeout, also_expire))
+        assert expected[0] == "CancelledError"
+        assert asyncio.run(
+            self._cancelled_inside(deadline, also_expire)) == expected
+
+    def test_none_budget_never_expires(self):
+        """Alone it arms nothing; inside a bounded scope it keeps
+        that scope's deadline (the ``inner-unbounded`` case above)."""
+
+        async def scenario():
+            before = _deadline_arms()
+            async with deadline(None):
+                await asyncio.sleep(2 * self.BUDGET)
+            assert _deadline_arms() == before
+
+        asyncio.run(scenario())
+
+    def test_finished_task_leaves_no_live_timer(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            armed = []
+            call_at = loop.call_at
+
+            def recording(when, callback, *args, **kwargs):
+                armed.append(call_at(when, callback, *args, **kwargs))
+                return armed[-1]
+
+            loop.call_at = recording
+
+            async def served():
+                async with deadline(100.0):
+                    await asyncio.sleep(0)
+                async with deadline(10.0):  # re-arms earlier
+                    pass
+
+            await loop.create_task(served())
+            await asyncio.sleep(0)  # let the done callbacks run
+            assert len(armed) == 2
+            assert all(handle.cancelled() for handle in armed)
+
+        asyncio.run(scenario())
+
+    def test_arms_are_counted(self):
+        """One arm for the task's first scope, none for a scope due
+        later, one for a scope due earlier."""
+
+        async def scenario():
+            before = _deadline_arms()
+            async with deadline(10.0):
+                pass
+            async with deadline(20.0):
+                async with deadline(30.0):
+                    pass
+            assert _deadline_arms() - before == 1
+            async with deadline(1.0):
+                pass
+            assert _deadline_arms() - before == 2
 
         asyncio.run(scenario())
