@@ -20,16 +20,17 @@ an unbounded one always is.
   queue rejecting work when full; asyncio treats *every*
   ``maxsize <= 0`` as "infinite", so an absent, zero or negative
   bound is the defect.
-- ``serve.missing-timeout`` — an ``await`` applied directly to a
-  stream call that can block on the peer (``readexactly``, ``drain``,
-  ``wait_closed``, ``open_connection``, ...) that neither sits in the
-  body of an ``async with`` over ``asyncio.timeout``,
-  ``asyncio.timeout_at`` or :func:`repro.serve.protocol.deadline`
-  nor is handed to ``asyncio.wait_for`` (which the await is then on).
-  Scope names are resolved through the file's imports and its own
-  definitions, with names a function binds itself shadowing them, so
-  a local function that happens to be called ``timeout`` bounds
-  nothing.  Every socket await in the
+- ``serve.missing-timeout`` — a stream call that can block on the
+  peer (``readexactly``, ``drain``, ``wait_closed``,
+  ``open_connection``, ``create_connection``, ...) awaited outside
+  the body of an ``async with`` over ``asyncio.timeout``,
+  ``asyncio.timeout_at`` or :func:`repro.serve.protocol.deadline`,
+  either directly or handed to an awaited call other than
+  ``asyncio.wait_for`` or ``asyncio.wait``.  Scope and wrapper names
+  are resolved through the file's imports and its own definitions,
+  with names a function binds itself shadowing them, so a local
+  function that happens to be called ``timeout`` or ``wait_for``
+  bounds nothing.  Every socket await in the
   serving layer is bounded; the codec helpers exist precisely so call
   sites never write a bare stream await.
 """
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import ast
 import fnmatch
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Tuple
 
 from repro.checks.crypto_lint import SourceFile
 from repro.checks.engine import (
@@ -58,13 +59,18 @@ _QUEUE_TYPES = {"Queue", "LifoQueue", "PriorityQueue"}
 #: sit in a timeout scope or inside ``asyncio.wait_for`` (or ``wait``).
 _RISKY_AWAITS = {
     "read", "readline", "readexactly", "readuntil", "drain",
-    "wait_closed", "open_connection", "start_tls",
+    "wait_closed", "open_connection", "create_connection",
+    "start_tls",
 }
 
 #: Context managers that bound every await in their ``async with``
 #: body, by resolved name.
 _TIMEOUT_SCOPES = {"asyncio.timeout", "asyncio.timeout_at",
                    "repro.serve.protocol.deadline"}
+
+#: Awaited calls that bound the stream call handed to them, by
+#: resolved name.
+_TIMEOUT_WRAPPERS = {"asyncio.wait_for", "asyncio.wait"}
 
 
 def _in_scope(subject: SourceFile, config: CheckConfig) -> bool:
@@ -231,13 +237,28 @@ def check_unbounded_queue(subject: SourceFile,
         )
 
 
-def _risky_await_name(node: ast.Await) -> str:
-    """The risky stream-call name under this await, or ''."""
+def _risky_await_name(node: ast.Await, names: Dict[str, str]) -> str:
+    """The risky stream-call name this await blocks on unbounded, or
+    ''.  That is the awaited call itself, or a stream call handed to
+    an awaited call that is not one of :data:`_TIMEOUT_WRAPPERS`."""
     value = node.value
     if not isinstance(value, ast.Call):
         return ""
     name = _call_name(value)
-    return name if name in _RISKY_AWAITS else ""
+    if name in _RISKY_AWAITS:
+        return name
+    if _resolved_name(value.func, names) in _TIMEOUT_WRAPPERS:
+        return ""
+    stack: List[ast.AST] = [*value.args,
+                            *(kw.value for kw in value.keywords)]
+    while stack:
+        arg = stack.pop()
+        if isinstance(arg, (ast.Await, ast.Lambda)):
+            continue  # checked as an await of its own, or runs later
+        if isinstance(arg, ast.Call) and _call_name(arg) in _RISKY_AWAITS:
+            return _call_name(arg)
+        stack.extend(ast.iter_child_nodes(arg))
+    return ""
 
 
 def _is_timeout_scope(node: ast.AsyncWith,
@@ -250,10 +271,11 @@ def _is_timeout_scope(node: ast.AsyncWith,
                for item in node.items)
 
 
-def _unscoped_awaits(node: ast.AST, names: Dict[str, str],
-                     package: List[str],
-                     scoped: bool = False) -> Iterator[ast.Await]:
-    """Every ``await`` under ``node`` outside a timeout scope.
+def _unscoped_awaits(
+        node: ast.AST, names: Dict[str, str], package: List[str],
+        scoped: bool = False) -> Iterator[Tuple[ast.Await, Dict[str, str]]]:
+    """Every ``await`` under ``node`` outside a timeout scope, with the
+    names its function sees.
 
     A timeout scope covers its ``async with`` body; a nested ``def``
     or ``lambda`` in that body runs later, outside it, so it starts
@@ -264,7 +286,7 @@ def _unscoped_awaits(node: ast.AST, names: Dict[str, str],
         scoped = False
         names = _function_bindings(node, names, package)
     elif isinstance(node, ast.Await) and not scoped:
-        yield node
+        yield node, names
     if isinstance(node, ast.AsyncWith) and _is_timeout_scope(node,
                                                              names):
         for item in node.items:
@@ -280,8 +302,8 @@ def _unscoped_awaits(node: ast.AST, names: Dict[str, str],
     "serve.missing-timeout",
     Severity.ERROR,
     KIND_SOURCE,
-    "bare await on a stream operation (read/drain/connect) outside "
-    "an asyncio.timeout or protocol.deadline scope and without "
+    "stream operation (read/drain/connect) awaited outside an "
+    "asyncio.timeout or protocol.deadline scope and not through "
     "asyncio.wait_for — a stalled peer wedges the task forever",
 )
 def check_missing_timeout(subject: SourceFile,
@@ -291,14 +313,14 @@ def check_missing_timeout(subject: SourceFile,
         return
     parts = _module_parts(subject)
     names = _bindings(subject.tree, parts)
-    for node in _unscoped_awaits(subject.tree, names, parts[:-1]):
-        name = _risky_await_name(node)
+    for node, seen in _unscoped_awaits(subject.tree, names, parts[:-1]):
+        name = _risky_await_name(node, seen)
         if not name:
             continue
         yield Finding(
             rule="serve.missing-timeout",
             severity=Severity.ERROR,
-            message=(f"bare 'await ...{name}(...)' with no timeout: "
+            message=(f"'...{name}(...)' awaited with no timeout: "
                      f"bound it with 'async with asyncio.timeout(...)'"
                      f" (or repro.serve.protocol.deadline) or "
                      f"asyncio.wait_for, or a stalled peer blocks "

@@ -42,11 +42,12 @@ from repro.serve.protocol import (
     RETRYABLE_STATUSES,
     Frame,
     FrameError,
+    FrameStream,
     Mode,
     Op,
     Status,
     close_writer,
-    deadline,
+    open_frame_stream,
     read_frame,
     write_frame,
 )
@@ -102,8 +103,7 @@ class CryptoClient:
         self.session_id = session_id
         self.retry = retry or RetryPolicy()
         self._rng = rng or random.Random()
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
+        self._stream: Optional[FrameStream] = None
         self._request_ids = itertools.count(1)
         # Whether to carry trace context on the wire (only attempted
         # while tracing is enabled).  Flipped off for the connection's
@@ -122,21 +122,19 @@ class CryptoClient:
         """Open (or re-open) the connection, bounded by
         ``connect_timeout``."""
         await self.close()
-        async with deadline(self.connect_timeout):
-            self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port
-            )
+        self._stream = await open_frame_stream(self.host, self.port,
+                                               self.connect_timeout)
 
     async def close(self) -> None:
         """Close the connection; safe to call when not connected."""
-        writer, self._reader, self._writer = self._writer, None, None
-        if writer is not None:
-            await close_writer(writer)
+        stream, self._stream = self._stream, None
+        if stream is not None:
+            await close_writer(stream)
 
     @property
     def connected(self) -> bool:
         """Whether a transport is currently open."""
-        return self._writer is not None
+        return self._stream is not None
 
     # -------------------------------------------------------- requests
     async def request(self, op: Op, mode: Mode = Mode.RAW,
@@ -177,7 +175,7 @@ class CryptoClient:
                          payload: bytes) -> Frame:
         if not self.connected:
             await self.connect()
-        assert self._reader is not None and self._writer is not None
+        assert self._stream is not None
         request_id = next(self._request_ids)
         trace_id = span_id = 0
         if self._trace_wire and active_tracer() is not None:
@@ -188,9 +186,9 @@ class CryptoClient:
                       request_id=request_id, payload=payload,
                       trace_id=trace_id, parent_span_id=span_id)
         start = time.perf_counter()
-        await write_frame(self._writer, frame,
+        await write_frame(self._stream, frame,
                           timeout=self.request_timeout)
-        response = await read_frame(self._reader,
+        response = await read_frame(self._stream,
                                     timeout=self.request_timeout)
         if trace_id:
             # The client half of the cross-process pair: the server's

@@ -50,11 +50,14 @@ from repro.serve.protocol import (
     CLOSE_TIMEOUT_S,
     Frame,
     FrameError,
+    FrameStream,
     Op,
     Status,
     close_writer,
     deadline,
+    open_frame_stream,
     read_frame,
+    start_frame_server,
     write_frame,
 )
 
@@ -184,8 +187,7 @@ class _Upstream:
     worker's per-connection Session keys must stay per-client)."""
 
     shard: str
-    reader: asyncio.StreamReader
-    writer: asyncio.StreamWriter
+    stream: FrameStream
     pending: Dict[int, _Pending] = field(default_factory=dict)
     pump_task: Optional["asyncio.Task[None]"] = None
 
@@ -193,11 +195,8 @@ class _Upstream:
 class _GatewayConn:
     """One accepted client connection and its upstream fan-out."""
 
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter,
-                 fallback_key: int) -> None:
-        self.reader = reader
-        self.writer = writer
+    def __init__(self, stream: FrameStream, fallback_key: int) -> None:
+        self.stream = stream
         #: Hash key for session-id-0 frames: per-connection, so an
         #: anonymous connection still pins to one worker.
         self.fallback_key = fallback_key
@@ -214,7 +213,7 @@ class _GatewayConn:
                 await asyncio.gather(upstream.pump_task,
                                      return_exceptions=True)
         self.upstreams.clear()
-        await close_writer(self.writer)
+        await close_writer(self.stream)
 
 
 @dataclass
@@ -314,7 +313,7 @@ class Gateway:
         """Bind the listener (and admin plane), start health probes."""
         if self._server is not None:
             raise RuntimeError("gateway already started")
-        self._server = await asyncio.start_server(
+        self._server = await start_frame_server(
             self._on_connection, self.config.host, self.config.port
         )
         if self.config.admin_port is not None:
@@ -404,14 +403,12 @@ class Gateway:
         self._stopped.set()
 
     # ----------------------------------------------------- connections
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
+    async def _on_connection(self, stream: FrameStream) -> None:
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
             task.add_done_callback(self._conn_tasks.discard)
-        conn = _GatewayConn(reader, writer,
-                            fallback_key=next(self._conn_keys))
+        conn = _GatewayConn(stream, fallback_key=next(self._conn_keys))
         self._conns.add(conn)
         _G_CONNECTIONS.inc()
         _G_OPEN.inc()
@@ -428,7 +425,7 @@ class Gateway:
         timeout = self.config.io_timeout
         while True:
             try:
-                frame = await read_frame(conn.reader, timeout=timeout)
+                frame = await read_frame(conn.stream, timeout=timeout)
             except FrameError as exc:
                 # Same discipline as the server: a malformed frame
                 # answers BAD_FRAME; only a desynchronized stream
@@ -441,7 +438,10 @@ class Gateway:
                     continue
                 return
             if frame is None:
-                return  # clean EOF
+                # Clean EOF: the client has half-closed.  Read no
+                # more, but relay the replies it is owed first.
+                await conn.stream.wait_answered(timeout)
+                return
             if frame.op is Op.SHUTDOWN:
                 # Answered at the gateway: SHUTDOWN means "stop the
                 # service", and the service is now the cluster.
@@ -490,23 +490,21 @@ class Gateway:
                 return
         upstream.pending[frame.request_id] = _Pending(frame=frame)
         state.inflight += 1
+        conn.stream.owe()
         try:
-            await write_frame(upstream.writer, frame,
+            await write_frame(upstream.stream, frame,
                               timeout=self.config.io_timeout)
         except (ConnectionError, asyncio.TimeoutError, FrameError):
             # The pump notices the dead transport and answers every
             # pending request (this one included) retryably.
-            upstream.writer.close()
+            upstream.stream.close()
 
     async def _dial(self, conn: _GatewayConn,
                     state: _BackendState) -> _Upstream:
         spec = state.spec
-        async with deadline(self.config.connect_timeout):
-            reader, writer = await asyncio.open_connection(
-                spec.host, spec.port
-            )
-        upstream = _Upstream(shard=spec.shard, reader=reader,
-                             writer=writer)
+        stream = await open_frame_stream(spec.host, spec.port,
+                                         self.config.connect_timeout)
+        upstream = _Upstream(shard=spec.shard, stream=stream)
         upstream.pump_task = asyncio.get_running_loop().create_task(
             self._pump(conn, state, upstream)
         )
@@ -521,7 +519,7 @@ class Gateway:
             while True:
                 try:
                     response = await read_frame(
-                        upstream.reader,
+                        upstream.stream,
                         timeout=self.config.io_timeout,
                     )
                 except asyncio.TimeoutError:
@@ -540,6 +538,8 @@ class Gateway:
                     _ROUTED.labels(shard=shard,
                                    outcome="forwarded").inc()
                 await self._reply(conn, response)
+                if pending is not None:
+                    conn.stream.answered()
         except (ConnectionError, FrameError):
             pass
         finally:
@@ -552,7 +552,7 @@ class Gateway:
         with retryable errors (the client's backoff absorbs them and
         the retry re-dials — possibly a restarted worker)."""
         conn.upstreams.pop(upstream.shard, None)
-        await close_writer(upstream.writer)
+        await close_writer(upstream.stream)
         if not upstream.pending:
             return
         _LOG.warning(
@@ -566,12 +566,13 @@ class Gateway:
             await self._reply(conn, pending.frame.error(
                 Status.OVERLOADED,
                 f"shard {upstream.shard} connection lost; retry"))
+            conn.stream.answered()
         upstream.pending.clear()
 
     async def _reply(self, conn: _GatewayConn, frame: Frame) -> None:
         try:
             async with conn.write_lock:
-                await write_frame(conn.writer, frame,
+                await write_frame(conn.stream, frame,
                                   timeout=self.config.io_timeout)
         except (ConnectionError, asyncio.TimeoutError, FrameError):
             pass  # client gone; the pump/loop will notice

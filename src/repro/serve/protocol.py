@@ -50,7 +50,8 @@ import math
 import struct
 from dataclasses import dataclass, field
 from types import TracebackType
-from typing import Optional, Tuple
+from typing import Any, Callable, Coroutine, List, Optional, Tuple, \
+    Union
 
 from repro.obs.metrics import global_registry
 
@@ -497,7 +498,269 @@ def deadline(budget: Optional[float]) -> _Deadline:
     return _Deadline(budget)
 
 
-async def _readexactly(reader: asyncio.StreamReader, count: int,
+#: The receive buffer a :class:`FrameStream` starts with, and the room
+#: it keeps for one receive past a pending read.
+RECV_BYTES = 64 * 1024
+
+_READ_PAUSES = global_registry().counter(
+    "repro_serve_read_pauses_total",
+    "Transport read pauses on frame connections (receive buffer full "
+    "with no read waiting)",
+)
+
+
+#: What an accepted frame connection runs as its task.
+OnConnect = Callable[["FrameStream"], Coroutine[Any, Any, None]]
+
+
+class FrameStream(asyncio.BufferedProtocol):
+    """One frame connection: the transport's protocol, its reader and
+    its writer in one object.
+
+    The transport receives straight into the connection's one buffer,
+    and :meth:`readexactly` copies exactly the bytes asked for out of
+    it as ``bytes``: a frame read that finds its bytes buffered makes
+    one allocation and one copy of them.  The buffer starts at
+    :data:`RECV_BYTES` and grows only when a read is waiting for more
+    than it can hold, to that read plus one receive; it never
+    shrinks.  So the largest frame a connection has read sets its
+    size for the connection's life, at most one maximum frame plus
+    one receive (:data:`MAX_FRAME_BYTES` + :data:`RECV_BYTES`).
+    Reading pauses only when the buffer is full and no read is
+    waiting, and resumes when a read has to wait;
+    ``repro_serve_read_pauses_total`` counts the pauses.
+
+    The reader half keeps ``asyncio.StreamReader``'s semantics: EOF
+    raises :class:`asyncio.IncompleteReadError` with the partial
+    bytes, and a lost connection raises its error in a waiting read
+    and in :meth:`drain`.  A half-close from the peer leaves the write
+    side open, so replies owed to it can still be written.
+    ``on_connect``, when given, runs as the connection's task as soon
+    as the transport is up (the accept side).  The connection also
+    counts the requests it has accepted and not yet answered
+    (:meth:`owe`, :meth:`answered`), so that after a half-close it
+    can wait for them (:meth:`wait_answered`) before it closes.
+    """
+
+    def __init__(self, on_connect: Optional[OnConnect] = None) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._on_connect = on_connect
+        self._task: Optional["asyncio.Task[None]"] = None
+        self._transport: Optional[asyncio.Transport] = None
+        self._buf = bytearray(RECV_BYTES)
+        self._view = memoryview(self._buf)
+        #: Unread bytes are ``_buf[_start:_end]``.
+        self._start = 0
+        self._end = 0
+        #: Bytes the waiting read needs buffered; 0 when none waits.
+        self._want = 0
+        self._waiter: Optional["asyncio.Future[None]"] = None
+        self._paused = False
+        self._eof = False
+        self._exc: Optional[BaseException] = None
+        self._write_paused = False
+        self._drain_waiters: List["asyncio.Future[None]"] = []
+        #: Done once the connection is lost.
+        self._closed: "asyncio.Future[None]" = (
+            self._loop.create_future())
+        #: Requests accepted on this connection and not yet answered.
+        self._owed = 0
+        self._settled: Optional["asyncio.Future[None]"] = None
+
+    # ------------------------------------------------ transport side
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self._transport = transport
+        if self._on_connect is not None:
+            # Held here: the loop keeps only weak references to tasks.
+            self._task = self._loop.create_task(self._on_connect(self))
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        if self._end == len(self._buf):
+            # Move the unread bytes to the front.  The buffer is never
+            # all unread here: reading pauses first (buffer_updated).
+            unread = self._end - self._start
+            self._view[:unread] = self._view[self._start:self._end]
+            self._start, self._end = 0, unread
+        return self._view[self._end:]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self._end += nbytes
+        if self._want and self._end - self._start >= self._want:
+            self._wake()
+        if not self._want and self._end - self._start == len(self._buf):
+            assert self._transport is not None
+            self._paused = True
+            self._transport.pause_reading()
+            _READ_PAUSES.inc()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._wake()
+        return True  # keep the write side open for owed replies
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        if exc is None:
+            self._eof = True
+        else:
+            self._exc = exc
+        self._wake()
+        for waiter in self._drain_waiters:
+            if not waiter.done():
+                waiter.set_exception(
+                    exc or ConnectionResetError("Connection lost"))
+        if not self._closed.done():
+            self._closed.set_result(None)
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        for waiter in self._drain_waiters:
+            if not waiter.done():
+                waiter.set_result(None)
+
+    def _wake(self) -> None:
+        self._want = 0
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            if self._exc is not None:
+                waiter.set_exception(self._exc)
+            else:
+                waiter.set_result(None)
+
+    # --------------------------------------------------- reader half
+    async def readexactly(self, n: int) -> bytes:
+        """Exactly ``n`` bytes, as ``asyncio.StreamReader`` reads
+        them."""
+        if self._exc is not None:
+            raise self._exc
+        if self._waiter is not None:
+            raise RuntimeError("readexactly() called while another "
+                               "read is waiting")
+        while self._end - self._start < n:
+            if self._eof:
+                partial = bytes(self._view[self._start:self._end])
+                self._start = self._end = 0
+                raise asyncio.IncompleteReadError(partial, n)
+            self._reserve(n)
+            self._want = n
+            self._waiter = self._loop.create_future()
+            try:
+                await self._waiter
+            finally:
+                self._waiter = None
+                self._want = 0
+        start = self._start
+        data = bytes(self._view[start:start + n])
+        if start + n == self._end:
+            self._start = self._end = 0
+        else:
+            self._start = start + n
+        return data
+
+    def _reserve(self, n: int) -> None:
+        """Let the transport fill the buffer for a read of ``n``
+        bytes, first growing it to ``n`` plus one receive if ``n``
+        bytes do not fit."""
+        if n > len(self._buf):
+            unread = self._end - self._start
+            grown = bytearray(n + RECV_BYTES)
+            grown[:unread] = self._view[self._start:self._end]
+            self._buf, self._view = grown, memoryview(grown)
+            self._start, self._end = 0, unread
+        if self._paused:
+            self._paused = False
+            assert self._transport is not None
+            self._transport.resume_reading()
+
+    # --------------------------------------------------- writer half
+    @property
+    def transport(self) -> asyncio.Transport:
+        assert self._transport is not None
+        return self._transport
+
+    def write(self, data: bytes) -> None:
+        self.transport.write(data)
+
+    def close(self) -> None:
+        self.transport.close()
+
+    async def drain(self) -> None:
+        """Wait until the transport takes more writes, as
+        ``asyncio.StreamWriter.drain`` does."""
+        if self._exc is not None:
+            raise self._exc
+        if self.transport.is_closing():
+            # Let connection_lost() run, so a write to a closed
+            # transport reports the loss.
+            await asyncio.sleep(0)
+        if self._closed.done():
+            raise ConnectionResetError("Connection lost")
+        if not self._write_paused:
+            return
+        waiter = self._loop.create_future()
+        self._drain_waiters.append(waiter)
+        try:
+            await waiter
+        finally:
+            self._drain_waiters.remove(waiter)
+
+    async def wait_closed(self) -> None:
+        """Wait until the connection is lost."""
+        await asyncio.shield(self._closed)
+
+    # ------------------------------------------------ owed replies
+    def owe(self) -> None:
+        """Count one accepted request this connection must answer."""
+        self._owed += 1
+
+    def answered(self) -> None:
+        """Count one owed request as answered (or given up on)."""
+        self._owed -= 1
+        settled = self._settled
+        if not self._owed and settled is not None and not settled.done():
+            settled.set_result(None)
+
+    async def wait_answered(self, timeout: Optional[float]) -> None:
+        """Wait until every owed request is answered or the connection
+        is lost, at most ``timeout`` seconds: how a half-closed
+        connection gets its replies before it is closed."""
+        if self._owed and not self._closed.done():
+            self._settled = self._loop.create_future()
+            await asyncio.wait((self._settled, self._closed),
+                               timeout=timeout,
+                               return_when=asyncio.FIRST_COMPLETED)
+
+
+async def open_frame_stream(host: str, port: int,
+                            timeout: Optional[float]) -> FrameStream:
+    """Dial ``host:port`` as a :class:`FrameStream`, bounded by
+    ``timeout``."""
+    loop = asyncio.get_running_loop()
+    async with deadline(timeout):
+        _, stream = await loop.create_connection(FrameStream, host, port)
+    return stream
+
+
+async def start_frame_server(
+        on_connect: OnConnect, host: str,
+        port: int) -> asyncio.base_events.Server:
+    """Listen on ``host:port``; each accepted connection is a
+    :class:`FrameStream` whose task runs ``on_connect(stream)``."""
+    loop = asyncio.get_running_loop()
+    return await loop.create_server(lambda: FrameStream(on_connect),
+                                    host, port)
+
+
+#: What :func:`read_frame` reads from and :func:`write_frame` writes
+#: to: a frame connection, or an asyncio stream.
+FrameReader = Union[asyncio.StreamReader, FrameStream]
+FrameWriter = Union[asyncio.StreamWriter, FrameStream]
+
+
+async def _readexactly(reader: FrameReader, count: int,
                        timeout: Optional[float]) -> bytes:
     """``reader.readexactly(count)`` bounded by ``timeout``.
 
@@ -509,17 +772,20 @@ async def _readexactly(reader: asyncio.StreamReader, count: int,
         return await reader.readexactly(count)
 
 
-async def read_frame(reader: asyncio.StreamReader,
+async def read_frame(reader: FrameReader,
                      timeout: Optional[float] = None) -> Optional[Frame]:
     """Read one frame from a stream; ``None`` on clean EOF.
 
-    Every read is bounded by ``timeout`` on its own, in a
-    :func:`deadline` scope (``None`` waits forever — callers on
-    untrusted sockets pass a real number).  EOF
-    *between* frames returns ``None``; EOF inside a frame raises an
-    unrecoverable :class:`FrameError`, as does an oversized length
-    prefix — in both cases the stream cannot be re-synchronized and
-    the connection must close.
+    ``reader`` is a :class:`FrameStream` on every serve-tier
+    connection, where each read below copies exactly its bytes out of
+    the connection's one receive buffer; an ``asyncio.StreamReader``
+    reads the same frames with the same errors.  Every read is
+    bounded by ``timeout`` on its own, in a :func:`deadline` scope
+    (``None`` waits forever — callers on untrusted sockets pass a real
+    number).  EOF *between* frames returns ``None``; EOF inside a
+    frame raises an unrecoverable :class:`FrameError`, as does an
+    oversized length prefix — in both cases the stream cannot be
+    re-synchronized and the connection must close.
     """
     try:
         prefix = await _readexactly(reader, 4, timeout)
@@ -562,7 +828,7 @@ async def read_frame(reader: asyncio.StreamReader,
     return decode_payload(header, payload, trace)
 
 
-async def write_frame(writer: asyncio.StreamWriter, frame: Frame,
+async def write_frame(writer: FrameWriter, frame: Frame,
                       timeout: Optional[float] = None) -> None:
     """Serialize ``frame`` and drain the transport, bounded by a
     ``timeout`` :func:`deadline` so a stalled peer cannot wedge the
@@ -585,7 +851,7 @@ async def write_frame(writer: asyncio.StreamWriter, frame: Frame,
 CLOSE_TIMEOUT_S = 5.0
 
 
-async def close_writer(writer: asyncio.StreamWriter) -> None:
+async def close_writer(writer: FrameWriter) -> None:
     """Close a transport, waiting at most :data:`CLOSE_TIMEOUT_S` (a
     :func:`deadline` scope) for it to close, so a stuck peer cannot
     wedge the closer."""
@@ -607,12 +873,14 @@ __all__ = [
     "MAGIC",
     "MAX_FRAME_BYTES",
     "MAX_PAYLOAD_BYTES",
+    "RECV_BYTES",
     "RETRYABLE_STATUSES",
     "TRACE_EXT_BYTES",
     "TRACE_VERSION",
     "VERSION",
     "Frame",
     "FrameError",
+    "FrameStream",
     "Mode",
     "Op",
     "Status",
@@ -623,6 +891,8 @@ __all__ = [
     "deadline",
     "encode_frame",
     "encode_frame_views",
+    "open_frame_stream",
     "read_frame",
+    "start_frame_server",
     "write_frame",
 ]

@@ -22,6 +22,17 @@ bounded buffering, measured behaviour:
   deadline and at most one armed timer, so the requests of a warm
   connection arm none.  The ``serve.missing-timeout`` lint rule
   enforces the socket half of this mechanically.
+- **Receive path** — each connection is one
+  :class:`~repro.serve.protocol.FrameStream`: the transport receives
+  into the connection's one buffer, and a frame's payload is one copy
+  out of it.  The buffer grows to the largest frame read plus one
+  64 KiB receive and is kept for the connection's life (at most one
+  maximum frame plus 64 KiB; ``io_timeout`` closes an idle
+  connection), and reading pauses only while it is full with no read
+  waiting (``repro_serve_read_pauses_total``).
+- **Half-close** — after a clean EOF a connection reads no more, but
+  answers the requests it has already queued (waiting at most
+  ``io_timeout``) before it closes.
 - **Graceful shutdown** — :meth:`CryptoServer.stop` stops accepting,
   drains the queued requests (bounded by ``drain_timeout``), then
   closes connections; a ``SHUTDOWN`` frame triggers the same path
@@ -67,12 +78,14 @@ from repro.serve.protocol import (
     MAX_PAYLOAD_BYTES,
     Frame,
     FrameError,
+    FrameStream,
     Mode,
     Op,
     Status,
     close_writer,
     deadline,
     read_frame,
+    start_frame_server,
     write_frame,
 )
 
@@ -186,7 +199,7 @@ class _WorkItem:
 
     frame: Frame
     session: Session
-    writer: asyncio.StreamWriter
+    stream: FrameStream
     write_lock: asyncio.Lock
     #: When the item entered the queue — queue wait is dequeue minus
     #: this, surfaced as a ``serve.queue_wait`` span and a windowed
@@ -210,7 +223,7 @@ class CryptoServer:
         self._workers: List["asyncio.Task[None]"] = []
         self._server: Optional[asyncio.base_events.Server] = None
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._writers: Set[asyncio.StreamWriter] = set()
+        self._writers: Set[FrameStream] = set()
         self._conn_tasks: Set["asyncio.Task[None]"] = set()
         # The event loop keeps only weak references to tasks, so the
         # remotely-triggered stop() task is pinned here until done.
@@ -263,7 +276,7 @@ class CryptoServer:
             asyncio.get_running_loop().create_task(self._worker())
             for _ in range(max(1, self.config.workers))
         ]
-        self._server = await asyncio.start_server(
+        self._server = await start_frame_server(
             self._on_connection, self.config.host, self.config.port
         )
         if self.config.admin_port is not None:
@@ -357,56 +370,56 @@ class CryptoServer:
         self._stopped.set()
 
     # ----------------------------------------------------- connections
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
+    async def _on_connection(self, stream: FrameStream) -> None:
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
             task.add_done_callback(self._conn_tasks.discard)
         session = Session(session_id=next(self._session_ids))
         write_lock = asyncio.Lock()
-        self._writers.add(writer)
+        self._writers.add(stream)
         _CONNECTIONS.inc()
         _OPEN_CONNECTIONS.inc()
         try:
-            await self._connection_loop(reader, writer, session,
-                                        write_lock)
+            await self._connection_loop(stream, session, write_lock)
         except (ConnectionError, asyncio.TimeoutError):
             pass  # peer vanished or stalled; nothing to answer
         finally:
             session.close()
-            self._writers.discard(writer)
+            self._writers.discard(stream)
             _OPEN_CONNECTIONS.dec()
-            await close_writer(writer)
+            await close_writer(stream)
 
-    async def _connection_loop(self, reader: asyncio.StreamReader,
-                               writer: asyncio.StreamWriter,
+    async def _connection_loop(self, stream: FrameStream,
                                session: Session,
                                write_lock: asyncio.Lock) -> None:
         timeout = self.config.io_timeout
         while True:
             try:
-                frame = await read_frame(reader, timeout=timeout)
+                frame = await read_frame(stream, timeout=timeout)
             except FrameError as exc:
                 # A malformed frame answers with BAD_FRAME; only a
                 # desynchronized stream closes the connection.  The
                 # accept loop and every other connection live on.
                 reply = Frame(op=Op.PING).error(Status.BAD_FRAME,
                                                 str(exc))
-                await self._send(writer, write_lock, reply)
+                await self._send(stream, write_lock, reply)
                 self._count(reply)
                 if exc.recoverable:
                     continue
                 return
             if frame is None:
-                return  # clean EOF
+                # Clean EOF: the peer has half-closed.  Read no more,
+                # but answer what it sent before closing.
+                await stream.wait_answered(timeout)
+                return
             _BYTES_IN.inc(len(frame.payload))
             if frame.op is Op.SHUTDOWN:
                 # Handled inline (not queued): stop() drains the
                 # queue, so routing SHUTDOWN through it would wait on
                 # itself.
                 reply = frame.response()
-                await self._send(writer, write_lock, reply)
+                await self._send(stream, write_lock, reply)
                 self._count(reply)
                 if self._stop_task is None:
                     self._stop_task = (
@@ -417,18 +430,19 @@ class CryptoServer:
             if self._stopping:
                 reply = frame.error(Status.SHUTTING_DOWN,
                                     "server is draining")
-                await self._send(writer, write_lock, reply)
+                await self._send(stream, write_lock, reply)
                 self._count(reply)
                 continue
-            item = _WorkItem(frame, session, writer, write_lock)
+            item = _WorkItem(frame, session, stream, write_lock)
             try:
                 self._queue.put_nowait(item)
             except asyncio.QueueFull:
                 reply = frame.error(Status.OVERLOADED,
                                     "request queue is full")
-                await self._send(writer, write_lock, reply)
+                await self._send(stream, write_lock, reply)
                 self._count(reply)
                 continue
+            stream.owe()
             _INFLIGHT.inc()
             # A buffered frame is read without yielding, so yield once
             # here: an idle worker then takes this item before the
@@ -436,7 +450,7 @@ class CryptoServer:
             # worker has taken.
             await asyncio.sleep(0)
 
-    async def _send(self, writer: asyncio.StreamWriter,
+    async def _send(self, writer: FrameStream,
                     write_lock: asyncio.Lock, frame: Frame) -> None:
         try:
             async with write_lock:
@@ -477,6 +491,7 @@ class CryptoServer:
                                item.frame.op.name)
             finally:
                 _INFLIGHT.dec()
+                item.stream.answered()
                 self._queue.task_done()
 
     async def _process(self, item: _WorkItem) -> None:
@@ -533,7 +548,7 @@ class CryptoServer:
             start - item.enqueued_at
         )
         send_start = time.perf_counter()
-        await self._send(item.writer, item.write_lock, reply)
+        await self._send(item.stream, item.write_lock, reply)
         trace_record("serve.write", send_start, time.perf_counter(),
                      category="serve", **span_args)
         self._count(reply)

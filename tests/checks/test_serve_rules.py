@@ -127,6 +127,58 @@ class TestMissingTimeout:
             """, "serve.missing-timeout")
         assert len(findings) == 1
 
+    def test_bare_create_connection_triggers(self):
+        """Re-injection: the loop-level dial under the serve tier's
+        frame streams blocks on the peer as ``open_connection`` does
+        (it passed before it joined the peer-blocking set)."""
+        findings = lint(
+            """
+            async def f(loop, factory, host, port):
+                return await loop.create_connection(factory, host, port)
+            """, "serve.missing-timeout")
+        assert len(findings) == 1
+        assert "create_connection" in findings[0].message
+
+    def test_local_wait_for_triggers(self):
+        """Re-injection: a stream call handed to a local function that
+        is merely called ``wait_for`` is unbounded (it passed before
+        wrappers were resolved through the imports)."""
+        findings = lint(
+            """
+            async def wait_for(awaitable, budget):
+                return await awaitable
+
+            async def f(reader):
+                return await wait_for(reader.readexactly(4), 5.0)
+            """, "serve.missing-timeout")
+        assert [f.location.line for f in findings] == [6]
+        assert "readexactly" in findings[0].message
+
+    def test_stream_call_handed_to_gather_triggers(self):
+        findings = lint(
+            """
+            import asyncio
+            async def f(reader, writer):
+                await asyncio.gather(writer.drain(),
+                                     key=reader.readexactly(4))
+            """, "serve.missing-timeout")
+        assert len(findings) == 1
+
+    @pytest.mark.parametrize("code", [
+        """
+        from asyncio import wait_for
+        async def f(reader):
+            return await wait_for(reader.readexactly(4), 5.0)
+        """,
+        """
+        import asyncio
+        async def f(writer):
+            await asyncio.wait({writer.drain()}, timeout=5.0)
+        """,
+    ], ids=["from-asyncio", "asyncio-wait"])
+    def test_resolved_wrappers_are_fine(self, code):
+        assert lint(code, "serve.missing-timeout") == []
+
     def test_wait_for_wrapped_is_fine(self):
         findings = lint(
             """

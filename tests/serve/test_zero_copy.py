@@ -6,9 +6,10 @@ Three properties, each of which held false before the split codec:
   *same object* — no defensive ``bytes()`` copy, no concatenation.
 - The send path (``write_frame``) writes head and payload as two
   parts; the payload buffer on the transport *is* the frame's.
-- The streaming read path adopts ``readexactly``'s buffer into the
-  decoded frame without a reassembly slice, and parses the length
-  prefix exactly once (``decode_payload``).
+- The streaming read path (a ``FrameStream``, the serve tier's frame
+  connection) adopts ``readexactly``'s buffer into the decoded frame
+  without a reassembly slice, and parses the length prefix exactly
+  once (``decode_payload``).
 
 The allocation-count test pins the whole send path with tracemalloc:
 encoding a frame must not allocate anything proportional to the
@@ -34,6 +35,7 @@ from repro.serve.protocol import (
     read_frame,
     write_frame,
 )
+from tests.serve.test_frame_stream import feed, fed_stream
 
 
 def _frame(payload: bytes) -> Frame:
@@ -128,15 +130,26 @@ class TestReadPath:
     @staticmethod
     def _read(wire: bytes):
         async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(wire)
-            reader.feed_eof()
-            return await read_frame(reader, timeout=1.0)
+            stream, transport = fed_stream()
+            feeder = asyncio.ensure_future(feed(stream, transport, [wire]))
+            try:
+                return await read_frame(stream, timeout=1.0)
+            finally:
+                feeder.cancel()
         return asyncio.run(scenario())
 
     def test_roundtrip(self):
         frame = _frame(b"p" * 1000)
         assert self._read(encode_frame(frame)) == frame
+
+    def test_payload_is_one_bytes_copy(self):
+        """The payload comes out of the receive buffer as immutable
+        ``bytes`` (one copy), never a view into memory the next
+        receive overwrites."""
+        payload = bytes(range(256)) * 400
+        decoded = self._read(encode_frame(_frame(payload)))
+        assert type(decoded.payload) is bytes
+        assert decoded.payload == payload
 
     def test_decode_payload_parses_length_exactly_once(self):
         frame = _frame(b"abcdef")
