@@ -50,20 +50,24 @@ except ImportError:  # pragma: no cover - exercised where numpy absent
 
 BLOCK = 16
 
-#: What the native modes read: ``bytes``, or a ``memoryview`` of them
-#: that a caller passes instead of slicing a payload-sized copy.
+#: What the native modes read: ``bytes``, or a contiguous
+#: ``memoryview`` of them that a caller passes instead of slicing a
+#: payload-sized copy.
 Buffer = Union[bytes, memoryview]
 
 
 def as_buffer(data: Any) -> Buffer:
     """``data`` as a :data:`Buffer`, holding the bytes ``bytes(data)``
-    would.  ``bytes`` and one-dimensional ``'B'`` views pass through
-    uncopied; anything else ``bytes()`` takes (a ``bytearray``, an
-    iterable of ints, a view of wider items) goes through it, so every
-    backend accepts the same inputs."""
+    would.  ``bytes`` and contiguous one-dimensional ``'B'`` views of
+    ``bytes`` pass through uncopied: nothing can change them while a
+    native call reads them in place with the GIL released.  Anything
+    else ``bytes()`` takes (a ``bytearray`` or a view of one, a
+    strided view, an iterable of ints, a view of wider items) goes
+    through it, so every backend accepts the same inputs."""
     if isinstance(data, bytes) or (
             isinstance(data, memoryview) and data.format == "B"
-            and data.ndim == 1):
+            and data.ndim == 1 and data.c_contiguous
+            and isinstance(data.obj, bytes)):
         return data
     return bytes(data)
 

@@ -66,7 +66,9 @@ _CANDIDATES: Tuple[Optional[str], ...] = (
 
 def _bind(lib: ctypes.CDLL, name: str, restype: Any,
           *argtypes: Any) -> Any:
-    function = getattr(lib, name)
+    # Indexing makes a private function object: setting its types
+    # leaves the library's shared attribute alone.
+    function = lib[name]
     function.restype = restype
     function.argtypes = argtypes
     return function
@@ -82,11 +84,41 @@ def _address(data: bytes) -> int:
     return ctypes.cast(data, ctypes.c_void_p).value or 0
 
 
+class _PyBuffer(ctypes.Structure):
+    """CPython's ``Py_buffer``, which ``PyObject_GetBuffer`` fills."""
+
+    _fields_ = [("buf", ctypes.c_void_p), ("obj", ctypes.c_void_p),
+                ("len", ctypes.c_ssize_t),
+                ("itemsize", ctypes.c_ssize_t),
+                ("readonly", ctypes.c_int), ("ndim", ctypes.c_int),
+                ("format", ctypes.c_void_p), ("shape", ctypes.c_void_p),
+                ("strides", ctypes.c_void_p),
+                ("suboffsets", ctypes.c_void_p),
+                ("internal", ctypes.c_void_p)]
+
+
+# The interpreter's C API, called with the GIL held: a result is a
+# ``bytes`` allocated uninitialised and filled in place by libcrypto,
+# and a payload is read in place through the buffer protocol.
+_new_bytes = _bind(ctypes.pythonapi, "PyBytes_FromStringAndSize",
+                   ctypes.py_object, ctypes.c_void_p, ctypes.c_ssize_t)
+_bytes_at = _bind(ctypes.pythonapi, "PyBytes_AsString",
+                  ctypes.c_void_p, ctypes.py_object)
+_get_buffer = _bind(ctypes.pythonapi, "PyObject_GetBuffer", ctypes.c_int,
+                    ctypes.py_object, ctypes.POINTER(_PyBuffer),
+                    ctypes.c_int)
+_release_buffer = _bind(ctypes.pythonapi, "PyBuffer_Release", None,
+                        ctypes.POINTER(_PyBuffer))
+
+#: ``PyBUF_SIMPLE``: a contiguous buffer, or ``BufferError``.
+_PYBUF_SIMPLE = 0
+
+
 class _Lib:
     """Resolved libcrypto handle plus the EVP entry points we use.
 
     Every primitive takes validated ``bytes`` (or, for the payload, a
-    one-dimensional ``'B'`` view of them) and runs in a fresh
+    contiguous one-dimensional ``'B'`` view of them) and runs in a fresh
     cipher context, so the backend is thread-safe under the batch
     engine's executor with zero shared state.
     """
@@ -160,27 +192,42 @@ class _Lib:
              aad: bytes = b"") -> Optional[bytes]:
         """AAD, then ``data``, then finalise.  ``None`` when the final
         step refuses — a GCM tag that does not verify — with the
-        output buffer already zeroed.
+        result already zeroed.
 
-        ctypes takes no address of a read-only view, so ``data`` is
-        copied into the output buffer and processed in place there:
-        the call allocates the output buffer and the returned
-        ``bytes``, and nothing else proportional to ``data``.
+        The result is the call's one payload-sized allocation: a
+        ``bytes`` created uninitialised, which ``EVP_CipherUpdate``
+        fills straight from ``data``, read in place through the buffer
+        protocol (``data`` must be ``bytes`` or a contiguous view of
+        them: see :func:`~repro.perf.backends.as_buffer`).  An empty
+        result is the interpreter's shared ``b""``, so libcrypto
+        finalises into a scratch block instead.
         """
-        self._update(ctx, None, _address(aad), len(aad))
-        size = len(data)
-        out = ctypes.create_string_buffer(size)
-        target = ctypes.addressof(out)
-        memoryview(out).cast("B")[:] = data
-        written = self._update(ctx, target, target, size)
-        tail = ctypes.c_int(0)
-        if self.final(ctx, target + written, ctypes.byref(tail)) != 1:
-            ctypes.memset(out, 0, size)
+        if aad:
+            self._update(ctx, None, _address(aad), len(aad))
+        view = _PyBuffer()
+        _get_buffer(data, view, _PYBUF_SIMPLE)
+        try:
+            size = view.len
+            if size:
+                out = _new_bytes(None, size)
+                target = _bytes_at(out)
+            else:
+                out, scratch = b"", ctypes.create_string_buffer(_BLOCK)
+                target = ctypes.addressof(scratch)
+            written = self._update(ctx, target, view.buf, size)
+            tail = ctypes.c_int(0)
+            verified = self.final(ctx, target + written,
+                                  ctypes.byref(tail)) == 1
+        finally:
+            _release_buffer(view)
+        if not verified:
+            ctypes.memset(target, 0, size)
             return None
         if written + tail.value != size:
+            ctypes.memset(target, 0, size)
             raise RuntimeError(
                 f"EVP wrote {written + tail.value} of {size} bytes")
-        return out.raw
+        return out
 
     def _produce(self, ctx: int, data: Buffer,
                  aad: bytes = b"") -> bytes:
@@ -205,10 +252,10 @@ class _Lib:
         """AES-128-GCM encrypt: (ciphertext, 16-byte tag)."""
         with self._context("gcm", key, iv) as ctx:
             ciphertext = self._produce(ctx, plaintext, aad)
-            tag = ctypes.create_string_buffer(TAG_BYTES)
-            _ok(self.ctrl(ctx, _GCM_GET_TAG, TAG_BYTES, tag),
+            tag = _new_bytes(None, TAG_BYTES)
+            _ok(self.ctrl(ctx, _GCM_GET_TAG, TAG_BYTES, _bytes_at(tag)),
                 "EVP_CTRL_GCM_GET_TAG")
-            return ciphertext, tag.raw
+            return ciphertext, tag
 
     def gcm_open(self, key: bytes, iv: bytes, aad: bytes,
                  ciphertext: Buffer, tag: bytes) -> Optional[bytes]:

@@ -43,7 +43,8 @@ from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Dict, List, Optional, Set, \
     Tuple
 
-from repro.obs.metrics import WindowedQuantileSet, global_registry
+from repro.obs.metrics import WindowedQuantileSet, global_registry, \
+    render_process_counters
 from repro.obs.metrics import render_prometheus as _render_registries
 from repro.serve.admin import AdminServer
 from repro.serve.protocol import (
@@ -352,10 +353,12 @@ class Gateway:
                         for state in self._backends.values()))
 
     def metrics_text(self) -> str:
-        """One ``/metrics`` scrape body: the process-global registry
-        plus the gateway's per-shard windowed quantiles."""
+        """One ``/metrics`` scrape body: the process-global registry,
+        the gateway's per-shard windowed quantiles and the process's
+        CPU time and page faults."""
         return (_render_registries([_REGISTRY])
-                + self.request_window.render_prometheus())
+                + self.request_window.render_prometheus()
+                + render_process_counters())
 
     def quantiles_snapshot(self) -> Dict[str, object]:
         """The ``/quantiles`` JSON body."""

@@ -177,6 +177,11 @@ class Frame:
     frame encode as a :data:`TRACE_VERSION` frame carrying the
     16-byte extension.  Responses echo the request's context so the
     client can stitch its span to the server's.
+
+    ``tail`` is sent right after ``payload`` under the same length
+    prefix, so a reply built from two buffers (a GCM seal's
+    ciphertext and tag) goes out without joining them.  The peer
+    reads both as one payload: decoders never produce a tail.
     """
 
     op: Op
@@ -187,15 +192,22 @@ class Frame:
     payload: bytes = field(default=b"", repr=False)
     trace_id: int = 0
     parent_span_id: int = 0
+    tail: bytes = field(default=b"", repr=False)
+
+    @property
+    def wire_payload_bytes(self) -> int:
+        """The payload bytes this frame puts on the wire: its payload,
+        then its tail."""
+        return len(self.payload) + len(self.tail)
 
     def response(self, status: Status = Status.OK,
-                 payload: bytes = b"") -> "Frame":
+                 payload: bytes = b"", tail: bytes = b"") -> "Frame":
         """The response frame answering this request."""
         return Frame(op=self.op, mode=self.mode, status=status,
                      session_id=self.session_id,
                      request_id=self.request_id, payload=payload,
                      trace_id=self.trace_id,
-                     parent_span_id=self.parent_span_id)
+                     parent_span_id=self.parent_span_id, tail=tail)
 
     def error(self, status: Status, message: str = "") -> "Frame":
         """An error response; the diagnostic rides in the payload."""
@@ -219,21 +231,24 @@ def encode_frame_views(frame: Frame) -> Tuple[bytes, bytes]:
     22-byte buffer (38 bytes when the frame carries a trace context);
     ``payload`` is the frame's own payload object, untouched, when it
     is already immutable ``bytes`` (the codec's one defensive copy
-    happens only for mutable payload types).  Writing both parts back
-    to back puts exactly ``encode_frame``'s bytes on the wire without
-    ever building the concatenation.
+    happens only for mutable payload types).  The length prefix and
+    the frame limit count the frame's ``tail`` too.  Writing both
+    parts and then the tail back to back puts exactly
+    ``encode_frame``'s bytes on the wire without ever building the
+    concatenation.
     """
     payload = frame.payload
     if not isinstance(payload, bytes):
         payload = bytes(payload)
-    if len(payload) > MAX_PAYLOAD_BYTES:
+    size = len(payload) + len(frame.tail)
+    if size > MAX_PAYLOAD_BYTES:
         raise FrameError(
-            f"payload of {len(payload)} bytes exceeds the "
+            f"payload of {size} bytes exceeds the "
             f"{MAX_PAYLOAD_BYTES}-byte frame limit"
         )
     if frame.trace_id or frame.parent_span_id:
         head = _WIRE_HEAD_TRACE.pack(
-            HEADER_BYTES + TRACE_EXT_BYTES + len(payload),
+            HEADER_BYTES + TRACE_EXT_BYTES + size,
             MAGIC, TRACE_VERSION, int(frame.op), int(frame.mode),
             int(frame.status), frame.session_id & 0xFFFFFFFF,
             frame.request_id & 0xFFFFFFFFFFFFFFFF,
@@ -242,7 +257,7 @@ def encode_frame_views(frame: Frame) -> Tuple[bytes, bytes]:
         )
         return head, payload
     head = _WIRE_HEAD.pack(
-        HEADER_BYTES + len(payload),
+        HEADER_BYTES + size,
         MAGIC, VERSION, int(frame.op), int(frame.mode),
         int(frame.status), frame.session_id & 0xFFFFFFFF,
         frame.request_id & 0xFFFFFFFFFFFFFFFF,
@@ -257,7 +272,8 @@ def encode_frame(frame: Frame) -> bytes:
     ``bytes``; the streaming send path uses
     :func:`encode_frame_views` and never joins the parts.
     """
-    return b"".join(encode_frame_views(frame))
+    head, payload = encode_frame_views(frame)
+    return b"".join((head, payload, frame.tail))
 
 
 def decode_payload(header: bytes, payload: bytes,
@@ -834,14 +850,16 @@ async def write_frame(writer: FrameWriter, frame: Frame,
     ``timeout`` :func:`deadline` so a stalled peer cannot wedge the
     writer.
 
-    Head and payload are written as two parts — the transport
-    buffers them back to back, so no joined copy of the frame is
-    ever built (see :func:`encode_frame_views`).
+    Head, payload and tail are written as separate parts — the
+    transport buffers them back to back, so no joined copy of the
+    frame is ever built (see :func:`encode_frame_views`).
     """
     head, payload = encode_frame_views(frame)
     writer.write(head)
     if payload:
         writer.write(payload)
+    if frame.tail:
+        writer.write(frame.tail)
     async with deadline(timeout):
         await writer.drain()
 

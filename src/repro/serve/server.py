@@ -61,10 +61,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Dict, List, Optional, Set, \
-    Tuple
+    Tuple, Union
 
 from repro.aes import gcm, modes
-from repro.obs.metrics import WindowedQuantileSet, global_registry
+from repro.obs.metrics import WindowedQuantileSet, global_registry, \
+    render_process_counters
 from repro.obs.metrics import render_prometheus as _render_registries
 from repro.perf.engine import default_engine, forget_key
 from repro.obs.tracing import format_span_id, trace_record, trace_span
@@ -311,11 +312,13 @@ class CryptoServer:
 
     # ------------------------------------------------------- exposition
     def metrics_text(self) -> str:
-        """One ``/metrics`` scrape body: the process-global registry
-        plus this server's windowed quantile families."""
+        """One ``/metrics`` scrape body: the process-global registry,
+        this server's windowed quantile families and the process's
+        CPU time and page faults."""
         return (_render_registries([_REGISTRY])
                 + self.request_window.render_prometheus()
-                + self.queue_wait_window.render_prometheus())
+                + self.queue_wait_window.render_prometheus()
+                + render_process_counters())
 
     def quantiles_snapshot(self) -> Dict[str, object]:
         """The ``/quantiles`` JSON body."""
@@ -473,7 +476,7 @@ class CryptoServer:
                                       timeout=self.config.io_timeout)
             except (ConnectionError, asyncio.TimeoutError):
                 return
-        _BYTES_OUT.inc(len(frame.payload))
+        _BYTES_OUT.inc(frame.wire_payload_bytes)
 
     # --------------------------------------------------------- workers
     async def _worker(self) -> None:
@@ -599,10 +602,16 @@ class CryptoServer:
                                "GCM tag verification failed")
         except ValueError as exc:
             return frame.error(Status.BAD_REQUEST, str(exc))
+        if isinstance(out, tuple):
+            # A seal: the tag goes out as the frame's tail, unjoined.
+            ciphertext, tag = out
+            return frame.response(payload=ciphertext, tail=tag)
         return frame.response(payload=out)
 
 
-# The crypto table: (op, mode) -> callable(session_key, payload).
+# The crypto table: (op, mode) -> callable(session_key, payload),
+# returning the reply payload, or a seal's (ciphertext, tag), which
+# the reply writes as payload and tail.
 # Every entry routes its bulk work through
 # ``repro.perf.default_engine()`` via the mode layer; _runs_inline
 # decides whether it runs on the event loop or the thread pool.
@@ -627,7 +636,7 @@ def _ctr_split(payload: bytes) -> Tuple[bytes, memoryview]:
 GCM_MAX_PLAINTEXT_BYTES = MAX_PAYLOAD_BYTES - GCM_TAG_BYTES
 
 
-def _gcm_encrypt(k: bytes, payload: bytes) -> bytes:
+def _gcm_encrypt(k: bytes, payload: bytes) -> Tuple[bytes, bytes]:
     if len(payload) < GCM_IV_BYTES:
         raise ValueError(
             f"GCM payload needs a {GCM_IV_BYTES}-byte IV prefix"
@@ -641,10 +650,7 @@ def _gcm_encrypt(k: bytes, payload: bytes) -> bytes:
             f"{GCM_MAX_PLAINTEXT_BYTES}: the ciphertext plus "
             f"{GCM_TAG_BYTES}-byte tag must fit one frame"
         )
-    ciphertext, tag = gcm.gcm_encrypt(
-        k, payload[:GCM_IV_BYTES], plaintext
-    )
-    return ciphertext + tag
+    return gcm.gcm_encrypt(k, payload[:GCM_IV_BYTES], plaintext)
 
 
 def _gcm_decrypt(k: bytes, payload: bytes) -> bytes:
@@ -665,8 +671,9 @@ def _ctr_xcrypt(k: bytes, payload: bytes) -> bytes:
     return modes.ctr_xcrypt(k, nonce, data)
 
 
-_CRYPTO_OPS: Dict[Tuple[Op, Mode],
-                  Callable[[bytes, bytes], bytes]] = {
+_Reply = Union[bytes, Tuple[bytes, bytes]]
+
+_CRYPTO_OPS: Dict[Tuple[Op, Mode], Callable[[bytes, bytes], _Reply]] = {
     (Op.ENCRYPT, Mode.ECB): modes.ecb_encrypt,
     (Op.DECRYPT, Mode.ECB): modes.ecb_decrypt,
     (Op.ENCRYPT, Mode.CTR): _ctr_xcrypt,
@@ -682,7 +689,7 @@ _NATIVE_OPS = frozenset(
     (modes.ecb_encrypt, _ctr_xcrypt, _gcm_encrypt, _gcm_decrypt))
 
 
-def _runs_inline(work: Callable[[bytes, bytes], bytes]) -> bool:
+def _runs_inline(work: Callable[[bytes, bytes], _Reply]) -> bool:
     """Whether a request runs on the event loop, not the pool."""
     return work in _NATIVE_OPS and default_engine().backend.native_modes
 

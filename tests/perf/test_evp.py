@@ -127,9 +127,12 @@ def _auth_failures():
 _NON_BYTES = {
     "list": list,
     "bytearray": bytearray,
+    "bytearray-view": lambda data: memoryview(bytearray(data)),
     "strided-view": lambda data: memoryview(
         bytes(b for b in data for _ in (0, 1)))[::2],
+    "reversed-view": lambda data: memoryview(data[::-1])[::-1],
     "wide-view": lambda data: memoryview(array.array("H", data)),
+    "empty": lambda data: memoryview(data)[:0],
 }
 
 
@@ -217,7 +220,7 @@ class TestNativeModes:
         make = _NON_BYTES[kind]
         key, nonce, iv = (_RNG.randbytes(16), _RNG.randbytes(8),
                           _RNG.randbytes(12))
-        data = _RNG.randbytes(40)
+        data = bytes(make(_RNG.randbytes(40)))
         assert bytes(make(data)) == data
         for name in ("evp", "sliced"):
             engine = BatchEngine(name)
@@ -248,21 +251,23 @@ class TestNativeModes:
             assert _auth_failures() == before + 1
 
     def test_failed_open_zeroes_its_buffer(self, monkeypatch):
+        # The open writes its plaintext into the one result it
+        # allocates, and zeroes it when the tag does not verify.
         buffers = []
-        allocate = ctypes.create_string_buffer
+        allocate = evp._new_bytes
 
-        def recording(size):
-            buffer = allocate(size)
+        def recording(source, size):
+            buffer = allocate(source, size)
             buffers.append(buffer)
             return buffer
 
-        monkeypatch.setattr(ctypes, "create_string_buffer", recording)
+        monkeypatch.setattr(evp, "_new_bytes", recording)
         case = GCM_VECTORS[3]
         flipped = bytes([case.tag[0] ^ 1]) + case.tag[1:]
         assert EvpBackend().gcm_open(case.key, case.iv, case.aad,
                                      case.ciphertext, flipped) is None
         assert len(buffers) == 1
-        assert buffers[0].raw == bytes(len(case.ciphertext))
+        assert buffers[0] == bytes(len(case.ciphertext))
 
     def test_python_checks_key_and_tag_before_libcrypto(
             self, monkeypatch):

@@ -13,6 +13,7 @@ import pytest
 
 from repro.obs.tracing import disable_tracing, enable_tracing
 from repro.serve.client import CryptoClient, RetryPolicy
+from repro.serve.gateway import BackendSpec, Gateway, GatewayConfig
 from repro.serve.protocol import (
     HEADER_BYTES,
     VERSION,
@@ -113,6 +114,59 @@ class TestAdminEndpoints:
                 await server.stop()
 
         asyncio.run(scenario())
+
+    @pytest.mark.parametrize("plane", ["server", "gateway"])
+    def test_scrapes_report_process_cpu_and_page_faults(self, plane):
+        """Two scrapes around N requests: both process counters are
+        on each, and neither decreases.  Their growth over the
+        requests served is CPU time and page faults per request."""
+        names = ("repro_process_cpu_seconds_total",
+                 "repro_process_minor_page_faults_total")
+
+        def counters(body):
+            values = {}
+            for line in body.splitlines():
+                name, _, value = line.partition(" ")
+                if name in names:
+                    values[name] = float(value)
+                    assert f"# TYPE {name} counter" in body
+            return values
+
+        async def scenario():
+            server = await _admin_server()
+            gateway = None
+            try:
+                target, admin = server.address, server.admin_address
+                if plane == "gateway":
+                    gateway = Gateway(GatewayConfig(port=0,
+                                                    admin_port=0))
+                    await gateway.start()
+                    host, port = server.address
+                    gateway.add_backend(BackendSpec(
+                        shard="worker-0", host=host, port=port))
+                    target = gateway.address
+                    admin = gateway.admin_address
+                _, first = await _http(*admin, "/metrics")
+                async with CryptoClient(
+                    *target, retry=RetryPolicy(attempts=1)
+                ) as client:
+                    await client.load_key(bytes(16))
+                    for _ in range(20):
+                        reply = await client.encrypt(
+                            Mode.GCM, bytes(12 + (64 << 10)))
+                        assert reply.status is Status.OK
+                _, second = await _http(*admin, "/metrics")
+                return counters(first), counters(second)
+            finally:
+                if gateway is not None:
+                    await gateway.stop()
+                await server.stop()
+
+        first, second = asyncio.run(scenario())
+        assert set(first) == set(second) == set(names)
+        for name in names:
+            assert second[name] >= first[name], name
+        assert second["repro_process_cpu_seconds_total"] > 0
 
     def test_quantiles_json(self):
         async def scenario():

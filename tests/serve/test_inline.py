@@ -28,15 +28,16 @@ from repro.serve.protocol import (
     GCM_IV_BYTES,
     GCM_TAG_BYTES,
     MAX_PAYLOAD_BYTES,
+    Frame,
     Mode,
     Op,
     Status,
 )
 from repro.serve.server import (
-    _CRYPTO_OPS,
     GCM_MAX_PLAINTEXT_BYTES,
     CryptoServer,
     ServeConfig,
+    Session,
 )
 
 KEY = bytes(range(16))
@@ -214,25 +215,47 @@ def test_inline_error_outcomes(case):
     assert hops == 0
 
 
+def _reply_of(op: Op, mode: Mode, payload: bytes) -> Frame:
+    """The reply the server's crypto handler builds for one request,
+    run to completion with no event loop: a native request never
+    awaits."""
+    server = CryptoServer(ServeConfig(port=0))
+    request = Frame(op=op, mode=mode, payload=payload)
+    handler = server._op_xcrypt(Session(1, key=KEY), request)
+    try:
+        handler.send(None)
+    except StopIteration as done:
+        return done.value
+    raise AssertionError("a native request awaited")
+
+
 @needs_evp
+@pytest.mark.parametrize("size", [256 << 10, 1_048_000],
+                         ids=["256k", "1048000"])
 @pytest.mark.parametrize("entry", ["ctr-encrypt", "gcm-encrypt",
-                                   "gcm-decrypt"])
-def test_native_call_holds_at_most_two_payloads(entry):
-    """One native CTR, GCM seal or GCM open call at 256 KiB never holds
-    more than two payload-sized buffers at once; slicing the request
-    made it three."""
+                                   "gcm-decrypt", "ecb-encrypt"])
+def test_native_call_holds_at_most_one_payload(entry, size):
+    """One native CTR, GCM seal, GCM open or ECB-encrypt request, up to
+    its reply frame, allocates one payload-sized buffer, the reply's
+    own payload: libcrypto reads the request in place and writes the
+    result ``bytes``, and a seal's tag rides as the reply's tail.  A
+    result copied out of a ctypes buffer made it two, and joining
+    ciphertext and tag made a seal three."""
     op, mode = NATIVE[entry]
-    payload, _ = _reference(op, mode, 256 << 10)
-    work = _CRYPTO_OPS[(op, mode)]
-    work(KEY, payload)  # warm anything lazy
+    payload, expected = _reference(op, mode, size)
+    _reply_of(op, mode, payload)  # warm anything lazy
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        work(KEY, payload)
+        reply = _reply_of(op, mode, payload)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - before < 2 * len(payload) + (64 << 10)
+    assert peak - before < len(payload) + (64 << 10)
+    assert reply.status is Status.OK
+    assert reply.payload + reply.tail == expected
+    assert reply.tail == (expected[-GCM_TAG_BYTES:]
+                          if entry == "gcm-encrypt" else b"")
 
 
 def _count_aes128(monkeypatch) -> list:

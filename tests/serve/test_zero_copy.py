@@ -5,7 +5,8 @@ Three properties, each of which held false before the split codec:
 - ``encode_frame_views`` passes an immutable payload through as the
   *same object* — no defensive ``bytes()`` copy, no concatenation.
 - The send path (``write_frame``) writes head and payload as two
-  parts; the payload buffer on the transport *is* the frame's.
+  parts, and a reply's tail as a third; the payload buffer on the
+  transport *is* the frame's.
 - The streaming read path (a ``FrameStream``, the serve tier's frame
   connection) adopts ``readexactly``'s buffer into the decoded frame
   without a reassembly slice, and parses the length prefix exactly
@@ -88,6 +89,35 @@ class TestEncodeViews:
         with pytest.raises(FrameError):
             encode_frame_views(_frame(bytes(MAX_PAYLOAD_BYTES + 1)))
 
+    @pytest.mark.parametrize("trace", [(0, 0), (5, 6)],
+                             ids=["plain", "traced"])
+    def test_tail_encodes_as_the_joined_payload(self, trace):
+        # A reply's tail goes on the wire as the rest of its payload:
+        # the peer decodes one payload, and never a tail.
+        trace_id, parent_span_id = trace
+        ciphertext, tag = bytes(range(200)), bytes(range(16))
+        fields = dict(op=Op.ENCRYPT, mode=Mode.GCM, request_id=99,
+                      trace_id=trace_id, parent_span_id=parent_span_id)
+        joined = Frame(payload=ciphertext + tag, **fields)
+        split = Frame(payload=ciphertext, tail=tag, **fields)
+        assert split.wire_payload_bytes == len(ciphertext + tag)
+        assert encode_frame(split) == encode_frame(joined)
+        assert decode_frame(encode_frame(split)) == joined
+        head, payload = encode_frame_views(split)
+        assert payload is ciphertext
+        assert head + payload + tag == encode_frame(joined)
+
+    def test_tail_counts_toward_the_frame_limit(self):
+        from repro.serve.protocol import MAX_PAYLOAD_BYTES
+        fits = Frame(op=Op.ENCRYPT, payload=bytes(MAX_PAYLOAD_BYTES - 16),
+                     tail=bytes(16))
+        assert len(encode_frame(fits)) == 4 + HEADER_BYTES \
+            + MAX_PAYLOAD_BYTES
+        with pytest.raises(FrameError):
+            encode_frame_views(Frame(
+                op=Op.ENCRYPT, payload=bytes(MAX_PAYLOAD_BYTES - 15),
+                tail=bytes(16)))
+
     def test_no_payload_sized_allocation_on_encode(self):
         """Allocation-count regression: encoding must cost O(head),
         not O(payload)."""
@@ -116,6 +146,17 @@ class TestSendPath:
         assert len(writer.buffers) == 2
         assert writer.buffers[1] is payload, \
             "send path copied the payload"
+        assert b"".join(writer.buffers) == encode_frame(frame)
+
+    def test_write_frame_writes_tail_object_unjoined(self):
+        payload, tail = b"x" * 4096, b"t" * 16
+        frame = Frame(op=Op.ENCRYPT, mode=Mode.GCM, payload=payload,
+                      tail=tail)
+        writer = _CollectingWriter()
+        asyncio.run(write_frame(writer, frame, timeout=1.0))
+        assert len(writer.buffers) == 3
+        assert writer.buffers[1] is payload
+        assert writer.buffers[2] is tail
         assert b"".join(writer.buffers) == encode_frame(frame)
 
     def test_write_frame_skips_empty_payload(self):
