@@ -15,8 +15,12 @@ This module closes that gap in two stages:
   layout (folding ``struct.Struct(">2sBBBBIQ").size``), the
   ``Op``/``Mode``/``Status`` enums, the MAX_PAYLOAD-class limits,
   every ``FrameError`` raise site with its ``recoverable`` flag, and
-  the behavioural shape of the server's per-connection loop, worker
-  path and crypto dispatch plus the client's retry loop.  Anything
+  the behavioural shape of the server's per-connection loop (resolved
+  through ``CryptoServer``'s base class), worker path and crypto
+  dispatch plus the client's retry loop.  It also reads
+  ``gateway.py`` to confirm that ``Gateway`` derives from the class
+  that defines the loop and defines no loop, handler or reply path of
+  its own, so the model's client side is the gateway's too.  Anything
   the extractor cannot anchor is recorded in
   :attr:`WireModel.problems` — the shipped tree must extract clean.
 - **Model checking** — :func:`check_model` runs a BFS over the
@@ -139,6 +143,9 @@ class ServerModel:
 
     path: str
     loop_lineno: int
+    #: The class that defines ``_connection_loop``: ``CryptoServer``
+    #: or the base class it shares with the gateway.
+    loop_owner: str
     #: except-FrameError path of the connection loop.
     replies_on_frame_error: bool
     continues_on_recoverable: bool
@@ -207,6 +214,8 @@ class WireModel:
     raise_sites: Tuple[RaiseSite, ...]
     server: Optional[ServerModel]
     client: Optional[ClientModel]
+    #: The classes confirmed to run the server's frame loop.
+    loop_runners: Tuple[str, ...]
     problems: Tuple[str, ...]
 
 
@@ -451,6 +460,44 @@ def _module_function(tree: ast.Module,
     return None
 
 
+def _base_names(cls: ast.ClassDef) -> List[str]:
+    """Names of ``cls``'s bases: ``Base``, ``Base[...]`` or
+    ``module.Base``."""
+    names: List[str] = []
+    for base in cls.bases:
+        if isinstance(base, ast.Subscript):
+            base = base.value
+        if isinstance(base, ast.Name):
+            names.append(base.id)
+        elif isinstance(base, ast.Attribute):
+            names.append(base.attr)
+    return names
+
+
+def _lineage(tree: ast.Module, name: str) -> List[ast.ClassDef]:
+    """Class ``name`` and its ancestors defined in the same module,
+    nearest first; empty when the module defines no such class."""
+    classes = {stmt.name: stmt for stmt in tree.body
+               if isinstance(stmt, ast.ClassDef)}
+    lineage = [classes[name]] if name in classes else []
+    for cls in lineage:  # grows as ancestors are found
+        for base in _base_names(cls):
+            if base in classes and classes[base] not in lineage:
+                lineage.append(classes[base])
+    return lineage
+
+
+def _resolve(lineage: Sequence[ast.ClassDef],
+             name: str) -> Tuple[Optional[ast.AST], str]:
+    """Method ``name`` as the nearest class in ``lineage`` defines it,
+    and that class's name."""
+    for cls in lineage:
+        method = _method(cls, name)
+        if method is not None:
+            return method, cls.name
+    return None, ""
+
+
 def _catches(handler: ast.ExceptHandler, exc_name: str) -> bool:
     """Does this except clause name ``exc_name`` (bare or dotted)?"""
     def match(node: Optional[ast.expr]) -> bool:
@@ -515,16 +562,36 @@ def _enum_attr(node: ast.expr, enum_name: str) -> Optional[str]:
     return None
 
 
-def _creates_stop_task(node: ast.AST) -> bool:
-    """Does this node contain ``...create_task(self.stop...)``?"""
+#: What a SHUTDOWN frame's task may run: the service's ``stop``, or
+#: the ``on_shutdown`` its frame loop was given (which
+#: ``CryptoServer.__init__`` must bind to its own ``stop``).
+_STOP_CALLS = ("stop", "_on_shutdown")
+
+
+def _creates_stop_task(node: ast.AST) -> str:
+    """The stop call a ``...create_task(self.<stop>())`` in this node
+    runs (one of :data:`_STOP_CALLS`), or ``""``."""
     for call in ast.walk(node):
         if isinstance(call, ast.Call) \
                 and isinstance(call.func, ast.Attribute) \
                 and call.func.attr == "create_task":
             for arg in call.args:
                 for sub in ast.walk(arg):
-                    if _attr_is(sub, "stop"):
-                        return True
+                    if isinstance(sub, ast.Attribute) \
+                            and sub.attr in _STOP_CALLS:
+                        return sub.attr
+    return ""
+
+
+def _passes_stop(init: Optional[ast.AST]) -> bool:
+    """Does ``__init__`` hand its base class ``self.stop``?"""
+    if init is None:
+        return False
+    for node in ast.walk(init):
+        if isinstance(node, ast.Call) and _attr_is(node.func,
+                                                   "__init__"):
+            values = [*node.args, *(kw.value for kw in node.keywords)]
+            return any(_attr_is(value, "stop") for value in values)
     return False
 
 
@@ -538,10 +605,21 @@ class _LoopShape:
     shutdown_inline: bool = False
     shutdown_replies: bool = False
     shutdown_lineno: int = 0
-    stop_task_created: bool = False
+    #: What the SHUTDOWN task runs (see :func:`_creates_stop_task`).
+    stop_call: str = ""
     stop_task_pinned: bool = False
     replies_when_stopping: bool = False
-    has_backpressure: bool = False
+
+
+def _has_backpressure(dispatch: ast.AST) -> bool:
+    """Does the dispatch answer a full queue (``QueueFull``)?"""
+    for node in ast.walk(dispatch):
+        if isinstance(node, ast.Try):
+            for handler in node.handlers:
+                if _catches(handler, "QueueFull") \
+                        and _calls_send(handler.body):
+                    return True
+    return False
 
 
 def _extract_connection_loop(loop: ast.AST,
@@ -555,9 +633,6 @@ def _extract_connection_loop(loop: ast.AST,
                 if _catches(handler, "FrameError") \
                         and frame_handler is None:
                     frame_handler = handler
-                if _catches(handler, "QueueFull") \
-                        and _calls_send(handler.body):
-                    out.has_backpressure = True
         if isinstance(node, ast.If):
             op = None
             for sub in ast.walk(node.test):
@@ -574,11 +649,8 @@ def _extract_connection_loop(loop: ast.AST,
                                 and _creates_stop_task(sub.value) \
                                 and any(isinstance(t, ast.Attribute)
                                         for t in sub.targets):
-                            out.stop_task_created = True
                             out.stop_task_pinned = True
-                if not out.stop_task_created \
-                        and _creates_stop_task(node):
-                    out.stop_task_created = True
+                out.stop_call = _creates_stop_task(node)
             if _attr_is(node.test, "_stopping") \
                     and _calls_send(node.body):
                 out.replies_when_stopping = True
@@ -665,16 +737,15 @@ def _extract_server(source: SourceFile,
                     protocol_env: Dict[str, FoldValue],
                     problems: List[str]) -> Optional[ServerModel]:
     tree = source.tree
-    server_cls: Optional[ast.ClassDef] = None
-    for stmt in tree.body:
-        if isinstance(stmt, ast.ClassDef) \
-                and stmt.name == "CryptoServer":
-            server_cls = stmt
-    if server_cls is None:
+    lineage = _lineage(tree, "CryptoServer")
+    if not lineage:
         problems.append("server: class CryptoServer not found")
         return None
+    server_cls = lineage[0]
 
-    loop = _method(server_cls, "_connection_loop")
+    # The frame loop and its reply path may live in a base class the
+    # server shares with the gateway.
+    loop, loop_owner = _resolve(lineage, "_connection_loop")
     if loop is None:
         problems.append("server: _connection_loop not found")
         loop_shape = _LoopShape(shutdown_lineno=server_cls.lineno)
@@ -682,10 +753,21 @@ def _extract_server(source: SourceFile,
     else:
         loop_shape = _extract_connection_loop(loop, problems)
         loop_lineno = loop.lineno
+    init, _ = _resolve(lineage, "__init__")
+    # A task running the loop's on_shutdown stops the server only if
+    # the server binds on_shutdown to its own stop.
+    stop_task_created = loop_shape.stop_call == "stop" or (
+        loop_shape.stop_call == "_on_shutdown" and _passes_stop(init))
+
+    dispatch, _ = _resolve(lineage, "_dispatch")
+    if dispatch is None:
+        problems.append("server: _dispatch not found")
+    has_backpressure = dispatch is not None \
+        and _has_backpressure(dispatch)
 
     # Worker shielding: _worker wraps _process in except-Exception.
     worker_shielded = False
-    worker = _method(server_cls, "_worker")
+    worker, _ = _resolve(lineage, "_worker")
     if worker is None:
         problems.append("server: _worker not found")
     else:
@@ -699,7 +781,7 @@ def _extract_server(source: SourceFile,
     process_catches_timeout = False
     process_catches_exception = False
     unknown_op_reply = False
-    process = _method(server_cls, "_process")
+    process, _ = _resolve(lineage, "_process")
     if process is None:
         problems.append("server: _process not found")
     else:
@@ -723,7 +805,7 @@ def _extract_server(source: SourceFile,
     # _send: the FrameError -> small INTERNAL frame fallback.
     send_frame_error_fallback = False
     send_lineno = server_cls.lineno
-    send = _method(server_cls, "_send")
+    send, _ = _resolve(lineage, "_send")
     if send is None:
         problems.append("server: _send not found")
     else:
@@ -737,7 +819,6 @@ def _extract_server(source: SourceFile,
 
     # __init__: the Op -> handler dispatch table.
     handler_ops: List[str] = []
-    init = _method(server_cls, "__init__")
     if init is not None:
         for node in ast.walk(init):
             if isinstance(node, ast.Assign):
@@ -791,16 +872,17 @@ def _extract_server(source: SourceFile,
     return ServerModel(
         path=source.path,
         loop_lineno=loop_lineno,
+        loop_owner=loop_owner,
         replies_on_frame_error=loop_shape.replies_on_frame_error,
         continues_on_recoverable=loop_shape.continues_on_recoverable,
         closes_on_unrecoverable=loop_shape.closes_on_unrecoverable,
         shutdown_inline=loop_shape.shutdown_inline,
         shutdown_replies=loop_shape.shutdown_replies,
         shutdown_lineno=loop_shape.shutdown_lineno,
-        stop_task_created=loop_shape.stop_task_created,
+        stop_task_created=stop_task_created,
         stop_task_pinned=loop_shape.stop_task_pinned,
         replies_when_stopping=loop_shape.replies_when_stopping,
-        has_backpressure=loop_shape.has_backpressure,
+        has_backpressure=has_backpressure,
         worker_shielded=worker_shielded,
         process_catches_timeout=process_catches_timeout,
         process_catches_exception=process_catches_exception,
@@ -890,6 +972,38 @@ def _extract_client(source: SourceFile,
     )
 
 
+# ---------------------------------------------------------- gateway.py
+#: What the gateway must take from the frame loop's class rather than
+#: define itself: the read loop, the connection handler, the reply path.
+_FRAME_LOOP_METHODS = ("_connection_loop", "_on_connection", "_send")
+
+
+def _runs_frame_loop(source: Optional[SourceFile], loop_owner: str,
+                     problems: List[str]) -> bool:
+    """Does ``Gateway`` run ``loop_owner``'s frame loop: derive from
+    it, and define none of :data:`_FRAME_LOOP_METHODS` itself?"""
+    if source is None:
+        problems.append("gateway: gateway.py not found")
+        return False
+    lineage = _lineage(source.tree, "Gateway")
+    if not lineage:
+        problems.append("gateway: class Gateway not found")
+        return False
+    runs = any(loop_owner in _base_names(cls) for cls in lineage)
+    if not runs:
+        problems.append(
+            f"gateway: Gateway does not derive from {loop_owner}, "
+            "the class that defines the server's _connection_loop")
+    for cls in lineage:
+        for name in _FRAME_LOOP_METHODS:
+            if _method(cls, name) is not None:
+                problems.append(
+                    f"gateway: {cls.name} defines its own {name} "
+                    f"instead of running {loop_owner}'s")
+                runs = False
+    return runs
+
+
 # ------------------------------------------------------------ assembly
 def extract_wire_model(
         sources: Sequence[SourceFile]) -> Optional[WireModel]:
@@ -945,6 +1059,12 @@ def extract_wire_model(
 
     server_model = _extract_server(server, env, problems)
     client_model = _extract_client(client, problems)
+    runners: Tuple[str, ...] = ()
+    if server_model is not None and server_model.loop_owner:
+        runners = ("CryptoServer",)
+        if _runs_frame_loop(by_name.get("gateway.py"),
+                            server_model.loop_owner, problems):
+            runners += ("Gateway",)
 
     return WireModel(
         protocol_path=protocol.path,
@@ -966,6 +1086,7 @@ def extract_wire_model(
         raise_sites=tuple(sites),
         server=server_model,
         client=client_model,
+        loop_runners=runners,
         problems=tuple(problems),
     )
 
@@ -1794,6 +1915,10 @@ class ProtoReport:
             f"  FrameError sites: {len(model.raise_sites)} "
             f"({sum(1 for s in model.raise_sites if s.recoverable)} "
             "recoverable)")
+        owner = model.server.loop_owner if model.server else ""
+        lines.append(
+            f"  frame loop      : {owner or '?'}._connection_loop, run "
+            f"by {', '.join(model.loop_runners) or '-'}")
         if model.problems:
             lines.append("extraction problems")
             for problem in model.problems:

@@ -21,9 +21,9 @@ share):
   timeouts and capped, jittered exponential backoff, plus
   :func:`~repro.serve.client.run_load`, the closed-loop load
   generator of keyed sessions.
-- :mod:`repro.serve.gateway` — the session-sharded cluster gateway:
-  consistent-hash routing of session ids over worker backends, with
-  health probes, shedding and connection draining.
+- :mod:`repro.serve.gateway` — the session-sharded cluster gateway,
+  which runs the server's frame loop: consistent-hash routing of
+  session ids over worker backends, with health probes and shedding.
 - :mod:`repro.serve.cluster` — multi-process workers under a
   supervisor (spawn, monitor, restart-on-crash, drain-then-stop),
   behind the gateway as one service.

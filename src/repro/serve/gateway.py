@@ -29,6 +29,10 @@ Design points, in the same bounded/measured discipline as the server:
   retryable errors the client's backoff absorbs.
 - **Draining** — :meth:`Gateway.stop` flips ``/readyz``, stops
   accepting, waits for in-flight requests, then closes connections.
+- **One frame loop** — the client side is the server's own
+  :class:`~repro.serve.server.FrameServer` loop (BAD_FRAME, desync,
+  half-close, SHUTDOWN, draining); the gateway adds only its routing,
+  its per-connection upstreams and its drain.
 """
 
 from __future__ import annotations
@@ -43,24 +47,19 @@ from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Dict, List, Optional, Set, \
     Tuple
 
-from repro.obs.metrics import WindowedQuantileSet, global_registry, \
-    render_process_counters
-from repro.obs.metrics import render_prometheus as _render_registries
-from repro.serve.admin import AdminServer
+from repro.obs.metrics import WindowedQuantileSet, global_registry
 from repro.serve.protocol import (
-    CLOSE_TIMEOUT_S,
     Frame,
     FrameError,
     FrameStream,
-    Op,
     Status,
     close_writer,
     deadline,
     open_frame_stream,
     read_frame,
-    start_frame_server,
     write_frame,
 )
+from repro.serve.server import FrameConn, FrameServer
 
 _LOG = logging.getLogger(__name__)
 
@@ -193,28 +192,25 @@ class _Upstream:
     pump_task: Optional["asyncio.Task[None]"] = None
 
 
-class _GatewayConn:
+class _GatewayConn(FrameConn):
     """One accepted client connection and its upstream fan-out."""
 
     def __init__(self, stream: FrameStream, fallback_key: int) -> None:
-        self.stream = stream
+        super().__init__(stream)
         #: Hash key for session-id-0 frames: per-connection, so an
         #: anonymous connection still pins to one worker.
         self.fallback_key = fallback_key
-        self.write_lock = asyncio.Lock()
         self.upstreams: Dict[str, _Upstream] = {}
 
     async def close(self) -> None:
         """Cancel the pumps and close every transport."""
-        for upstream in list(self.upstreams.values()):
-            if upstream.pump_task is not None:
-                upstream.pump_task.cancel()
-        for upstream in list(self.upstreams.values()):
-            if upstream.pump_task is not None:
-                await asyncio.gather(upstream.pump_task,
-                                     return_exceptions=True)
+        pumps = [upstream.pump_task for upstream in self.upstreams.values()
+                 if upstream.pump_task is not None]
+        for pump in pumps:
+            pump.cancel()
+        await asyncio.gather(*pumps, return_exceptions=True)
         self.upstreams.clear()
-        await close_writer(self.stream)
+        await super().close()
 
 
 @dataclass
@@ -246,31 +242,27 @@ class GatewayConfig:
     slo_threshold_s: float = 0.25
 
 
-class Gateway:
+class Gateway(FrameServer[GatewayConfig, _GatewayConn]):
     """The session-sharded frame router (see the module docstring).
 
-    ``on_shutdown`` is called (once) when a client sends a SHUTDOWN
-    frame: the cluster wires it to its own stop, so the remote-drain
-    path of the single-process server keeps working one level up.
+    ``on_shutdown`` runs (once) when a client sends a SHUTDOWN frame.
+    It defaults to this gateway's :meth:`stop`; the cluster wires it
+    to its own stop, so the remote-drain path of the single-process
+    server keeps working one level up.
     """
+
+    _connections = _G_CONNECTIONS
+    _open_connections = _G_OPEN
 
     def __init__(self, config: Optional[GatewayConfig] = None,
                  on_shutdown: Optional[
                      Callable[[], Awaitable[None]]] = None) -> None:
-        self.config = config or GatewayConfig()
-        self._on_shutdown = on_shutdown
+        super().__init__(config or GatewayConfig(),
+                         on_shutdown or self.stop)
         self._ring = HashRing(replicas=self.config.ring_replicas)
         self._backends: Dict[str, _BackendState] = {}
-        self._conns: Set[_GatewayConn] = set()
-        self._conn_tasks: Set["asyncio.Task[None]"] = set()
         self._conn_keys = itertools.count(0x67570000)
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._admin: Optional[AdminServer] = None
         self._health_task: Optional["asyncio.Task[None]"] = None
-        # Pinned: the loop holds only weak references to tasks.
-        self._shutdown_task: Optional["asyncio.Task[None]"] = None
-        self._stopping = False
-        self._stopped = asyncio.Event()
         #: Routed-request latency (forward to response), per shard.
         self.request_window = WindowedQuantileSet(
             "repro_gateway_request_window_seconds",
@@ -279,6 +271,7 @@ class Gateway:
             window_s=self.config.window_s,
             slo_threshold_s=self.config.slo_threshold_s,
         )
+        self._windows = {"routed_seconds": self.request_window}
 
     # ------------------------------------------------------- membership
     def add_backend(self, spec: BackendSpec) -> None:
@@ -309,80 +302,19 @@ class Gateway:
         """Shards currently in the routing ring."""
         return self._ring.members()
 
-    # ------------------------------------------------------- lifecycle
-    async def start(self) -> None:
-        """Bind the listener (and admin plane), start health probes."""
-        if self._server is not None:
-            raise RuntimeError("gateway already started")
-        self._server = await start_frame_server(
-            self._on_connection, self.config.host, self.config.port
-        )
-        if self.config.admin_port is not None:
-            self._admin = AdminServer(
-                self.config.host,
-                self.config.admin_port,
-                metrics_text=self.metrics_text,
-                quantiles=self.quantiles_snapshot,
-                ready=self._ready,
-            )
-            await self._admin.start()
+    # ------------------------------------------------ frame-loop hooks
+    async def _begin(self) -> None:
+        """Start the health probes."""
         self._health_task = asyncio.get_running_loop().create_task(
             self._health_loop()
         )
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound (host, port) — useful with ``port=0``."""
-        if self._server is None:
-            raise RuntimeError("gateway not started")
-        sock = self._server.sockets[0]
-        host, port = sock.getsockname()[:2]
-        return host, port
+    def _open(self, stream: FrameStream) -> _GatewayConn:
+        return _GatewayConn(stream, fallback_key=next(self._conn_keys))
 
-    @property
-    def admin_address(self) -> Tuple[str, int]:
-        """The bound admin-plane (host, port)."""
-        if self._admin is None:
-            raise RuntimeError("admin plane not enabled")
-        return self._admin.address
-
-    def _ready(self) -> bool:
-        """Drain-aware readiness: accepting and somewhere to route."""
-        return (self._server is not None and not self._stopping
-                and any(state.healthy
-                        for state in self._backends.values()))
-
-    def metrics_text(self) -> str:
-        """One ``/metrics`` scrape body: the process-global registry,
-        the gateway's per-shard windowed quantiles and the process's
-        CPU time and page faults."""
-        return (_render_registries([_REGISTRY])
-                + self.request_window.render_prometheus()
-                + render_process_counters())
-
-    def quantiles_snapshot(self) -> Dict[str, object]:
-        """The ``/quantiles`` JSON body."""
-        return {"routed_seconds": self.request_window.snapshot()}
-
-    async def wait_stopped(self) -> None:
-        """Block until :meth:`stop` has completed."""
-        await self._stopped.wait()
-
-    async def stop(self) -> None:
-        """Drain, then stop: flip ``/readyz``, stop accepting, wait
-        for in-flight requests (bounded by ``drain_timeout``), close
-        connections, stop the admin plane last.  Idempotent."""
-        if self._stopping:
-            await self._stopped.wait()
-            return
-        self._stopping = True
-        if self._server is not None:
-            self._server.close()
-            try:
-                async with deadline(self.config.drain_timeout):
-                    await self._server.wait_closed()
-            except asyncio.TimeoutError:  # pragma: no cover
-                pass
+    async def _drain(self) -> None:
+        """Wait up to ``drain_timeout`` for the requests in flight,
+        then stop the health probes."""
         loop = asyncio.get_running_loop()
         drain_until = loop.time() + self.config.drain_timeout
         while loop.time() < drain_until and any(
@@ -395,85 +327,26 @@ class Gateway:
             await asyncio.gather(self._health_task,
                                  return_exceptions=True)
             self._health_task = None
-        for conn in list(self._conns):
-            await conn.close()
-        # As in CryptoServer.stop(): wait for handlers still closing.
-        if self._conn_tasks:
-            await asyncio.wait(self._conn_tasks, timeout=CLOSE_TIMEOUT_S)
-        if self._admin is not None:
-            # Last: /readyz has answered 503 since _stopping flipped.
-            await self._admin.stop()
-        self._stopped.set()
 
-    # ----------------------------------------------------- connections
-    async def _on_connection(self, stream: FrameStream) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        conn = _GatewayConn(stream, fallback_key=next(self._conn_keys))
-        self._conns.add(conn)
-        _G_CONNECTIONS.inc()
-        _G_OPEN.inc()
-        try:
-            await self._conn_loop(conn)
-        except (ConnectionError, asyncio.TimeoutError):
-            pass  # peer vanished or stalled; nothing to answer
-        finally:
-            self._conns.discard(conn)
-            _G_OPEN.dec()
-            await conn.close()
+    def _ready(self) -> bool:
+        """Drain-aware readiness: accepting and somewhere to route."""
+        return super()._ready() and any(
+            state.healthy for state in self._backends.values())
 
-    async def _conn_loop(self, conn: _GatewayConn) -> None:
-        timeout = self.config.io_timeout
-        while True:
-            try:
-                frame = await read_frame(conn.stream, timeout=timeout)
-            except FrameError as exc:
-                # Same discipline as the server: a malformed frame
-                # answers BAD_FRAME; only a desynchronized stream
-                # closes the connection.  This is also what keeps the
-                # v2-to-v1 trace downgrade working through the proxy.
-                reply = Frame(op=Op.PING).error(Status.BAD_FRAME,
-                                                str(exc))
-                await self._reply(conn, reply)
-                if exc.recoverable:
-                    continue
-                return
-            if frame is None:
-                # Clean EOF: the client has half-closed.  Read no
-                # more, but relay the replies it is owed first.
-                await conn.stream.wait_answered(timeout)
-                return
-            if frame.op is Op.SHUTDOWN:
-                # Answered at the gateway: SHUTDOWN means "stop the
-                # service", and the service is now the cluster.
-                await self._reply(conn, frame.response())
-                if (self._on_shutdown is not None
-                        and self._shutdown_task is None):
-                    self._shutdown_task = (
-                        asyncio.get_running_loop()
-                        .create_task(self._on_shutdown())
-                    )
-                continue
-            if self._stopping:
-                await self._reply(conn, frame.error(
-                    Status.SHUTTING_DOWN, "gateway is draining"))
-                continue
-            await self._route(conn, frame)
-
-    async def _route(self, conn: _GatewayConn, frame: Frame) -> None:
+    # --------------------------------------------------------- routing
+    async def _dispatch(self, conn: _GatewayConn, frame: Frame) -> None:
+        """Route one request to its shard, or answer ``OVERLOADED``."""
         key = frame.session_id or conn.fallback_key
         shard = self._ring.lookup(key)
         if shard is None:
             _ROUTED.labels(shard="none", outcome="no_backend").inc()
-            await self._reply(conn, frame.error(
+            await self._send(conn, frame.error(
                 Status.OVERLOADED, "no healthy backend"))
             return
         state = self._backends[shard]
         if state.inflight >= self.config.shed_inflight:
             _ROUTED.labels(shard=shard, outcome="shed").inc()
-            await self._reply(conn, frame.error(
+            await self._send(conn, frame.error(
                 Status.OVERLOADED,
                 f"shard {shard} is saturated"))
             return
@@ -487,7 +360,7 @@ class Gateway:
                 _ROUTED.labels(shard=shard,
                                outcome="unreachable").inc()
                 self._set_health(state, False)
-                await self._reply(conn, frame.error(
+                await self._send(conn, frame.error(
                     Status.OVERLOADED,
                     f"shard {shard} is unreachable"))
                 return
@@ -497,7 +370,7 @@ class Gateway:
         try:
             await write_frame(upstream.stream, frame,
                               timeout=self.config.io_timeout)
-        except (ConnectionError, asyncio.TimeoutError, FrameError):
+        except (ConnectionError, asyncio.TimeoutError):
             # The pump notices the dead transport and answers every
             # pending request (this one included) retryably.
             upstream.stream.close()
@@ -540,7 +413,7 @@ class Gateway:
                     )
                     _ROUTED.labels(shard=shard,
                                    outcome="forwarded").inc()
-                await self._reply(conn, response)
+                await self._send(conn, response)
                 if pending is not None:
                     conn.stream.answered()
         except (ConnectionError, FrameError):
@@ -566,19 +439,11 @@ class Gateway:
             state.inflight -= 1
             _ROUTED.labels(shard=upstream.shard,
                            outcome="backend_lost").inc()
-            await self._reply(conn, pending.frame.error(
+            await self._send(conn, pending.frame.error(
                 Status.OVERLOADED,
                 f"shard {upstream.shard} connection lost; retry"))
             conn.stream.answered()
         upstream.pending.clear()
-
-    async def _reply(self, conn: _GatewayConn, frame: Frame) -> None:
-        try:
-            async with conn.write_lock:
-                await write_frame(conn.stream, frame,
-                                  timeout=self.config.io_timeout)
-        except (ConnectionError, asyncio.TimeoutError, FrameError):
-            pass  # client gone; the pump/loop will notice
 
     # ---------------------------------------------------------- health
     async def _health_loop(self) -> None:

@@ -321,6 +321,13 @@ def decode_payload(header: bytes, payload: bytes,
             trace = _TRACE_EXT.unpack_from(payload)
             payload = payload[TRACE_EXT_BYTES:]
         trace_id, parent_span_id = trace
+    if len(payload) > MAX_PAYLOAD_BYTES:
+        # MAX_FRAME_BYTES leaves room for the trace context, which a
+        # version-1 frame does not carry: the cap is checked here.
+        raise FrameError(
+            f"payload of {len(payload)} bytes exceeds the "
+            f"{MAX_PAYLOAD_BYTES}-byte frame limit"
+        )
     try:
         frame_op = Op(op)
         frame_mode = Mode(mode)

@@ -38,6 +38,10 @@ bounded buffering, measured behaviour:
   closes connections; a ``SHUTDOWN`` frame triggers the same path
   remotely, which is how ``repro-aes loadgen --shutdown`` and the CI
   smoke end a serve process cleanly.
+- **One frame loop** — the listener, each connection's read loop,
+  the reply path and the stop skeleton are :class:`FrameServer`,
+  which the cluster's :class:`~repro.serve.gateway.Gateway` runs too;
+  the server adds its sessions, its queue and its drain.
 
 Crypto runs through :func:`repro.perf.engine.default_engine` (via the
 mode layer).  Where that engine's backend has native modes, a CTR
@@ -60,15 +64,15 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Dict, List, Optional, Set, \
-    Tuple, Union
+from typing import Awaitable, Callable, Dict, Generic, List, Optional, \
+    Protocol, Set, Tuple, TypeVar, Union
 
 from repro.aes import gcm, modes
-from repro.obs.metrics import WindowedQuantileSet, global_registry, \
-    render_process_counters
+from repro.obs.metrics import Counter, Gauge, WindowedQuantileSet, \
+    global_registry, render_process_counters
 from repro.obs.metrics import render_prometheus as _render_registries
-from repro.perf.engine import default_engine, forget_key
 from repro.obs.tracing import format_span_id, trace_record, trace_span
+from repro.perf.engine import default_engine, forget_key
 from repro.serve.admin import AdminServer
 from repro.serve.protocol import (
     CLOSE_TIMEOUT_S,
@@ -194,14 +198,290 @@ class Session:
         return f"Session(id={self.session_id}, key={loaded})"
 
 
+class FrameConfig(Protocol):
+    """What the frame loop reads of a service's config; both
+    :class:`ServeConfig` and the gateway's config carry it."""
+
+    host: str
+    port: int
+    admin_port: Optional[int]
+    io_timeout: float
+    drain_timeout: float
+
+
+class FrameConn:
+    """One accepted frame connection: its stream, and the lock that
+    keeps replies written by concurrent tasks whole on the wire."""
+
+    def __init__(self, stream: FrameStream) -> None:
+        self.stream = stream
+        self.write_lock = asyncio.Lock()
+
+    async def close(self) -> None:
+        """Close the transport (waiting at most ``CLOSE_TIMEOUT_S``)."""
+        await close_writer(self.stream)
+
+
+ConfigT = TypeVar("ConfigT", bound=FrameConfig)
+ConnT = TypeVar("ConnT", bound=FrameConn)
+
+
+class FrameServer(Generic[ConfigT, ConnT]):
+    """The frame-serving loop :class:`CryptoServer` and the gateway
+    share: the listener and admin plane, each connection's handler
+    and read loop, the one reply path and the skeleton of
+    :meth:`stop`.
+
+    A service supplies what differs, as the methods the loop calls:
+    :meth:`_begin` (its own tasks), :meth:`_open` (the state of one
+    connection), :meth:`_dispatch` (one admitted request) and
+    :meth:`_drain`; the server also counts what the loop reads and
+    answers (:meth:`_received`, :meth:`_count`).  ``on_shutdown`` is
+    what a SHUTDOWN frame stops: the server itself, or through the
+    gateway the whole cluster.
+    """
+
+    #: Connections accepted over the service's lifetime, and open now.
+    _connections: Counter
+    _open_connections: Gauge
+
+    def __init__(self, config: ConfigT,
+                 on_shutdown: Callable[[], Awaitable[None]]) -> None:
+        self.config = config
+        self._on_shutdown = on_shutdown
+        self._server: Optional[asyncio.base_events.Server] = None
+        self._admin: Optional[AdminServer] = None
+        self._conns: Set[ConnT] = set()
+        self._conn_tasks: Set["asyncio.Task[None]"] = set()
+        # The event loop keeps only weak references to tasks, so the
+        # remotely-triggered stop task is pinned here until done.
+        self._stop_task: Optional["asyncio.Task[None]"] = None
+        self._stopping = False
+        self._stopped = asyncio.Event()
+        #: The service's sliding windows by ``/quantiles`` key, in
+        #: ``/metrics`` order (each service's admin plane scrapes its
+        #: own traffic, and windows age out by wall clock rather than
+        #: by registry reset).
+        self._windows: Dict[str, WindowedQuantileSet] = {}
+
+    # ------------------------------------------------------- lifecycle
+    async def start(self) -> None:
+        """Start the service's own tasks, then bind the listener and
+        the admin plane."""
+        if self._server is not None:
+            raise RuntimeError(f"{type(self).__name__} already started")
+        await self._begin()
+        self._server = await start_frame_server(
+            self._on_connection, self.config.host, self.config.port
+        )
+        if self.config.admin_port is not None:
+            self._admin = AdminServer(
+                self.config.host,
+                self.config.admin_port,
+                metrics_text=self.metrics_text,
+                quantiles=self.quantiles_snapshot,
+                ready=self._ready,
+            )
+            await self._admin.start()
+
+    @property
+    def address(self) -> Tuple[str, int]:
+        """The bound (host, port) — useful with ``port=0``."""
+        if self._server is None:
+            raise RuntimeError(f"{type(self).__name__} not started")
+        sock = self._server.sockets[0]
+        host, port = sock.getsockname()[:2]
+        return host, port
+
+    @property
+    def admin_address(self) -> Tuple[str, int]:
+        """The bound admin-plane (host, port)."""
+        if self._admin is None:
+            raise RuntimeError("admin plane not enabled")
+        return self._admin.address
+
+    def _ready(self) -> bool:
+        """Drain-aware readiness: serving and not shutting down."""
+        return self._server is not None and not self._stopping
+
+    def metrics_text(self) -> str:
+        """One ``/metrics`` scrape body: the process-global registry,
+        the service's windowed quantile families and the process's
+        CPU time and page faults."""
+        return (_render_registries([_REGISTRY])
+                + "".join(window.render_prometheus()
+                          for window in self._windows.values())
+                + render_process_counters())
+
+    def quantiles_snapshot(self) -> Dict[str, object]:
+        """The ``/quantiles`` JSON body."""
+        return {key: window.snapshot()
+                for key, window in self._windows.items()}
+
+    async def wait_stopped(self) -> None:
+        """Block until :meth:`stop` has completed."""
+        await self._stopped.wait()
+
+    async def stop(self) -> None:
+        """Graceful drain-then-shutdown.
+
+        Stops accepting, answers new requests with ``SHUTTING_DOWN``,
+        drains (bounded by ``drain_timeout``), closes connections and
+        waits for their handlers, and stops the admin plane last.
+        Idempotent.
+        """
+        if self._stopping:
+            await self._stopped.wait()
+            return
+        self._stopping = True
+        if self._server is not None:
+            self._server.close()
+            try:
+                async with deadline(self.config.drain_timeout):
+                    await self._server.wait_closed()
+            except asyncio.TimeoutError:  # pragma: no cover - defensive
+                pass
+        await self._drain()
+        for conn in list(self._conns):
+            await conn.close()
+        # A handler whose peer closed first has left _conns but may
+        # still be closing its transport; asyncio.run would cancel it.
+        if self._conn_tasks:
+            await asyncio.wait(self._conn_tasks, timeout=CLOSE_TIMEOUT_S)
+        if self._admin is not None:
+            # Last: /readyz has been answering 503 since _stopping
+            # flipped, and a scraper may want the final drain metrics.
+            await self._admin.stop()
+        self._stopped.set()
+
+    # ----------------------------------------------------- connections
+    async def _on_connection(self, stream: FrameStream) -> None:
+        task = asyncio.current_task()
+        if task is not None:
+            self._conn_tasks.add(task)
+            task.add_done_callback(self._conn_tasks.discard)
+        conn = self._open(stream)
+        self._conns.add(conn)
+        self._connections.inc()
+        self._open_connections.inc()
+        try:
+            await self._connection_loop(conn)
+        except (ConnectionError, asyncio.TimeoutError):
+            pass  # peer vanished or stalled; nothing to answer
+        finally:
+            self._conns.discard(conn)
+            self._open_connections.dec()
+            await conn.close()
+
+    async def _connection_loop(self, conn: ConnT) -> None:
+        timeout = self.config.io_timeout
+        while True:
+            try:
+                frame = await read_frame(conn.stream, timeout=timeout)
+            except FrameError as exc:
+                # A malformed frame answers with BAD_FRAME; only a
+                # desynchronized stream closes the connection.  The
+                # accept loop and every other connection live on.
+                await self._send(conn, Frame(op=Op.PING).error(
+                    Status.BAD_FRAME, str(exc)))
+                if exc.recoverable:
+                    continue
+                return
+            if frame is None:
+                # Clean EOF: the peer has half-closed.  Read no more,
+                # but answer what it sent before closing.
+                await conn.stream.wait_answered(timeout)
+                return
+            self._received(frame)
+            if frame.op is Op.SHUTDOWN:
+                # Answered inline, never dispatched: the server's
+                # stop() drains its queue, so queueing SHUTDOWN would
+                # wait on itself.
+                await self._send(conn, frame.response())
+                if self._stop_task is None:
+                    self._stop_task = (
+                        asyncio.get_running_loop()
+                        .create_task(self._on_shutdown())
+                    )
+                continue
+            if self._stopping:
+                await self._send(conn, frame.error(
+                    Status.SHUTTING_DOWN, "draining; no new requests"))
+                continue
+            await self._dispatch(conn, frame)
+
+    async def _send(self, conn: ConnT, reply: Frame) -> None:
+        """The one reply path: write ``reply``, then let the service
+        count it.  A peer that is gone or stalled gets nothing."""
+        try:
+            sent = await self._write(conn, reply)
+        except FrameError as exc:
+            # A response too large to frame (requests are checked up
+            # front, so this is defensive) must not escape into the
+            # worker loop: answer with a small error frame so the
+            # connection learns the request failed.
+            _LOG.warning("unframeable %s response dropped: %s",
+                         reply.op.name, exc)
+            sent = await self._write(conn, reply.error(
+                Status.INTERNAL, "response exceeded the frame limit"))
+        self._count(reply, sent)
+
+    async def _write(self, conn: ConnT,
+                     frame: Frame) -> Optional[Frame]:
+        """``frame`` once written; ``None`` when the peer is gone."""
+        try:
+            async with conn.write_lock:
+                await write_frame(conn.stream, frame,
+                                  timeout=self.config.io_timeout)
+        except (ConnectionError, asyncio.TimeoutError):
+            return None
+        return frame
+
+    # ------------------------------------------ what a service supplies
+    async def _begin(self) -> None:
+        """Start the service's own tasks, before the listener binds."""
+        raise NotImplementedError
+
+    def _open(self, stream: FrameStream) -> ConnT:
+        """The state of one accepted connection."""
+        raise NotImplementedError
+
+    async def _dispatch(self, conn: ConnT, frame: Frame) -> None:
+        """Take one admitted request frame."""
+        raise NotImplementedError
+
+    async def _drain(self) -> None:
+        """Finish the admitted requests (within ``drain_timeout``),
+        then end the service's own tasks."""
+        raise NotImplementedError
+
+    def _received(self, frame: Frame) -> None:
+        """Account one frame read (nothing by default)."""
+
+    def _count(self, reply: Frame, sent: Optional[Frame]) -> None:
+        """Account one reply and the frame that went out in its place
+        (``None`` if none did); nothing by default."""
+
+
+class _ServerConn(FrameConn):
+    """A server connection: its stream and its :class:`Session`."""
+
+    def __init__(self, stream: FrameStream, session: Session) -> None:
+        super().__init__(stream)
+        self.session = session
+
+    async def close(self) -> None:
+        self.session.close()
+        await super().close()
+
+
 @dataclass
 class _WorkItem:
     """One queued request with everything needed to answer it."""
 
     frame: Frame
     session: Session
-    stream: FrameStream
-    write_lock: asyncio.Lock
+    conn: _ServerConn
     #: When the item entered the queue — queue wait is dequeue minus
     #: this, surfaced as a ``serve.queue_wait`` span and a windowed
     #: quantile (the loadgen report prints its max).
@@ -211,35 +491,29 @@ class _WorkItem:
 Handler = Callable[[Session, Frame], Awaitable[Frame]]
 
 
-class CryptoServer:
-    """The asyncio TCP crypto service (see the module docstring)."""
+class CryptoServer(FrameServer[ServeConfig, _ServerConn]):
+    """The asyncio TCP crypto service (see the module docstring): the
+    frame loop of :class:`FrameServer`, whose SHUTDOWN frame stops
+    this server."""
+
+    _connections = _CONNECTIONS
+    _open_connections = _OPEN_CONNECTIONS
 
     def __init__(self,
                  config: Optional[ServeConfig] = None) -> None:
-        self.config = config or ServeConfig()
+        super().__init__(config or ServeConfig(), self.stop)
         self._queue: "asyncio.Queue[_WorkItem]" = asyncio.Queue(
             maxsize=self.config.queue_depth
         )
         self._session_ids = itertools.count(1)
         self._workers: List["asyncio.Task[None]"] = []
-        self._server: Optional[asyncio.base_events.Server] = None
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._writers: Set[FrameStream] = set()
-        self._conn_tasks: Set["asyncio.Task[None]"] = set()
-        # The event loop keeps only weak references to tasks, so the
-        # remotely-triggered stop() task is pinned here until done.
-        self._stop_task: Optional["asyncio.Task[None]"] = None
-        self._stopping = False
-        self._stopped = asyncio.Event()
         self._handlers: Dict[Op, Handler] = {
             Op.LOAD_KEY: self._op_load_key,
             Op.ENCRYPT: self._op_xcrypt,
             Op.DECRYPT: self._op_xcrypt,
             Op.PING: self._op_ping,
         }
-        # Per-server sliding windows (not the global registry: each
-        # server's admin plane scrapes its own traffic, and windows
-        # age out by wall clock rather than by registry reset).
         self.request_window = WindowedQuantileSet(
             "repro_serve_request_window_seconds",
             "Windowed request latency quantiles, by op and mode",
@@ -252,13 +526,12 @@ class CryptoServer:
             "Windowed queue-wait quantiles (enqueue to dequeue)",
             window_s=self.config.window_s,
         )
-        self._admin: Optional[AdminServer] = None
+        self._windows = {"request_seconds": self.request_window,
+                         "queue_wait_seconds": self.queue_wait_window}
 
-    # ------------------------------------------------------- lifecycle
-    async def start(self) -> None:
-        """Bind the listening socket and start the worker tasks."""
-        if self._server is not None:
-            raise RuntimeError("server already started")
+    # ------------------------------------------------ frame-loop hooks
+    async def _begin(self) -> None:
+        """Start the thread pool and the worker tasks."""
         # Twice the worker count: a timed-out job's thread cannot be
         # cancelled and runs to completion, so with a pool exactly the
         # worker count a burst of slow requests would leave abandoned
@@ -277,78 +550,34 @@ class CryptoServer:
             asyncio.get_running_loop().create_task(self._worker())
             for _ in range(max(1, self.config.workers))
         ]
-        self._server = await start_frame_server(
-            self._on_connection, self.config.host, self.config.port
-        )
-        if self.config.admin_port is not None:
-            self._admin = AdminServer(
-                self.config.host,
-                self.config.admin_port,
-                metrics_text=self.metrics_text,
-                quantiles=self.quantiles_snapshot,
-                ready=self._ready,
-            )
-            await self._admin.start()
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound (host, port) — useful with ``port=0``."""
-        if self._server is None:
-            raise RuntimeError("server not started")
-        sock = self._server.sockets[0]
-        host, port = sock.getsockname()[:2]
-        return host, port
+    def _open(self, stream: FrameStream) -> _ServerConn:
+        return _ServerConn(stream,
+                           Session(session_id=next(self._session_ids)))
 
-    @property
-    def admin_address(self) -> Tuple[str, int]:
-        """The bound admin-plane (host, port)."""
-        if self._admin is None:
-            raise RuntimeError("admin plane not enabled")
-        return self._admin.address
+    def _received(self, frame: Frame) -> None:
+        _BYTES_IN.inc(len(frame.payload))
 
-    def _ready(self) -> bool:
-        """Drain-aware readiness: serving and not shutting down."""
-        return self._server is not None and not self._stopping
-
-    # ------------------------------------------------------- exposition
-    def metrics_text(self) -> str:
-        """One ``/metrics`` scrape body: the process-global registry,
-        this server's windowed quantile families and the process's
-        CPU time and page faults."""
-        return (_render_registries([_REGISTRY])
-                + self.request_window.render_prometheus()
-                + self.queue_wait_window.render_prometheus()
-                + render_process_counters())
-
-    def quantiles_snapshot(self) -> Dict[str, object]:
-        """The ``/quantiles`` JSON body."""
-        return {
-            "request_seconds": self.request_window.snapshot(),
-            "queue_wait_seconds": self.queue_wait_window.snapshot(),
-        }
-
-    async def wait_stopped(self) -> None:
-        """Block until :meth:`stop` has completed."""
-        await self._stopped.wait()
-
-    async def stop(self) -> None:
-        """Graceful drain-then-shutdown.
-
-        Stops accepting, answers new requests with ``SHUTTING_DOWN``,
-        waits up to ``drain_timeout`` for queued requests to finish,
-        then tears down workers and connections.  Idempotent.
-        """
-        if self._stopping:
-            await self._stopped.wait()
+    async def _dispatch(self, conn: _ServerConn, frame: Frame) -> None:
+        """Queue one request for the workers; a full queue answers
+        ``OVERLOADED``."""
+        try:
+            self._queue.put_nowait(_WorkItem(frame, conn.session, conn))
+        except asyncio.QueueFull:
+            await self._send(conn, frame.error(Status.OVERLOADED,
+                                               "request queue is full"))
             return
-        self._stopping = True
-        if self._server is not None:
-            self._server.close()
-            try:
-                async with deadline(self.config.drain_timeout):
-                    await self._server.wait_closed()
-            except asyncio.TimeoutError:  # pragma: no cover - defensive
-                pass
+        conn.stream.owe()
+        _INFLIGHT.inc()
+        # A buffered frame is read without yielding, so yield once
+        # here: an idle worker then takes this item before the next
+        # frame is read, and queue_depth counts only work no worker
+        # has taken.
+        await asyncio.sleep(0)
+
+    async def _drain(self) -> None:
+        """Wait up to ``drain_timeout`` for the queued requests, then
+        stop the workers and the thread pool."""
         try:
             async with deadline(self.config.drain_timeout):
                 await self._queue.join()
@@ -358,125 +587,14 @@ class CryptoServer:
             worker.cancel()
         await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers = []
-        for writer in list(self._writers):
-            await close_writer(writer)
-        # A handler whose peer closed first has left _writers but may
-        # still be closing its transport; asyncio.run would cancel it.
-        if self._conn_tasks:
-            await asyncio.wait(self._conn_tasks, timeout=CLOSE_TIMEOUT_S)
         if self._executor is not None:
             self._executor.shutdown(wait=False)
-        if self._admin is not None:
-            # Last: /readyz has been answering 503 since _stopping
-            # flipped, and a scraper may want the final drain metrics.
-            await self._admin.stop()
-        self._stopped.set()
 
-    # ----------------------------------------------------- connections
-    async def _on_connection(self, stream: FrameStream) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        session = Session(session_id=next(self._session_ids))
-        write_lock = asyncio.Lock()
-        self._writers.add(stream)
-        _CONNECTIONS.inc()
-        _OPEN_CONNECTIONS.inc()
-        try:
-            await self._connection_loop(stream, session, write_lock)
-        except (ConnectionError, asyncio.TimeoutError):
-            pass  # peer vanished or stalled; nothing to answer
-        finally:
-            session.close()
-            self._writers.discard(stream)
-            _OPEN_CONNECTIONS.dec()
-            await close_writer(stream)
-
-    async def _connection_loop(self, stream: FrameStream,
-                               session: Session,
-                               write_lock: asyncio.Lock) -> None:
-        timeout = self.config.io_timeout
-        while True:
-            try:
-                frame = await read_frame(stream, timeout=timeout)
-            except FrameError as exc:
-                # A malformed frame answers with BAD_FRAME; only a
-                # desynchronized stream closes the connection.  The
-                # accept loop and every other connection live on.
-                reply = Frame(op=Op.PING).error(Status.BAD_FRAME,
-                                                str(exc))
-                await self._send(stream, write_lock, reply)
-                self._count(reply)
-                if exc.recoverable:
-                    continue
-                return
-            if frame is None:
-                # Clean EOF: the peer has half-closed.  Read no more,
-                # but answer what it sent before closing.
-                await stream.wait_answered(timeout)
-                return
-            _BYTES_IN.inc(len(frame.payload))
-            if frame.op is Op.SHUTDOWN:
-                # Handled inline (not queued): stop() drains the
-                # queue, so routing SHUTDOWN through it would wait on
-                # itself.
-                reply = frame.response()
-                await self._send(stream, write_lock, reply)
-                self._count(reply)
-                if self._stop_task is None:
-                    self._stop_task = (
-                        asyncio.get_running_loop()
-                        .create_task(self.stop())
-                    )
-                continue
-            if self._stopping:
-                reply = frame.error(Status.SHUTTING_DOWN,
-                                    "server is draining")
-                await self._send(stream, write_lock, reply)
-                self._count(reply)
-                continue
-            item = _WorkItem(frame, session, stream, write_lock)
-            try:
-                self._queue.put_nowait(item)
-            except asyncio.QueueFull:
-                reply = frame.error(Status.OVERLOADED,
-                                    "request queue is full")
-                await self._send(stream, write_lock, reply)
-                self._count(reply)
-                continue
-            stream.owe()
-            _INFLIGHT.inc()
-            # A buffered frame is read without yielding, so yield once
-            # here: an idle worker then takes this item before the
-            # next frame is read, and queue_depth counts only work no
-            # worker has taken.
-            await asyncio.sleep(0)
-
-    async def _send(self, writer: FrameStream,
-                    write_lock: asyncio.Lock, frame: Frame) -> None:
-        try:
-            async with write_lock:
-                await write_frame(writer, frame,
-                                  timeout=self.config.io_timeout)
-        except (ConnectionError, asyncio.TimeoutError):
-            return  # peer gone; the counters already recorded the op
-        except FrameError as exc:
-            # A response too large to frame (the handlers validate
-            # request sizes up front, so this is defensive) must not
-            # escape into the worker loop: answer with a small error
-            # frame so the connection learns the request failed.
-            _LOG.warning("unframeable %s response dropped: %s",
-                         frame.op.name, exc)
-            frame = frame.error(Status.INTERNAL,
-                                "response exceeded the frame limit")
-            try:
-                async with write_lock:
-                    await write_frame(writer, frame,
-                                      timeout=self.config.io_timeout)
-            except (ConnectionError, asyncio.TimeoutError):
-                return
-        _BYTES_OUT.inc(frame.wire_payload_bytes)
+    def _count(self, reply: Frame, sent: Optional[Frame]) -> None:
+        _REQUESTS.labels(op=reply.op.name.lower(),
+                         status=reply.status.name.lower()).inc()
+        if sent is not None:
+            _BYTES_OUT.inc(sent.wire_payload_bytes)
 
     # --------------------------------------------------------- workers
     async def _worker(self) -> None:
@@ -494,7 +612,7 @@ class CryptoServer:
                                item.frame.op.name)
             finally:
                 _INFLIGHT.dec()
-                item.stream.answered()
+                item.conn.stream.answered()
                 self._queue.task_done()
 
     async def _process(self, item: _WorkItem) -> None:
@@ -551,14 +669,9 @@ class CryptoServer:
             start - item.enqueued_at
         )
         send_start = time.perf_counter()
-        await self._send(item.stream, item.write_lock, reply)
+        await self._send(item.conn, reply)
         trace_record("serve.write", send_start, time.perf_counter(),
                      category="serve", **span_args)
-        self._count(reply)
-
-    def _count(self, reply: Frame) -> None:
-        _REQUESTS.labels(op=reply.op.name.lower(),
-                         status=reply.status.name.lower()).inc()
 
     # -------------------------------------------------------- handlers
     async def _op_load_key(self, session: Session,

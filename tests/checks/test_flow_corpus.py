@@ -97,13 +97,15 @@ def _findings(rule_id, mutate=None):
 
 
 class TestHistoricalBugInjection:
+    # The pin sits in FrameServer._connection_loop, the frame loop the
+    # server shares with the gateway.
     PIN = ("self._stop_task = (\n"
            "                        asyncio.get_running_loop()\n"
-           "                        .create_task(self.stop())\n"
+           "                        .create_task(self._on_shutdown())\n"
            "                    )")
     UNPINNED = ("(\n"
                 "                        asyncio.get_running_loop()\n"
-                "                        .create_task(self.stop())\n"
+                "                        .create_task(self._on_shutdown())\n"
                 "                    )")
 
     def test_shipped_tree_is_clean(self):

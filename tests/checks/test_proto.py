@@ -101,6 +101,13 @@ class TestExtraction:
         for function, expected in EXPECTED_RECOVERABLE.items():
             assert by_function[function] == {expected}, function
 
+    def test_frame_loop_shared_with_the_gateway(self, model):
+        # The loop, its reply path and the stop task live in the base
+        # class the gateway derives from, so the model's client side
+        # is the gateway's too.
+        assert model.server.loop_owner == "FrameServer"
+        assert model.loop_runners == ("CryptoServer", "Gateway")
+
     def test_server_shape(self, model):
         server = model.server
         assert server.replies_on_frame_error
@@ -222,6 +229,8 @@ class TestReport:
         text = report.render()
         assert "b'RJ'" in text
         assert ">2sBBBBIQ (18 bytes)" in text
+        assert ("frame loop      : FrameServer._connection_loop, run by "
+                "CryptoServer, Gateway") in text
         assert "violations: none" in text
 
     def test_render_lists_violations(self):

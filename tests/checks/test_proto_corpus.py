@@ -14,7 +14,7 @@ import pytest
 
 from repro.checks.crypto_lint import SourceFile
 from repro.checks.engine import KIND_PROTO, CheckConfig, run_rules
-from repro.checks.proto import ProtoSubject, analyze
+from repro.checks.proto import ProtoSubject, analyze, run_proto
 from repro.checks.runner import find_repo_root
 
 ROOT = find_repo_root(Path(__file__))
@@ -33,14 +33,16 @@ GCM_CAP_CHECK = "    if len(plaintext) > GCM_MAX_PLAINTEXT_BYTES:"
 SEND_FALLBACK = "\n        except FrameError as exc:"
 WORKER_SHIELD = "\n            except Exception:"
 
-# Historical bug B: the SHUTDOWN stop() task pin (weak-ref GC hazard).
+# Historical bug B: the SHUTDOWN stop() task pin (weak-ref GC hazard),
+# now in FrameServer._connection_loop, the loop the server shares
+# with the gateway.
 STOP_TASK_PIN = """                if self._stop_task is None:
                     self._stop_task = (
                         asyncio.get_running_loop()
-                        .create_task(self.stop())
+                        .create_task(self._on_shutdown())
                     )"""
 STOP_TASK_UNPINNED = """                asyncio.get_running_loop() \\
-                    .create_task(self.stop())"""
+                    .create_task(self._on_shutdown())"""
 
 # Synthetic bug C: a Status member nobody emits or dispatches.
 STATUS_TAIL = "    INTERNAL = 8"
@@ -56,6 +58,23 @@ BAD_MAGIC_RAISE = \
 RECOVERABLE_BRANCH = """                if exc.recoverable:
                     continue
                 return"""
+
+# Synthetic bug F: the server hands the shared frame loop an
+# on_shutdown that is not its stop, so SHUTDOWN answers OK and never
+# drains.
+SERVER_ON_SHUTDOWN = "super().__init__(config or ServeConfig(), self.stop)"
+
+# Synthetic bug G: the gateway grows its own copy of the frame loop,
+# which the model (anchored on the shared loop) would not describe.
+GATEWAY_BODY = "    _open_connections = _G_OPEN\n"
+GATEWAY_OWN_LOOP = GATEWAY_BODY + """
+    async def _connection_loop(self, conn: _GatewayConn) -> None:
+        while True:
+            frame = await read_frame(conn.stream)
+            if frame is None:
+                return
+            await self._dispatch(conn, frame)
+"""
 
 
 def _sources(mutate=None):
@@ -170,6 +189,29 @@ class TestSyntheticBugs:
         assert any("desynchronized" in f.message for f in desync)
 
 
+class TestFrameLoopAnchor:
+    def test_on_shutdown_not_the_servers_stop(self):
+        findings = _findings(_mutate_file(
+            "server.py", SERVER_ON_SHUTDOWN,
+            "super().__init__(config or ServeConfig(), "
+            "self.wait_stopped)"))
+        assert _rules(findings) == {"proto.unreachable-state"}
+        messages = " | ".join(f.message for f in findings)
+        assert "never schedules stop()" in messages
+
+    def test_gateway_with_its_own_loop_is_an_extraction_problem(self):
+        sources = _sources(_mutate_file(
+            "gateway.py", GATEWAY_BODY, GATEWAY_OWN_LOOP))
+        model = analyze(sources).model
+        assert any("Gateway defines its own _connection_loop" in problem
+                   for problem in model.problems), model.problems
+        assert model.loop_runners == ("CryptoServer",)
+        report = run_proto(str(ROOT), sources=sources)
+        assert not report.ok
+        assert "frame loop      : FrameServer._connection_loop, run " \
+               "by CryptoServer\n" in report.render()
+
+
 class TestWitnessTraces:
     def test_trace_names_the_adversarial_step(self):
         findings = _findings(_mutate_file(
@@ -191,6 +233,8 @@ class TestCorpusPins:
         ("server.py", WORKER_SHIELD),
         ("server.py", STOP_TASK_PIN),
         ("server.py", RECOVERABLE_BRANCH),
+        ("server.py", SERVER_ON_SHUTDOWN),
+        ("gateway.py", GATEWAY_BODY),
         ("protocol.py", STATUS_TAIL),
         ("protocol.py", BAD_MAGIC_RAISE),
     ])

@@ -105,8 +105,8 @@ class TestRetryPolicy:
                     dropped.append(True)
                     # Killing the transport before the reply leaves
                     # forces the client onto a fresh connection.
-                    for writer in list(server._writers):
-                        writer.close()
+                    for conn in list(server._conns):
+                        conn.stream.close()
                     return frame.error(Status.INTERNAL, "dropped")
                 return await original(session, frame)
 

@@ -4,8 +4,11 @@ drain semantics and backend loss.
 The ring tests are pure; the end-to-end tests put real in-process
 :class:`CryptoServer` backends behind one :class:`Gateway` on
 loopback, each scenario owning its own event loop via ``asyncio.run``
-(the same discipline as ``test_server.py``).  The multi-*process*
-topology lives in ``test_cluster.py``.
+(the same discipline as ``test_server.py``).  The frame loop the
+gateway shares with the server (malformed frames, slow peers,
+SHUTDOWN, draining, stop) is tested against both services in
+``test_server.py``; the multi-*process* topology lives in
+``test_cluster.py``.
 """
 
 import asyncio
@@ -32,7 +35,7 @@ from repro.serve.gateway import (
 )
 from repro.serve.protocol import Frame, Mode, Op, Status, \
     read_frame, write_frame
-from repro.serve.server import CryptoServer, ServeConfig
+from repro.serve.server import CryptoServer, FrameServer, ServeConfig
 
 _SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -393,59 +396,35 @@ class TestGatewayLifecycle:
 
         asyncio.run(scenario())
 
-    def test_shutdown_frame_drains_via_callback(self):
-        """A SHUTDOWN frame at the gateway answers OK and fires the
-        cluster-stop callback exactly once."""
-
-        async def scenario():
-            calls = []
-            stopped = asyncio.Event()
-
-            async def on_shutdown():
-                calls.append(1)
-                stopped.set()
-
-            backend = await _backend()
-            gateway = Gateway(GatewayConfig(port=0),
-                              on_shutdown=on_shutdown)
-            await gateway.start()
-            bhost, bport = backend.address
-            gateway.add_backend(BackendSpec(
-                shard="worker-0", host=bhost, port=bport))
-            host, port = gateway.address
-            try:
-                async with CryptoClient(host, port,
-                                        retry=_FAST) as client:
-                    reply = await client.shutdown()
-                    assert reply.status is Status.OK
-                    await asyncio.wait_for(stopped.wait(), 5.0)
-                    reply = await client.shutdown()
-                    assert reply.status is Status.OK
-                await asyncio.sleep(0.05)
-                assert calls == [1]
-            finally:
-                await gateway.stop()
-                await backend.stop()
-
-        asyncio.run(scenario())
-
     def test_stop_waits_for_handlers_already_closing(self):
         """As for the server: a handler whose peer closed just before
-        stop() is still in its ``finally``; stop() waits for it."""
+        stop() is still in its ``finally``; stop() waits for it.  The
+        gateway runs the server's handler,
+        ``FrameServer._on_connection``."""
+        qualname = FrameServer._on_connection.__qualname__
+
+        def handlers():
+            return [task for task in asyncio.all_tasks()
+                    if task.get_coro().__qualname__ == qualname]
 
         async def scenario():
             gateway = Gateway(GatewayConfig(port=0))
             await gateway.start()
             host, port = gateway.address
             _, writer = await asyncio.open_connection(host, port)
+            for _ in range(500):
+                if handlers():
+                    break
+                await asyncio.sleep(0.01)
+            running = len(handlers())
             writer.close()
             await asyncio.sleep(0)
             await gateway.stop()
-            return [task for task in asyncio.all_tasks()
-                    if task.get_coro().__qualname__
-                    == "Gateway._on_connection"]
+            return running, handlers()
 
-        assert asyncio.run(scenario()) == []
+        running, left = asyncio.run(scenario())
+        assert running == 1  # the gateway's handler was running
+        assert left == []
 
     def test_session_load_through_gateway(self):
         """The loadgen's keyed sessions against in-process backends:

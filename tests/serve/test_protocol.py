@@ -108,6 +108,21 @@ class TestRejection:
         with pytest.raises(FrameError):
             encode_frame(frame)
 
+    @pytest.mark.parametrize("excess", [1, TRACE_EXT_BYTES])
+    def test_over_cap_v1_payload_recoverable(self, excess):
+        # A v1 frame fits MAX_FRAME_BYTES with up to TRACE_EXT_BYTES
+        # payload bytes past the cap; the decoder refuses them, and
+        # the frame was whole, so the stream stays aligned.
+        size = MAX_PAYLOAD_BYTES + excess
+        head = encode_frame(Frame(op=Op.PING))
+        wire = (HEADER_BYTES + size).to_bytes(4, "big") + head[4:] \
+            + bytes(size)
+        assert len(wire) - 4 <= MAX_FRAME_BYTES
+        with pytest.raises(FrameError) as exc_info:
+            decode_frame(wire)
+        assert exc_info.value.recoverable
+        assert f"payload of {size} bytes" in str(exc_info.value)
+
     def test_truncated_frame_unrecoverable(self):
         wire = encode_frame(Frame(op=Op.PING, payload=b"abcdef"))
         with pytest.raises(FrameError) as exc_info:

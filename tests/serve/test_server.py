@@ -2,10 +2,14 @@
 
 Everything runs in-process on a loopback socket with an OS-assigned
 port; each scenario owns its own event loop via ``asyncio.run`` so no
-state leaks between tests.
+state leaks between tests.  The tests of the frame loop itself
+(malformed frames, slow peers, SHUTDOWN, draining, stop) run against
+both services that share it: the server direct, and the gateway in
+front of one.
 """
 
 import asyncio
+import contextlib
 import random
 import threading
 
@@ -16,6 +20,9 @@ from repro.obs.metrics import global_registry
 from repro.serve import server as server_module
 from repro.serve.client import CryptoClient, RetryPolicy, run_load
 from repro.serve.protocol import (
+    CTR_NONCE_BYTES,
+    HEADER_BYTES,
+    MAX_FRAME_BYTES,
     MAX_PAYLOAD_BYTES,
     Frame,
     Mode,
@@ -28,9 +35,19 @@ from repro.serve.protocol import (
 from repro.serve.server import (
     GCM_MAX_PLAINTEXT_BYTES,
     CryptoServer,
+    FrameServer,
     ServeConfig,
     Session,
 )
+from tests.serve.test_gateway import _FAST, _gateway
+
+#: The open-connection gauge of the service under test, by
+#: ``through_gateway``.
+_OPEN_GAUGES = {False: "repro_serve_open_connections",
+                True: "repro_gateway_open_connections"}
+
+both_services = pytest.mark.parametrize(
+    "through_gateway", [False, True], ids=["direct", "gateway"])
 
 
 def _counter_total(name: str, **labels) -> float:
@@ -49,6 +66,26 @@ async def _started(config: ServeConfig = None) -> CryptoServer:
     server = CryptoServer(config or ServeConfig(port=0))
     await server.start()
     return server
+
+
+@contextlib.asynccontextmanager
+async def _serving(through_gateway: bool, **config):
+    """The frame loop under test: a started server, or a gateway in
+    front of one.  ``config`` fields go to that service."""
+    if not through_gateway:
+        server = await _started(ServeConfig(port=0, **config))
+        try:
+            yield server
+        finally:
+            await server.stop()
+        return
+    backend = await _started()
+    gateway = await _gateway([backend], **config)
+    try:
+        yield gateway
+    finally:
+        await gateway.stop()
+        await backend.stop()
 
 
 class TestEndToEnd:
@@ -222,34 +259,103 @@ class TestEndToEnd:
 
         asyncio.run(scenario())
 
-    def test_malformed_frame_answered_connection_survives(self):
+    @both_services
+    def test_malformed_frame_answered_connection_survives(
+            self, through_gateway):
         async def scenario():
-            server = await _started()
-            host, port = server.address
-            reader, writer = await asyncio.open_connection(host, port)
-            try:
-                # A well-delimited frame with bad magic: BAD_FRAME
-                # response, and the stream stays usable.
-                wire = bytearray(encode_frame(Frame(op=Op.PING)))
-                wire[4:6] = b"XX"
-                writer.write(bytes(wire))
-                await writer.drain()
-                reply = await read_frame(reader, timeout=5.0)
-                assert reply.status is Status.BAD_FRAME
-                # The same connection still answers a good frame.
-                await write_frame(
-                    writer, Frame(op=Op.PING, request_id=3,
-                                  payload=b"ok"),
-                    timeout=5.0,
-                )
-                reply = await read_frame(reader, timeout=5.0)
-                assert reply.status is Status.OK
-                assert reply.payload == b"ok"
-            finally:
-                writer.close()
-                await server.stop()
+            async with _serving(through_gateway) as service:
+                reader, writer = await asyncio.open_connection(
+                    *service.address)
+                try:
+                    # A well-delimited frame with bad magic: BAD_FRAME
+                    # response, and the stream stays usable.
+                    wire = bytearray(encode_frame(Frame(op=Op.PING)))
+                    wire[4:6] = b"XX"
+                    writer.write(bytes(wire))
+                    await writer.drain()
+                    reply = await read_frame(reader, timeout=5.0)
+                    assert reply.status is Status.BAD_FRAME
+                    # The same connection still answers a good frame.
+                    await write_frame(
+                        writer, Frame(op=Op.PING, request_id=3,
+                                      payload=b"ok"),
+                        timeout=5.0,
+                    )
+                    reply = await read_frame(reader, timeout=5.0)
+                    assert reply.status is Status.OK
+                    assert reply.payload == b"ok"
+                finally:
+                    writer.close()
 
         asyncio.run(scenario())
+
+    @both_services
+    def test_oversized_length_prefix_answered_then_closed(
+            self, through_gateway):
+        """A length prefix past ``MAX_FRAME_BYTES`` desynchronizes the
+        stream: the service answers ``BAD_FRAME``, then closes."""
+
+        async def scenario():
+            async with _serving(through_gateway) as service:
+                reader, writer = await asyncio.open_connection(
+                    *service.address)
+                try:
+                    writer.write((MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
+                    await writer.drain()
+                    reply = await read_frame(reader, timeout=5.0)
+                    async with asyncio.timeout(5.0):
+                        tail = await reader.read()
+                finally:
+                    writer.close()
+            return reply, tail
+
+        reply, tail = asyncio.run(scenario())
+        assert reply.status is Status.BAD_FRAME
+        assert b"length prefix" in reply.payload
+        assert tail == b""  # EOF, and nothing after the reply
+
+    @both_services
+    @pytest.mark.parametrize("excess", [1, 16])
+    def test_over_cap_v1_payload_answered_key_survives(
+            self, through_gateway, excess):
+        """A version-1 frame fits ``MAX_FRAME_BYTES`` with up to 16
+        payload bytes past ``MAX_PAYLOAD_BYTES`` (the room a traced
+        frame's context takes).  Such a PING is answered ``BAD_FRAME``
+        before any handler runs, and the key the connection loaded
+        still encrypts: no ``INTERNAL`` direct, and through the
+        gateway no lost upstream (``OVERLOADED``, then ``NO_KEY``)."""
+        key = bytes(range(16))
+        nonce, data = bytes(CTR_NONCE_BYTES), bytes(range(256)) * 4
+        load_key = encode_frame(Frame(op=Op.LOAD_KEY, request_id=1,
+                                      payload=key))
+        size = MAX_PAYLOAD_BYTES + excess
+        head = encode_frame(Frame(op=Op.PING, request_id=2))
+        over_cap = ((HEADER_BYTES + size).to_bytes(4, "big")
+                    + head[4:] + bytes(size))
+        encrypt = encode_frame(Frame(op=Op.ENCRYPT, mode=Mode.CTR,
+                                     request_id=3, payload=nonce + data))
+
+        async def scenario():
+            async with _serving(through_gateway) as service:
+                reader, writer = await asyncio.open_connection(
+                    *service.address)
+                try:
+                    replies = []
+                    for wire in (load_key, over_cap, encrypt):
+                        writer.write(wire)
+                        await writer.drain()
+                        replies.append(await read_frame(reader,
+                                                        timeout=10.0))
+                finally:
+                    writer.close()
+            return replies
+
+        loaded, refused, encrypted = asyncio.run(scenario())
+        assert loaded.status is Status.OK
+        assert refused.status is Status.BAD_FRAME, refused.payload
+        assert b"exceeds" in refused.payload
+        assert (encrypted.request_id, encrypted.status) == (3, Status.OK)
+        assert encrypted.payload == modes.ctr_xcrypt(key, nonce, data)
 
     def test_slow_handler_trips_timeout_connection_survives(self):
         async def scenario():
@@ -370,20 +476,24 @@ class TestEndToEnd:
 
         asyncio.run(scenario())
 
-    def test_slow_loris_peer_closed_after_io_timeout(self):
+    @both_services
+    def test_slow_loris_peer_closed_after_io_timeout(self,
+                                                     through_gateway):
         """A peer that sends a 4-byte length prefix and 3 header
         bytes, then stalls, is cut off by the header read's
         ``io_timeout`` (0.2 s): it reads EOF after ~0.2 s with no
-        reply bytes, ``repro_serve_open_connections`` drops back by
-        one, and a connection opened afterwards is served."""
+        reply bytes, the service's open-connection gauge
+        (``repro_serve_open_connections`` or
+        ``repro_gateway_open_connections``) drops back by one, and a
+        connection opened afterwards is served."""
 
         async def scenario():
-            server = await _started(ServeConfig(port=0, io_timeout=0.2))
-            host, port = server.address
-            gauge = global_registry().get("repro_serve_open_connections")
-            before = gauge.value
+            gauge = global_registry().get(_OPEN_GAUGES[through_gateway])
             loop = asyncio.get_running_loop()
-            try:
+            async with _serving(through_gateway,
+                                io_timeout=0.2) as service:
+                host, port = service.address
+                before = gauge.value
                 reader, writer = await asyncio.open_connection(host, port)
                 try:
                     wire = encode_frame(Frame(op=Op.PING, request_id=1))
@@ -408,8 +518,6 @@ class TestEndToEnd:
                     reply = await client.ping(b"after")
                     assert (reply.status, reply.payload) == (
                         Status.OK, b"after")
-            finally:
-                await server.stop()
 
         asyncio.run(scenario())
 
@@ -449,41 +557,69 @@ class TestEndToEnd:
 
     def test_stop_waits_for_handlers_already_closing(self):
         """A peer that closes just before stop() leaves its handler
-        in its ``finally``, out of the tracked writers; stop() must
-        still wait for it, or asyncio.run cancels it at teardown."""
+        (``FrameServer._on_connection``) in its ``finally``, out of
+        the tracked connections; stop() must still wait for it, or
+        asyncio.run cancels it at teardown.  The gateway's copy of
+        this test is in ``test_gateway.py``."""
+        qualname = FrameServer._on_connection.__qualname__
+
+        def handlers():
+            return [task for task in asyncio.all_tasks()
+                    if task.get_coro().__qualname__ == qualname]
 
         async def scenario():
             server = await _started()
-            host, port = server.address
-            _, writer = await asyncio.open_connection(host, port)
+            _, writer = await asyncio.open_connection(*server.address)
+            for _ in range(500):
+                if handlers():
+                    break
+                await asyncio.sleep(0.01)
+            running = len(handlers())
             writer.close()
             await asyncio.sleep(0)
             await server.stop()
-            return [task for task in asyncio.all_tasks()
-                    if task.get_coro().__qualname__
-                    == "CryptoServer._on_connection"]
+            return running, handlers()
 
-        assert asyncio.run(scenario()) == []
+        running, left = asyncio.run(scenario())
+        assert running == 1  # the server's handler was running
+        assert left == []
 
-    def test_shutdown_frame_stops_server(self):
+    @both_services
+    def test_shutdown_frame_stops_server(self, through_gateway):
+        """Two SHUTDOWN frames are both answered OK, but only the first
+        starts a stop: the task that runs the service's
+        ``on_shutdown`` (its own stop here; the cluster hands the
+        gateway its own).  The service then stops, and its listener
+        refuses new connections."""
+
         async def scenario():
-            server = await _started()
-            host, port = server.address
-            async with CryptoClient(host, port) as client:
-                reply = await client.shutdown()
-                assert reply.status is Status.OK
-            await asyncio.wait_for(server.wait_stopped(), 10.0)
-            # The remotely-triggered stop task is strongly referenced
-            # (the loop keeps only weak refs to tasks, so an
-            # anonymous one could be collected mid-shutdown).
-            assert server._stop_task is not None
-            assert server._stop_task.done()
-            # New requests while stopping answer SHUTTING_DOWN or the
-            # listener is already closed.
-            with pytest.raises((ConnectionError, OSError)):
-                await asyncio.open_connection(host, port)
+            async with _serving(through_gateway) as service:
+                calls, release = [], asyncio.Event()
+                stop = service._on_shutdown
 
-        asyncio.run(scenario())
+                async def on_shutdown():
+                    calls.append(1)
+                    await release.wait()  # until both are answered
+                    await stop()
+
+                service._on_shutdown = on_shutdown
+                host, port = service.address
+                async with CryptoClient(host, port,
+                                        retry=_FAST) as client:
+                    replies = [await client.shutdown() for _ in range(2)]
+                release.set()
+                await asyncio.wait_for(service.wait_stopped(), 10.0)
+                # The remotely-triggered stop task is strongly
+                # referenced (the loop keeps only weak refs to tasks,
+                # so an anonymous one could be collected mid-shutdown).
+                assert service._stop_task.done()
+                with pytest.raises((ConnectionError, OSError)):
+                    await asyncio.open_connection(host, port)
+            return [reply.status for reply in replies], calls
+
+        statuses, calls = asyncio.run(scenario())
+        assert statuses == [Status.OK, Status.OK]
+        assert calls == [1]
 
     def test_worker_task_exception_storm_server_survives(self):
         """Seed-bug regression (PR 5): a burst of handler exceptions
@@ -540,22 +676,24 @@ class TestEndToEnd:
 
         asyncio.run(scenario())
 
-    def test_requests_during_drain_answer_shutting_down(self):
+    @both_services
+    def test_requests_during_drain_answer_shutting_down(
+            self, through_gateway):
         async def scenario():
-            server = await _started(ServeConfig(port=0))
-            host, port = server.address
-            reader, writer = await asyncio.open_connection(host, port)
-            server._stopping = True  # simulate an in-progress drain
-            try:
-                await write_frame(writer,
-                                  Frame(op=Op.PING, request_id=1),
-                                  timeout=5.0)
-                reply = await read_frame(reader, timeout=5.0)
-                assert reply.status is Status.SHUTTING_DOWN
-            finally:
-                writer.close()
-                server._stopping = False
-                await server.stop()
+            async with _serving(through_gateway) as service:
+                reader, writer = await asyncio.open_connection(
+                    *service.address)
+                service._stopping = True  # simulate an in-progress drain
+                try:
+                    await write_frame(writer,
+                                      Frame(op=Op.PING, request_id=1),
+                                      timeout=5.0)
+                    reply = await read_frame(reader, timeout=5.0)
+                    assert reply.status is Status.SHUTTING_DOWN
+                    assert reply.request_id == 1
+                finally:
+                    writer.close()
+                    service._stopping = False
 
         asyncio.run(scenario())
 
