@@ -92,28 +92,24 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
         raise SystemExit("error: --key must be 16, 24 or 32 bytes")
     data = _hex_bytes(args.data, 16, "--data")
 
-    if len(key) == 16:
-        from repro.ip.testbench import Testbench
+    from repro.ip.testbench import Testbench
 
+    if len(key) == 16:
         variant = Variant.DECRYPT if args.decrypt else Variant.ENCRYPT
         bench = Testbench(variant)
-        setup = bench.load_key(key)
-        if args.decrypt:
-            result, latency = bench.decrypt(data)
-        else:
-            result, latency = bench.encrypt(data)
         core = "on-the-fly AES-128 core"
     else:
         # Wider keys run on the precomputed-schedule core (the
         # on-the-fly reverse walk is AES-128-only).
-        from repro.ip.core import DIR_DECRYPT, DIR_ENCRYPT
         from repro.ip.precomputed import PrecomputedTestbench
 
         bench = PrecomputedTestbench(len(key) * 8)
-        setup = bench.load_key(key)
-        direction = DIR_DECRYPT if args.decrypt else DIR_ENCRYPT
-        result, latency = bench.process_block(data, direction)
         core = f"precomputed-schedule AES-{len(key) * 8} core"
+    setup = bench.load_key(key)
+    if args.decrypt:
+        result, latency = bench.decrypt(data)
+    else:
+        result, latency = bench.encrypt(data)
     print(f"device   : {core}")
     print(f"key setup: {setup} cycle(s)")
     print(f"result   : {result.hex()}")
@@ -694,7 +690,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encrypt",
                        help="run a block through the cycle-accurate IP")
-    p.add_argument("--key", required=True, help="16-byte key, hex")
+    p.add_argument("--key", required=True,
+                   help="16-, 24- or 32-byte key, hex")
     p.add_argument("--data", required=True, help="16-byte block, hex")
     p.add_argument("--decrypt", action="store_true")
     p.set_defaults(fn=cmd_encrypt)

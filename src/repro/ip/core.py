@@ -33,6 +33,11 @@ streaming period  result edge → next result edge             50
 With ``sync_rom=True`` (the future-work variant for devices whose
 block RAM cannot read asynchronously, e.g. Cyclone M4K) the ROM reads
 are pipelined and the round takes 6 cycles: latency 60, setup 50.
+
+The pins, the Data_In and Out processes and the bus accounting are
+:class:`BusCore`, which the ablation cores of
+:mod:`repro.ip.precomputed` and :mod:`repro.ip.multikey` share: a core
+supplies only its engine behind the one interface.
 """
 
 from __future__ import annotations
@@ -66,21 +71,27 @@ DIR_DECRYPT = 1
 
 # ``top`` encodings -> HwCounters phase names; any other value is idle.
 _PHASE_NAMES = {_KEY_SETUP: "key_setup", _RUN: "run"}
+_PHASES = {_IDLE: Phase.IDLE, _KEY_SETUP: Phase.KEY_SETUP, _RUN: Phase.RUN}
 
 
-class RijndaelCore:
-    """The paper's AES-128 device on the RTL simulation kernel."""
+class BusCore:
+    """The registered bus interface every cycle-accurate core shares.
 
-    def __init__(
-        self,
-        simulator: Simulator,
-        variant: Variant = Variant.BOTH,
-        sync_rom: bool = False,
-        name: str = "aes",
-    ):
+    The pins of Table 1, the Data_In process (a capture register plus
+    a one-deep pending buffer), the Out process (the result register
+    behind ``dout``), the ``top``/``round``/``step``/``direction``
+    control registers and the bus accounting.  A core supplies the
+    engine behind them: the methods below that raise
+    ``NotImplementedError``, and ``key_bits`` when its key takes more
+    than one 128-bit ``wr_key`` beat.
+    """
+
+    key_bits = 128
+
+    def __init__(self, simulator: Simulator, variant: Variant,
+                 name: str):
         self.simulator = simulator
         self.variant = variant
-        self.sync_rom = sync_rom
         self.name = name
 
         # ------------------------------------------------------ input pins
@@ -109,24 +120,6 @@ class RijndaelCore:
         self.round = ctl(f"{name}_round", 4, reset=1)
         self.step = ctl(f"{name}_step", 3)
         self.direction = ctl(f"{name}_direction", 1)
-        self.key_ready = ctl(f"{name}_key_ready", 1,
-                             reset=0 if variant.needs_setup_pass else 1)
-        self.ks_round = ctl(f"{name}_ks_round", 4, reset=1)
-        self.ks_word = ctl(f"{name}_ks_word", 3)
-
-        # ----------------------------------------------------------- units
-        self.keyunit = KeyScheduleUnit(f"{name}_ksu", sync_rom=sync_rom)
-        simulator.adopt(self.keyunit.registers)
-        self.sbox_f: Optional[SubWordUnit] = None
-        self.sbox_i: Optional[SubWordUnit] = None
-        if variant.can_encrypt:
-            self.sbox_f = SubWordUnit(f"{name}_sbox_f", inverse=False,
-                                      sync_rom=sync_rom)
-            simulator.adopt(self.sbox_f.registers)
-        if variant.can_decrypt:
-            self.sbox_i = SubWordUnit(f"{name}_sbox_i", inverse=True,
-                                      sync_rom=sync_rom)
-            simulator.adopt(self.sbox_i.registers)
 
         # ----------------------------------------------- observability only
         #: Cycle-accurate hardware perf counters (not hardware state):
@@ -156,8 +149,7 @@ class RijndaelCore:
     @property
     def phase(self) -> Phase:
         """Top-level FSM state as an enum."""
-        return {_IDLE: Phase.IDLE, _KEY_SETUP: Phase.KEY_SETUP,
-                _RUN: Phase.RUN}[self.top.value]
+        return _PHASES[self.top.value]
 
     @property
     def busy(self) -> bool:
@@ -171,26 +163,8 @@ class RijndaelCore:
 
     @property
     def latency_cycles(self) -> int:
-        """Data-capture-to-result latency of this build (50 or 60)."""
-        return block_latency(self.sync_rom)
-
-    @property
-    def rom_bits(self) -> int:
-        """ROM bits in the *functional* model.
-
-        Note: the paper's BOTH device is the encrypt and decrypt
-        designs combined, each keeping its own KStran bank, so Table 2
-        reports 32768 bits; the functional model shares one KStran
-        bank (24576 bits here).  The area model in
-        :mod:`repro.fpga.aes_netlists` counts the paper's duplicated
-        structure.
-        """
-        bits = self.keyunit.rom_bits
-        if self.sbox_f is not None:
-            bits += self.sbox_f.rom_bits
-        if self.sbox_i is not None:
-            bits += self.sbox_i.rom_bits
-        return bits
+        """Data-capture-to-result latency of this build."""
+        raise NotImplementedError
 
     def out_words(self) -> Word4:
         """The Out register contents as 4 words."""
@@ -223,27 +197,15 @@ class RijndaelCore:
             self.protocol_errors += 1
             self.counters.protocol_error()
             return
-        words = int_to_words(self.din.value)
-        self.keyunit.load_key(words)
-        if self.variant.needs_setup_pass:
-            self.keyunit.load_work(words)
-            self.key_ready.next = 0
-            self.ks_round.next = 1
-            self.ks_word.next = 0
-            self.top.next = _KEY_SETUP
-        # Encrypt-only devices are ready the moment the key latches.
+        self._load_key_beat(int_to_words(self.din.value))
+
+    def _load_key_beat(self, words: Word4) -> None:
+        """Latch one ``wr_key`` beat."""
+        raise NotImplementedError
 
     def _service_engine(self) -> bool:
-        """Advance KEY_SETUP or RUN; returns True if idle after this edge."""
-        top = self.top.value
-        if self.wr_key.value and self.setup.value:
-            # A key load (handled above) preempts whatever was running.
-            return False
-        if top == _KEY_SETUP:
-            return self._tick_key_setup()
-        if top == _RUN:
-            return self._tick_run()
-        return True
+        """Advance the engine; returns True if idle after this edge."""
+        raise NotImplementedError
 
     def _service_data_port(self, idle_after: bool) -> None:
         """The Data_In process: capture, buffer, and block starts."""
@@ -300,9 +262,8 @@ class RijndaelCore:
         return self.encdec.value
 
     def _can_start(self, direction: int) -> bool:
-        if direction == DIR_ENCRYPT:
-            return self.variant.can_encrypt
-        return self.variant.can_decrypt and bool(self.key_ready.value)
+        """Whether a block of ``direction`` may enter the engine now."""
+        raise NotImplementedError
 
     def _buffer(self, item: Tuple[Word4, int]) -> None:
         words, direction = item
@@ -312,6 +273,135 @@ class RijndaelCore:
         self.buf_valid.next = 1
 
     def _start_block(self, words: Word4, direction: int) -> None:
+        """The capture edge: the block enters the engine."""
+        self.counters.block_start(
+            self.simulator.cycle,
+            "encrypt" if direction == DIR_ENCRYPT else "decrypt",
+        )
+        self._load_block(words, direction)
+        self.direction.next = direction
+        self.step.next = 0
+        self.top.next = _RUN
+
+    def _load_block(self, words: Word4, direction: int) -> None:
+        """Load the state, the round counter and the first round key."""
+        raise NotImplementedError
+
+    def _active_direction(self) -> int:
+        """The direction driving the datapath muxes.
+
+        Single-direction devices have the direction hardwired — there
+        is no mux for a flipped direction bit to steer, which matters
+        for fault-injection fidelity.
+        """
+        if self.variant is Variant.ENCRYPT:
+            return DIR_ENCRYPT
+        if self.variant is Variant.DECRYPT:
+            return DIR_DECRYPT
+        return self.direction.value
+
+    def _finish(self, result: Word4) -> bool:
+        for reg, word in zip(self.out, result):
+            reg.next = word
+        self.data_ok.next = 1
+        self.top.next = _IDLE
+        self.blocks_processed += 1
+        self.counters.block_end(self.simulator.cycle)
+        return True
+
+    # ------------------------------------------------------- combinational
+    def _drive_outputs(self) -> None:
+        words = self.out_words()
+        if words != self._dout_words:
+            self._dout_words = words
+            self.dout.value = words_to_int(words)
+
+
+class RijndaelCore(BusCore):
+    """The paper's AES-128 device on the RTL simulation kernel."""
+
+    def __init__(
+        self,
+        simulator: Simulator,
+        variant: Variant = Variant.BOTH,
+        sync_rom: bool = False,
+        name: str = "aes",
+    ):
+        super().__init__(simulator, variant, name)
+        self.sync_rom = sync_rom
+        ctl = self._control_reg
+        self.key_ready = ctl(f"{name}_key_ready", 1,
+                             reset=0 if variant.needs_setup_pass else 1)
+        self.ks_round = ctl(f"{name}_ks_round", 4, reset=1)
+        self.ks_word = ctl(f"{name}_ks_word", 3)
+
+        # ----------------------------------------------------------- units
+        self.keyunit = KeyScheduleUnit(f"{name}_ksu", sync_rom=sync_rom)
+        simulator.adopt(self.keyunit.registers)
+        self.sbox_f: Optional[SubWordUnit] = None
+        self.sbox_i: Optional[SubWordUnit] = None
+        if variant.can_encrypt:
+            self.sbox_f = SubWordUnit(f"{name}_sbox_f", inverse=False,
+                                      sync_rom=sync_rom)
+            simulator.adopt(self.sbox_f.registers)
+        if variant.can_decrypt:
+            self.sbox_i = SubWordUnit(f"{name}_sbox_i", inverse=True,
+                                      sync_rom=sync_rom)
+            simulator.adopt(self.sbox_i.registers)
+
+    # ------------------------------------------------------------- queries
+    @property
+    def latency_cycles(self) -> int:
+        """Data-capture-to-result latency of this build (50 or 60)."""
+        return block_latency(self.sync_rom)
+
+    @property
+    def rom_bits(self) -> int:
+        """ROM bits in the *functional* model.
+
+        Note: the paper's BOTH device is the encrypt and decrypt
+        designs combined, each keeping its own KStran bank, so Table 2
+        reports 32768 bits; the functional model shares one KStran
+        bank (24576 bits here).  The area model in
+        :mod:`repro.fpga.aes_netlists` counts the paper's duplicated
+        structure.
+        """
+        bits = self.keyunit.rom_bits
+        if self.sbox_f is not None:
+            bits += self.sbox_f.rom_bits
+        if self.sbox_i is not None:
+            bits += self.sbox_i.rom_bits
+        return bits
+
+    # ------------------------------------------------------- clocked logic
+    def _load_key_beat(self, words: Word4) -> None:
+        self.keyunit.load_key(words)
+        if self.variant.needs_setup_pass:
+            self.keyunit.load_work(words)
+            self.key_ready.next = 0
+            self.ks_round.next = 1
+            self.ks_word.next = 0
+            self.top.next = _KEY_SETUP
+        # Encrypt-only devices are ready the moment the key latches.
+
+    def _service_engine(self) -> bool:
+        """Advance KEY_SETUP or RUN; returns True if idle after this edge."""
+        top = self.top.value
+        if self.wr_key.value and self.setup.value:
+            # A key load (handled above) preempts whatever was running.
+            return False
+        if top == _KEY_SETUP:
+            return self._tick_key_setup()
+        if top == _RUN:
+            return self._tick_run()
+        return True
+
+    def _can_start(self, direction: int) -> bool:
+        if direction == DIR_ENCRYPT:
+            return self.variant.can_encrypt
+        return self.variant.can_decrypt and bool(self.key_ready.value)
+
+    def _load_block(self, words: Word4, direction: int) -> None:
         """Load the state and point the key unit at the right end.
 
         Encryption folds the initial Add Key into the load edge (state
@@ -319,10 +409,6 @@ class RijndaelCore:
         Add Key into the output edge — this is how 10 rounds x 5
         cycles covers the 11 Add Keys without extra cycles.
         """
-        self.counters.block_start(
-            self.simulator.cycle,
-            "encrypt" if direction == DIR_ENCRYPT else "decrypt",
-        )
         if direction == DIR_ENCRYPT:
             key0 = self.keyunit.key0_words()
             for reg, word, key in zip(self.state, words, key0):
@@ -334,9 +420,6 @@ class RijndaelCore:
                 reg.next = word
             self.keyunit.load_work(self.keyunit.key_last_words())
             self.round.next = NUM_ROUNDS
-        self.direction.next = direction
-        self.step.next = 0
-        self.top.next = _RUN
 
     # ---------------------------------------------------- key setup pass
     def _tick_key_setup(self) -> bool:
@@ -390,19 +473,6 @@ class RijndaelCore:
         return True
 
     # -------------------------------------------------------- cipher round
-    def _active_direction(self) -> int:
-        """The direction driving the datapath muxes.
-
-        Single-direction devices have the direction hardwired — there
-        is no mux for a flipped direction bit to steer, which matters
-        for fault-injection fidelity.
-        """
-        if self.variant is Variant.ENCRYPT:
-            return DIR_ENCRYPT
-        if self.variant is Variant.DECRYPT:
-            return DIR_DECRYPT
-        return self.direction.value
-
     def _tick_run(self) -> bool:
         if self._active_direction() == DIR_ENCRYPT:
             if self.sync_rom:
@@ -415,15 +485,6 @@ class RijndaelCore:
     def _state_words(self) -> Word4:
         s0, s1, s2, s3 = self.state
         return (s0.value, s1.value, s2.value, s3.value)
-
-    def _finish(self, result: Word4) -> bool:
-        for reg, word in zip(self.out, result):
-            reg.next = word
-        self.data_ok.next = 1
-        self.top.next = _IDLE
-        self.blocks_processed += 1
-        self.counters.block_end(self.simulator.cycle)
-        return True
 
     # encrypt, asynchronous ROM: steps 0..3 ByteSub words, step 4 mix stage
     def _tick_encrypt_async(self) -> bool:
@@ -607,10 +668,3 @@ class RijndaelCore:
             substituted,
         )
         return self._finish(add_key_128(full, self.keyunit.key0_words()))
-
-    # ------------------------------------------------------- combinational
-    def _drive_outputs(self) -> None:
-        words = self.out_words()
-        if words != self._dout_words:
-            self._dout_words = words
-            self.dout.value = words_to_int(words)

@@ -38,6 +38,23 @@ def rot_word_hw(word: int) -> int:
     return ((word << 8) | (word >> 24)) & _MASK32
 
 
+def schedule_word(sbox: SubWordUnit, i: int, nk: int, previous: int,
+                  back: int) -> int:
+    """FIPS-197 §5.2 expansion word w[i] from w[i-1] and w[i-Nk].
+
+    RotWord, SubWord and Rcon when ``i mod Nk == 0``; SubWord alone
+    when ``Nk == 8`` and ``i mod Nk == 4``; the result XORed with
+    w[i-Nk].  SubWord reads the caller's KStran S-boxes ``sbox``.
+    """
+    if i % nk == 0:
+        temp = sbox.lookup(rot_word_hw(previous)) ^ (RCON[i // nk] << 24)
+    elif nk == 8 and i % nk == 4:
+        temp = sbox.lookup(previous)
+    else:
+        temp = previous
+    return back ^ temp
+
+
 def _words(regs: List[Register]) -> Word4:
     """The values of a 4-word register bank."""
     r0, r1, r2, r3 = regs

@@ -31,47 +31,33 @@ second beat) and AES-256.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.aes.constants import RCON
-from repro.ip.datapath import encrypt_mix_stage, int_to_words, \
-    words_to_int
-from repro.ip.keysched_unit import rot_word_hw
+from repro.ip.control import Variant
+from repro.ip.core import _RUN, BusCore
+from repro.ip.datapath import encrypt_mix_stage
+from repro.ip.keysched_unit import schedule_word
 from repro.ip.sbox_unit import SubWordUnit
-from repro.rtl.signal import Signal
+from repro.ip.testbench import Testbench
 from repro.rtl.simulator import Simulator
 
-_IDLE = 0
-_RUN = 2
 
-
-class MultiKeyEncryptCore:
+class MultiKeyEncryptCore(BusCore):
     """Encrypt-only AES-128/192/256 device (mixed 32/128 datapath)."""
 
     def __init__(self, simulator: Simulator, key_bits: int = 128,
                  name: str = "mk"):
         if key_bits not in (128, 192, 256):
             raise ValueError("key_bits must be 128, 192 or 256")
-        self.simulator = simulator
+        # An encrypt device: ``encdec``, ``buf_dir`` and ``direction``
+        # always read 0.
+        super().__init__(simulator, Variant.ENCRYPT, name)
         self.key_bits = key_bits
         self.nk = key_bits // 32
         self.rounds = self.nk + 6
         self.total_words = 4 * (self.rounds + 1)
-        self.name = name
-
-        # Pins (Table 1 shape; enc/dec absent on an encrypt device).
-        self.setup = Signal(f"{name}_setup", 1)
-        self.wr_data = Signal(f"{name}_wr_data", 1)
-        self.wr_key = Signal(f"{name}_wr_key", 1)
-        self.din = Signal(f"{name}_din", 128)
-        self.dout = Signal(f"{name}_dout", 128)
-        self.data_ok = simulator.register(f"{name}_data_ok", 1)
 
         reg = simulator.register
-        self.state = [reg(f"{name}_state_{i}", 32) for i in range(4)]
-        self.out = [reg(f"{name}_out_{i}", 32) for i in range(4)]
-        self.buf = [reg(f"{name}_buf_{i}", 32) for i in range(4)]
-        self.buf_valid = reg(f"{name}_buf_valid", 1)
         # Raw key latch: Nk words, filled over 1-2 wr_key beats.
         self.key = [reg(f"{name}_key_{i}", 32) for i in range(self.nk)]
         self.key_beat = reg(f"{name}_key_beat", 1)
@@ -80,28 +66,11 @@ class MultiKeyEncryptCore:
             reg(f"{name}_win_{i}", 32) for i in range(self.nk)
         ]
         self.sched_pos = reg(f"{name}_sched_pos", 6)  # the index i
-        self.top = reg(f"{name}_top", 2, reset=_IDLE)
-        self.round = reg(f"{name}_round", 4, reset=1)
-        self.step = reg(f"{name}_step", 3)
 
         self.sbox_f = SubWordUnit(f"{name}_sbox_f")
         self.kstran_sbox = SubWordUnit(f"{name}_kstran")
 
-        self.blocks_processed = 0
-        self.bus_overruns = 0
-
-        simulator.add_clocked(self._tick)
-        simulator.add_comb(self._drive_outputs)
-
     # ------------------------------------------------------------- queries
-    @property
-    def busy(self) -> bool:
-        return self.top.value != _IDLE
-
-    @property
-    def can_accept(self) -> bool:
-        return not self.buf_valid.value
-
     @property
     def latency_cycles(self) -> int:
         return self.rounds * 5
@@ -111,22 +80,8 @@ class MultiKeyEncryptCore:
         """Same memory as the AES-128 device: Nk never adds S-boxes."""
         return self.sbox_f.rom_bits + self.kstran_sbox.rom_bits
 
-    def out_block(self) -> bytes:
-        return b"".join(
-            r.value.to_bytes(4, "big") for r in self.out
-        )
-
     # ------------------------------------------------------- clocked logic
-    def _tick(self) -> None:
-        self.data_ok.next = 0
-        self._service_key_port()
-        idle_after = self._service_engine()
-        self._service_data_port(idle_after)
-
-    def _service_key_port(self) -> None:
-        if not (self.wr_key.value and self.setup.value):
-            return
-        words = int_to_words(self.din.value)
+    def _load_key_beat(self, words) -> None:
         if self.nk == 4:
             for regi, word in zip(self.key, words):
                 regi.next = word
@@ -145,31 +100,10 @@ class MultiKeyEncryptCore:
             return True
         return self._tick_round()
 
-    def _service_data_port(self, idle_after: bool) -> None:
-        wr = self.wr_data.value and not self.setup.value
-        if idle_after:
-            if self.buf_valid.value:
-                self._start_block(
-                    tuple(r.value for r in self.buf)
-                )
-                self.buf_valid.next = 0
-                if wr:
-                    self._buffer(int_to_words(self.din.value))
-            elif wr:
-                self._start_block(int_to_words(self.din.value))
-            return
-        if wr:
-            if self.buf_valid.value:
-                self.bus_overruns += 1
-            else:
-                self._buffer(int_to_words(self.din.value))
+    def _can_start(self, direction: int) -> bool:
+        return True
 
-    def _buffer(self, words: Tuple[int, int, int, int]) -> None:
-        for regi, word in zip(self.buf, words):
-            regi.next = word
-        self.buf_valid.next = 1
-
-    def _start_block(self, words: Tuple[int, int, int, int]) -> None:
+    def _load_block(self, words, direction: int) -> None:
         key_words = [r.value for r in self.key]
         # Initial Add Key folds into the load edge (w0..w3).
         for regi, word, kw in zip(self.state, words, key_words[0:4]):
@@ -179,8 +113,6 @@ class MultiKeyEncryptCore:
             regi.next = word
         self.sched_pos.next = self.nk
         self.round.next = 1
-        self.step.next = 0
-        self.top.next = _RUN
 
     # -------------------------------------------------------- round engine
     def _next_schedule_word(self) -> Optional[int]:
@@ -188,17 +120,9 @@ class MultiKeyEncryptCore:
         i = self.sched_pos.value
         if i >= self.total_words:
             return None
-        newest = self.window[self.nk - 1].value
-        oldest = self.window[0].value
-        if i % self.nk == 0:
-            temp = self.kstran_sbox.lookup(rot_word_hw(newest)) ^ (
-                RCON[i // self.nk] << 24
-            )
-        elif self.nk == 8 and i % self.nk == 4:
-            temp = self.kstran_sbox.lookup(newest)
-        else:
-            temp = newest
-        return oldest ^ temp
+        return schedule_word(self.kstran_sbox, i, self.nk,
+                             self.window[self.nk - 1].value,
+                             self.window[0].value)
 
     def _shift_window(self, new_word: int) -> None:
         for index in range(self.nk - 1):
@@ -237,101 +161,17 @@ class MultiKeyEncryptCore:
             last_round=(r == self.rounds),
         )
         if r == self.rounds:
-            for regi, word in zip(self.out, result):
-                regi.next = word
-            self.data_ok.next = 1
-            self.top.next = _IDLE
-            self.blocks_processed += 1
-            return True
+            return self._finish(result)
         for regi, word in zip(self.state, result):
             regi.next = word
         self.round.next = r + 1
         self.step.next = 0
         return False
 
-    def _drive_outputs(self) -> None:
-        self.dout.value = words_to_int(
-            tuple(r.value for r in self.out)
-        )
 
-
-class MultiKeyTestbench:
-    """Protocol driver for the multi-key-size encrypt core."""
-
-    __test__ = False
+class MultiKeyTestbench(Testbench):
+    """The :class:`~repro.ip.testbench.Testbench` protocol on the
+    multi-key-size encrypt core."""
 
     def __init__(self, key_bits: int = 128):
-        self.simulator = Simulator()
-        self.core = MultiKeyEncryptCore(self.simulator, key_bits)
-        self._idle()
-
-    def _idle(self) -> None:
-        core = self.core
-        core.setup.value = 0
-        core.wr_data.value = 0
-        core.wr_key.value = 0
-        core.din.value = 0
-
-    def load_key(self, key: bytes) -> int:
-        key = bytes(key)
-        if len(key) * 8 != self.core.key_bits:
-            raise ValueError(
-                f"expected a {self.core.key_bits}-bit key, "
-                f"got {len(key)} bytes"
-            )
-        beats = -(-len(key) // 16)
-        consumed = 0
-        for beat in range(beats):
-            chunk = key[16 * beat:16 * (beat + 1)]
-            chunk = chunk + bytes(16 - len(chunk))  # top-aligned pad
-            self.core.setup.value = 1
-            self.core.wr_key.value = 1
-            self.core.din.value = int.from_bytes(chunk, "big")
-            self.simulator.step()
-            self._idle()
-            consumed += 1
-        return consumed
-
-    def encrypt(self, block: bytes) -> Tuple[bytes, int]:
-        block = bytes(block)
-        if len(block) != 16:
-            raise ValueError("blocks are 16 bytes")
-        core = self.core
-        core.wr_data.value = 1
-        core.din.value = int.from_bytes(block, "big")
-        self.simulator.step()
-        self._idle()
-        start = self.simulator.cycle
-        self.simulator.run_until(
-            lambda: core.data_ok.value == 1,
-            max_cycles=4 * core.latency_cycles,
-        )
-        return core.out_block(), self.simulator.cycle - start
-
-    def stream(self, blocks: List[bytes]) -> Tuple[List[bytes],
-                                                   List[int]]:
-        results: List[bytes] = []
-        stamps: List[int] = []
-        pending = list(blocks)
-        if not pending:
-            return results, stamps
-        first = pending.pop(0)
-        self.core.wr_data.value = 1
-        self.core.din.value = int.from_bytes(first, "big")
-        self.simulator.step()
-        self._idle()
-        budget = (len(blocks) + 2) * 4 * self.core.latency_cycles
-        while len(results) < len(blocks) and budget:
-            if pending and self.core.can_accept:
-                self.core.wr_data.value = 1
-                self.core.din.value = int.from_bytes(pending.pop(0),
-                                                     "big")
-                self.simulator.step()
-                self._idle()
-            else:
-                self.simulator.step()
-            if self.core.data_ok.value == 1:
-                results.append(self.core.out_block())
-                stamps.append(self.simulator.cycle)
-            budget -= 1
-        return results, stamps
+        self._build(MultiKeyEncryptCore, key_bits=key_bits)

@@ -22,56 +22,33 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.aes.constants import RCON
 from repro.ip.control import Variant
-from repro.ip.core import DIR_DECRYPT, DIR_ENCRYPT
+from repro.ip.core import _IDLE, _KEY_SETUP, _RUN, DIR_ENCRYPT, BusCore
 from repro.ip.datapath import (
     add_key_128,
     decrypt_mix_stage,
     encrypt_mix_stage,
-    int_to_words,
-    words_to_int,
 )
-from repro.ip.keysched_unit import rot_word_hw
+from repro.ip.keysched_unit import schedule_word
 from repro.ip.sbox_unit import SubWordUnit
-from repro.rtl.signal import Signal
+from repro.ip.testbench import Testbench
 from repro.rtl.simulator import Simulator
 
-_IDLE = 0
-_EXPAND = 1
-_RUN = 2
 
-
-class PrecomputedKeyCore:
+class PrecomputedKeyCore(BusCore):
     """AES-128/192/256 encrypt/decrypt core with a round-key store."""
 
     def __init__(self, simulator: Simulator, key_bits: int = 128,
                  variant: Variant = Variant.BOTH, name: str = "pk"):
         if key_bits not in (128, 192, 256):
             raise ValueError("key_bits must be 128, 192 or 256")
-        self.simulator = simulator
+        super().__init__(simulator, variant, name)
         self.key_bits = key_bits
-        self.variant = variant
         self.nk = key_bits // 32
         self.rounds = self.nk + 6
         self.total_words = 4 * (self.rounds + 1)
-        self.name = name
-
-        # Pins.
-        self.setup = Signal(f"{name}_setup", 1)
-        self.wr_data = Signal(f"{name}_wr_data", 1)
-        self.wr_key = Signal(f"{name}_wr_key", 1)
-        self.din = Signal(f"{name}_din", 128)
-        self.encdec = Signal(f"{name}_encdec", 1)
-        self.dout = Signal(f"{name}_dout", 128)
-        self.data_ok = simulator.register(f"{name}_data_ok", 1)
 
         reg = simulator.register
-        self.state = [reg(f"{name}_state_{i}", 32) for i in range(4)]
-        self.out = [reg(f"{name}_out_{i}", 32) for i in range(4)]
-        self.buf = [reg(f"{name}_buf_{i}", 32) for i in range(4)]
-        self.buf_valid = reg(f"{name}_buf_valid", 1)
-        self.buf_dir = reg(f"{name}_buf_dir", 1)
         self.key_beat = reg(f"{name}_key_beat", 1)
         # The round-key store: total_words registers standing in for
         # four RAM banks (word j in bank j mod 4).
@@ -81,10 +58,6 @@ class PrecomputedKeyCore:
         ]
         self.expand_pos = reg(f"{name}_expand_pos", 6)
         self.key_ready = reg(f"{name}_key_ready", 1)
-        self.top = reg(f"{name}_top", 2, reset=_IDLE)
-        self.round = reg(f"{name}_round", 4, reset=1)
-        self.step = reg(f"{name}_step", 3)
-        self.direction = reg(f"{name}_direction", 1)
 
         self.sbox_f: Optional[SubWordUnit] = (
             SubWordUnit(f"{name}_sbox_f")
@@ -97,21 +70,7 @@ class PrecomputedKeyCore:
         # The expansion shares KStran-style S-boxes.
         self.kstran_sbox = SubWordUnit(f"{name}_kstran")
 
-        self.blocks_processed = 0
-        self.bus_overruns = 0
-
-        simulator.add_clocked(self._tick)
-        simulator.add_comb(self._drive_outputs)
-
     # ------------------------------------------------------------- queries
-    @property
-    def busy(self) -> bool:
-        return self.top.value != _IDLE
-
-    @property
-    def can_accept(self) -> bool:
-        return not self.buf_valid.value
-
     @property
     def latency_cycles(self) -> int:
         return self.rounds * 5
@@ -126,20 +85,8 @@ class PrecomputedKeyCore:
         """Round-key storage this design pays for."""
         return self.total_words * 32
 
-    def out_block(self) -> bytes:
-        return b"".join(r.value.to_bytes(4, "big") for r in self.out)
-
     # ------------------------------------------------------- clocked logic
-    def _tick(self) -> None:
-        self.data_ok.next = 0
-        self._service_key_port()
-        idle_after = self._service_engine()
-        self._service_data_port(idle_after)
-
-    def _service_key_port(self) -> None:
-        if not (self.wr_key.value and self.setup.value):
-            return
-        words = int_to_words(self.din.value)
+    def _load_key_beat(self, words) -> None:
         if self.nk == 4 or self.key_beat.value == 0:
             for index, word in enumerate(words[:min(4, self.nk)]):
                 self.keyram[index].next = word
@@ -156,13 +103,13 @@ class PrecomputedKeyCore:
     def _begin_expansion(self) -> None:
         self.expand_pos.next = self.nk
         self.key_ready.next = 0
-        self.top.next = _EXPAND
+        self.top.next = _KEY_SETUP
 
     def _service_engine(self) -> bool:
         if self.wr_key.value and self.setup.value:
             return False
         top = self.top.value
-        if top == _EXPAND:
+        if top == _KEY_SETUP:
             return self._tick_expand()
         if top == _RUN:
             return self._tick_round()
@@ -170,16 +117,10 @@ class PrecomputedKeyCore:
 
     def _tick_expand(self) -> bool:
         i = self.expand_pos.value
-        previous = self.keyram[i - 1].value
-        if i % self.nk == 0:
-            temp = self.kstran_sbox.lookup(rot_word_hw(previous)) ^ (
-                RCON[i // self.nk] << 24
-            )
-        elif self.nk == 8 and i % self.nk == 4:
-            temp = self.kstran_sbox.lookup(previous)
-        else:
-            temp = previous
-        self.keyram[i].next = self.keyram[i - self.nk].value ^ temp
+        self.keyram[i].next = schedule_word(
+            self.kstran_sbox, i, self.nk, self.keyram[i - 1].value,
+            self.keyram[i - self.nk].value,
+        )
         if i + 1 < self.total_words:
             self.expand_pos.next = i + 1
             return False
@@ -188,56 +129,14 @@ class PrecomputedKeyCore:
         return True
 
     # --------------------------------------------------------- data port
-    def _pin_direction(self) -> int:
-        if self.variant is Variant.ENCRYPT:
-            return DIR_ENCRYPT
-        if self.variant is Variant.DECRYPT:
-            return DIR_DECRYPT
-        return self.encdec.value
-
-    def _service_data_port(self, idle_after: bool) -> None:
-        wr = self.wr_data.value and not self.setup.value
-        direct = None
-        if wr:
-            direct = (int_to_words(self.din.value),
-                      self._pin_direction())
-        if idle_after:
-            if self.buf_valid.value:
-                if self.key_ready.value:
-                    self._start_block(
-                        tuple(r.value for r in self.buf),
-                        self.buf_dir.value,
-                    )
-                    self.buf_valid.next = 0
-                    if direct is not None:
-                        self._buffer(*direct)
-                    return
-                if direct is not None:
-                    self.bus_overruns += 1
-                return
-            if direct is not None:
-                if self.key_ready.value:
-                    self._start_block(*direct)
-                else:
-                    self._buffer(*direct)
-            return
-        if direct is not None:
-            if self.buf_valid.value:
-                self.bus_overruns += 1
-            else:
-                self._buffer(*direct)
-
-    def _buffer(self, words, direction: int) -> None:
-        for regi, word in zip(self.buf, words):
-            regi.next = word
-        self.buf_dir.next = direction
-        self.buf_valid.next = 1
+    def _can_start(self, direction: int) -> bool:
+        return bool(self.key_ready.value)
 
     def _round_key(self, rnd: int) -> Tuple[int, int, int, int]:
         base = 4 * rnd
         return tuple(self.keyram[base + j].value for j in range(4))
 
-    def _start_block(self, words, direction: int) -> None:
+    def _load_block(self, words, direction: int) -> None:
         if direction == DIR_ENCRYPT:
             key0 = self._round_key(0)
             for regi, word, kw in zip(self.state, words, key0):
@@ -247,30 +146,12 @@ class PrecomputedKeyCore:
             for regi, word in zip(self.state, words):
                 regi.next = word
             self.round.next = self.rounds
-        self.direction.next = direction
-        self.step.next = 0
-        self.top.next = _RUN
 
     # -------------------------------------------------------- round engine
-    def _active_direction(self) -> int:
-        if self.variant is Variant.ENCRYPT:
-            return DIR_ENCRYPT
-        if self.variant is Variant.DECRYPT:
-            return DIR_DECRYPT
-        return self.direction.value
-
     def _tick_round(self) -> bool:
         if self._active_direction() == DIR_ENCRYPT:
             return self._tick_encrypt()
         return self._tick_decrypt()
-
-    def _finish(self, result) -> bool:
-        for regi, word in zip(self.out, result):
-            regi.next = word
-        self.data_ok.next = 1
-        self.top.next = _IDLE
-        self.blocks_processed += 1
-        return True
 
     def _tick_encrypt(self) -> bool:
         s, r = self.step.value, self.round.value
@@ -326,77 +207,12 @@ class PrecomputedKeyCore:
         )
         return self._finish(add_key_128(full, self._round_key(0)))
 
-    def _drive_outputs(self) -> None:
-        self.dout.value = words_to_int(
-            tuple(r.value for r in self.out)
-        )
 
-
-class PrecomputedTestbench:
-    """Protocol driver for the precomputed-key core."""
-
-    __test__ = False
+class PrecomputedTestbench(Testbench):
+    """The :class:`~repro.ip.testbench.Testbench` protocol on the
+    precomputed-key core."""
 
     def __init__(self, key_bits: int = 128,
                  variant: Variant = Variant.BOTH):
-        self.simulator = Simulator()
-        self.core = PrecomputedKeyCore(self.simulator, key_bits,
-                                       variant)
-        self._idle()
-
-    def _idle(self) -> None:
-        core = self.core
-        core.setup.value = 0
-        core.wr_data.value = 0
-        core.wr_key.value = 0
-        core.din.value = 0
-        core.encdec.value = 0
-
-    def load_key(self, key: bytes, wait: bool = True) -> int:
-        key = bytes(key)
-        if len(key) * 8 != self.core.key_bits:
-            raise ValueError(
-                f"expected a {self.core.key_bits}-bit key"
-            )
-        consumed = 0
-        beats = -(-len(key) // 16)
-        for beat in range(beats):
-            chunk = key[16 * beat:16 * (beat + 1)]
-            chunk = chunk + bytes(16 - len(chunk))
-            self.core.setup.value = 1
-            self.core.wr_key.value = 1
-            self.core.din.value = int.from_bytes(chunk, "big")
-            self.simulator.step()
-            self._idle()
-            consumed += 1
-        if wait:
-            consumed += self.simulator.run_until(
-                lambda: not self.core.busy,
-                max_cycles=self.core.expansion_cycles + 4,
-            )
-        return consumed
-
-    def process_block(self, block: bytes,
-                      direction: int = DIR_ENCRYPT
-                      ) -> Tuple[bytes, int]:
-        block = bytes(block)
-        if len(block) != 16:
-            raise ValueError("blocks are 16 bytes")
-        core = self.core
-        core.wr_data.value = 1
-        core.din.value = int.from_bytes(block, "big")
-        core.encdec.value = direction
-        self.simulator.step()
-        self._idle()
-        start = self.simulator.cycle
-        self.simulator.run_until(
-            lambda: core.data_ok.value == 1,
-            max_cycles=4 * core.latency_cycles,
-        )
-        return core.out_block(), self.simulator.cycle - start
-
-    def encrypt(self, block: bytes) -> Tuple[bytes, int]:
-        return self.process_block(block, DIR_ENCRYPT)
-
-    def decrypt(self, block: bytes) -> Tuple[bytes, int]:
-        return self.process_block(block, DIR_DECRYPT)
+        self._build(PrecomputedKeyCore, key_bits=key_bits,
+                    variant=variant)

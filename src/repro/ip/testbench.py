@@ -3,8 +3,9 @@
 Drives the pin protocol the way a host system would:
 
 - :meth:`Testbench.load_key` — raise ``setup``, pulse ``wr_key`` with
-  the key on ``din``, then wait out the key-setup pass (decrypt-capable
-  variants derive the last round key during this window);
+  the key on ``din`` (one top-aligned 16-byte beat per 128 key bits),
+  then wait out the key-setup phase (decrypt-capable variants derive
+  the last round key during this window);
 - :meth:`Testbench.process_block` — pulse ``wr_data`` with a block on
   ``din`` and collect the result at the ``data_ok`` strobe, returning
   the output block and the measured capture-to-result latency;
@@ -13,14 +14,18 @@ Drives the pin protocol the way a host system would:
   current one is processing, so the steady-state period equals the
   block latency exactly (zero bus gap) — the property that makes
   throughput = 128 bits / latency in the paper's Table 2.
+
+The protocol is the same for every :class:`~repro.ip.core.BusCore`;
+the ablation benches of :mod:`repro.ip.precomputed` and
+:mod:`repro.ip.multikey` differ only in the core they build.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.ip.control import Variant, key_setup_cycles
-from repro.ip.core import DIR_DECRYPT, DIR_ENCRYPT, RijndaelCore
+from repro.ip.control import Phase, Variant
+from repro.ip.core import DIR_DECRYPT, DIR_ENCRYPT, BusCore, RijndaelCore
 from repro.rtl.simulator import Simulator
 
 
@@ -32,16 +37,18 @@ class Testbench:
 
     def __init__(self, variant: Variant = Variant.BOTH,
                  sync_rom: bool = False, hardened: bool = False):
-        self.simulator = Simulator()
+        core_class: Callable[..., BusCore] = RijndaelCore
         if hardened:
             from repro.ip.hardened import HardenedRijndaelCore
 
-            self.core = HardenedRijndaelCore(
-                self.simulator, variant=variant, sync_rom=sync_rom
-            )
-        else:
-            self.core = RijndaelCore(self.simulator, variant=variant,
-                                     sync_rom=sync_rom)
+            core_class = HardenedRijndaelCore
+        self._build(core_class, variant=variant, sync_rom=sync_rom)
+
+    def _build(self, core_class: Callable[..., BusCore],
+               **options: Any) -> None:
+        """Build the core on a fresh simulator and idle its pins."""
+        self.simulator = Simulator()
+        self.core = core_class(self.simulator, **options)
         self._idle_pins()
 
     # ------------------------------------------------------------ plumbing
@@ -64,24 +71,35 @@ class Testbench:
     def load_key(self, key: bytes, wait: bool = True) -> int:
         """Drive the configuration period: latch a key via ``wr_key``.
 
-        Returns the number of cycles consumed.  With ``wait=True``
-        (default) the bench holds until the core is ready again —
-        i.e. it absorbs the 40-cycle setup pass on decrypt-capable
-        variants (50 on sync-ROM builds).
+        A key takes one ``wr_key`` beat per 128 bits, a short last beat
+        top-aligned on ``din``.  Returns the number of cycles consumed.
+        With ``wait=True`` (default) the bench then holds until the
+        core leaves its key-setup phase — the 40-cycle setup pass on
+        decrypt-capable variants (50 on sync-ROM builds), the
+        precomputed core's expansion; other cores are ready at once.
         """
         core = self.core
-        core.setup.value = 1
-        core.wr_key.value = 1
-        core.din.value = self._block_to_int(key)
-        self.simulator.step()  # the wr_key edge
-        self._idle_pins()
-        consumed = 1
-        if wait and core.variant.needs_setup_pass:
-            expected = key_setup_cycles(core.sync_rom)
-            self.simulator.run_until(
-                lambda: not core.busy, max_cycles=expected + 4
+        key = bytes(key)
+        if len(key) * 8 != core.key_bits:
+            raise ValueError(
+                f"expected a {core.key_bits}-bit key, "
+                f"got {len(key)} bytes"
             )
-            consumed = 1 + expected
+        consumed = 0
+        for offset in range(0, len(key), 16):
+            core.setup.value = 1
+            core.wr_key.value = 1
+            core.din.value = self._block_to_int(
+                key[offset:offset + 16].ljust(16, b"\0")
+            )
+            self.simulator.step()  # the wr_key edge
+            self._idle_pins()
+            consumed += 1
+        if wait:
+            consumed += self.simulator.run_until(
+                lambda: core.phase is not Phase.KEY_SETUP,
+                max_cycles=4 * core.latency_cycles,
+            )
         return consumed
 
     def write_block(self, block: bytes,

@@ -19,11 +19,10 @@ this backend.  No new Python dependencies — ctypes only.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import ctypes.util
 import threading
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.aes.vectors import (
     FIPS197_APPENDIX_C1,
@@ -147,28 +146,25 @@ class _Lib:
         else:
             self.version = "OpenSSL (version symbol unavailable)"
 
-    @contextlib.contextmanager
-    def _context(self, mode: str, key: bytes, iv: bytes = b"",
-                 encrypt: bool = True) -> Iterator[int]:
-        """An AES-128 ``mode`` context keyed for one call, freed on
-        exit.  GCM declares its IV length before the key and IV go
-        in."""
+    def _new_context(self) -> int:
+        """A fresh cipher context for one call; the caller frees it."""
         ctx = self.new()
         if not ctx:
             raise RuntimeError("EVP_CIPHER_CTX_new failed")
-        try:
-            _ok(self.init(ctx, self.ciphers[mode](), None, None, None,
-                          int(encrypt)),
-                "EVP_CipherInit_ex")
-            if mode == "gcm":
-                _ok(self.ctrl(ctx, _GCM_SET_IVLEN, len(iv), None),
-                    "EVP_CTRL_GCM_SET_IVLEN")
-            _ok(self.init(ctx, None, None, key, iv or None,
-                          int(encrypt)),
-                "EVP_CipherInit_ex")
-            yield ctx
-        finally:
-            self.free(ctx)
+        return ctx
+
+    def _key(self, ctx: int, mode: str, key: bytes, iv: bytes = b"",
+             encrypt: bool = True) -> None:
+        """Key ``ctx`` for AES-128 ``mode``.  GCM declares its IV
+        length before the key and IV go in."""
+        _ok(self.init(ctx, self.ciphers[mode](), None, None, None,
+                      int(encrypt)),
+            "EVP_CipherInit_ex")
+        if mode == "gcm":
+            _ok(self.ctrl(ctx, _GCM_SET_IVLEN, len(iv), None),
+                "EVP_CTRL_GCM_SET_IVLEN")
+        _ok(self.init(ctx, None, None, key, iv or None, int(encrypt)),
+            "EVP_CipherInit_ex")
 
     def _update(self, ctx: int, target: Optional[int], source: int,
                 size: int) -> int:
@@ -238,33 +234,48 @@ class _Lib:
 
     def ecb(self, key: bytes, data: bytes) -> bytes:
         """Raw AES-128-ECB over ``data`` (padding disabled)."""
-        with self._context("ecb", key) as ctx:
+        ctx = self._new_context()
+        try:
+            self._key(ctx, "ecb", key)
             _ok(self.set_padding(ctx, 0), "EVP_CIPHER_CTX_set_padding")
             return self._produce(ctx, data)
+        finally:
+            self.free(ctx)
 
     def ctr(self, key: bytes, counter: bytes, data: Buffer) -> bytes:
         """AES-128-CTR from ``counter``, incremented as 128 bits."""
-        with self._context("ctr", key, counter) as ctx:
+        ctx = self._new_context()
+        try:
+            self._key(ctx, "ctr", key, counter)
             return self._produce(ctx, data)
+        finally:
+            self.free(ctx)
 
     def gcm_seal(self, key: bytes, iv: bytes, aad: bytes,
                  plaintext: Buffer) -> Tuple[bytes, bytes]:
         """AES-128-GCM encrypt: (ciphertext, 16-byte tag)."""
-        with self._context("gcm", key, iv) as ctx:
+        ctx = self._new_context()
+        try:
+            self._key(ctx, "gcm", key, iv)
             ciphertext = self._produce(ctx, plaintext, aad)
             tag = _new_bytes(None, TAG_BYTES)
             _ok(self.ctrl(ctx, _GCM_GET_TAG, TAG_BYTES, _bytes_at(tag)),
                 "EVP_CTRL_GCM_GET_TAG")
             return ciphertext, tag
+        finally:
+            self.free(ctx)
 
     def gcm_open(self, key: bytes, iv: bytes, aad: bytes,
                  ciphertext: Buffer, tag: bytes) -> Optional[bytes]:
         """AES-128-GCM verify and decrypt; ``None`` on a bad tag."""
-        with self._context("gcm", key, iv,
-                           encrypt=False) as ctx:
+        ctx = self._new_context()
+        try:
+            self._key(ctx, "gcm", key, iv, encrypt=False)
             _ok(self.ctrl(ctx, _GCM_SET_TAG, TAG_BYTES, tag),
                 "EVP_CTRL_GCM_SET_TAG")
             return self._run(ctx, ciphertext, aad)
+        finally:
+            self.free(ctx)
 
 
 def _self_test(lib: _Lib) -> bool:

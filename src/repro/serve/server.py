@@ -121,7 +121,7 @@ _CONNECTIONS = _REGISTRY.counter(
 )
 _REQUEST_SECONDS = _REGISTRY.histogram(
     "repro_serve_request_seconds",
-    "Wall-clock seconds from dequeue to response written",
+    "Wall-clock seconds from dequeue to reply built, before the write",
     labels=("op",),
 )
 _EXECUTOR_HOPS = _REGISTRY.counter(

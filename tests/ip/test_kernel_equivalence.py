@@ -183,12 +183,12 @@ def test_multikey_testbench(monkeypatch, key_bits):
         rows = _record(bench.simulator, [core.dout, core.data_ok])
         blocks = [rng.randbytes(16) for _ in range(3)]
         results = [bench.load_key(rng.randbytes(key_bits // 8)),
-                   bench.stream(blocks), bench.encrypt(blocks[0])]
+                   bench.stream_blocks(blocks), bench.encrypt(blocks[0])]
         return {"kernel": type(bench.simulator), "rows": rows,
                 "results": results, "blocks": core.blocks_processed,
                 "overruns": core.bus_overruns}
 
-    _on_both_kernels(monkeypatch, multikey, scenario)
+    _on_both_kernels(monkeypatch, testbench, scenario)
 
 
 @pytest.mark.parametrize("key_bits", [128, 256])
@@ -209,4 +209,4 @@ def test_precomputed_testbench(monkeypatch, key_bits):
         return {"kernel": type(bench.simulator), "rows": rows,
                 "results": results}
 
-    _on_both_kernels(monkeypatch, precomputed, scenario)
+    _on_both_kernels(monkeypatch, testbench, scenario)

@@ -93,13 +93,13 @@ class TestStreaming:
         bench.load_key(key)
         blocks = [bytes(rng.randrange(256) for _ in range(16))
                   for _ in range(4)]
-        results, stamps = bench.stream(blocks)
+        results, stamps = bench.stream_blocks(blocks)
         assert results == [golden.encrypt_block(b) for b in blocks]
         gaps = [b - a for a, b in zip(stamps, stamps[1:])]
         assert gaps == [period] * 3
 
     def test_empty_stream(self):
-        assert MultiKeyTestbench(192).stream([]) == ([], [])
+        assert MultiKeyTestbench(192).stream_blocks([]) == ([], [])
 
 
 class TestSpecModelAgreement:

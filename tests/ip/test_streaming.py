@@ -9,12 +9,33 @@ spacing equals the block latency exactly — throughput really is
 128 bits / latency as Table 2 computes it.
 """
 
+import pytest
 
-from repro.aes.cipher import AES128
+from repro.aes.cipher import AES128, Rijndael
 from repro.ip.control import Variant
 from repro.ip.core import DIR_ENCRYPT
+from repro.ip.multikey import MultiKeyTestbench
+from repro.ip.precomputed import PrecomputedTestbench
 from repro.ip.testbench import Testbench
 from tests.conftest import random_block, random_key
+
+#: An encrypting bench on each core behind the one bus interface, and
+#: the core's key length in bytes.
+BUS_CORES = {
+    "RijndaelCore": (lambda: Testbench(Variant.ENCRYPT), 16),
+    "PrecomputedKeyCore": (lambda: PrecomputedTestbench(128), 16),
+    "MultiKeyEncryptCore": (lambda: MultiKeyTestbench(192), 24),
+}
+
+
+@pytest.fixture(params=list(BUS_CORES))
+def bus_bench(request, fips_key):
+    """A keyed bench on each core, with the golden model for its key."""
+    build, key_bytes = BUS_CORES[request.param]
+    key = (fips_key * 2)[:key_bytes]
+    bench = build()
+    bench.load_key(key)
+    return bench, Rijndael(key, block_bytes=16)
 
 
 class TestZeroGapStreaming:
@@ -52,43 +73,43 @@ class TestZeroGapStreaming:
 
 
 class TestInputBuffer:
-    def test_write_while_busy_is_buffered(self, encrypt_bench):
-        encrypt_bench.write_block(bytes(16))
-        assert encrypt_bench.core.can_accept
-        encrypt_bench.write_block(bytes([1] * 16))
-        assert not encrypt_bench.core.can_accept
-        assert encrypt_bench.core.buf_valid.value == 1
+    def test_write_while_busy_is_buffered(self, bus_bench):
+        bench, _ = bus_bench
+        bench.write_block(bytes(16))
+        assert bench.core.can_accept
+        bench.write_block(bytes([1] * 16))
+        assert not bench.core.can_accept
+        assert bench.core.buf_valid.value == 1
 
-    def test_buffered_block_starts_at_finish_edge(self, encrypt_bench,
-                                                  rng, fips_key):
-        golden = AES128(fips_key)
+    def test_buffered_block_starts_at_finish_edge(self, bus_bench, rng):
+        bench, golden = bus_bench
         first, second = random_block(rng), random_block(rng)
-        encrypt_bench.write_block(first)
-        encrypt_bench.write_block(second)
-        r1 = encrypt_bench.wait_result()
-        stamp1 = encrypt_bench.simulator.cycle
-        encrypt_bench.simulator.step()  # leave the pulse
-        r2 = encrypt_bench.wait_result()
-        stamp2 = encrypt_bench.simulator.cycle
+        bench.write_block(first)
+        bench.write_block(second)
+        r1 = bench.wait_result()
+        stamp1 = bench.simulator.cycle
+        bench.simulator.step()  # leave the pulse
+        r2 = bench.wait_result()
+        stamp2 = bench.simulator.cycle
         assert r1 == golden.encrypt_block(first)
         assert r2 == golden.encrypt_block(second)
-        assert stamp2 - stamp1 == 50  # popped with zero gap
+        # Popped with zero gap.
+        assert stamp2 - stamp1 == bench.core.latency_cycles
 
-    def test_overrun_is_counted_and_dropped(self, encrypt_bench, rng,
-                                            fips_key):
-        golden = AES128(fips_key)
+    def test_overrun_is_counted_and_dropped(self, bus_bench, rng):
+        bench, golden = bus_bench
         blocks = [random_block(rng) for _ in range(3)]
-        encrypt_bench.write_block(blocks[0])  # running
-        encrypt_bench.write_block(blocks[1])  # buffered
-        encrypt_bench.write_block(blocks[2])  # dropped
-        assert encrypt_bench.core.bus_overruns == 1
-        r1 = encrypt_bench.wait_result()
-        encrypt_bench.simulator.step()
-        r2 = encrypt_bench.wait_result()
+        bench.write_block(blocks[0])  # running
+        bench.write_block(blocks[1])  # buffered
+        bench.write_block(blocks[2])  # dropped
+        assert bench.core.bus_overruns == 1
+        r1 = bench.wait_result()
+        bench.simulator.step()
+        r2 = bench.wait_result()
         assert r1 == golden.encrypt_block(blocks[0])
         assert r2 == golden.encrypt_block(blocks[1])
         # The third block never ran.
-        assert encrypt_bench.core.blocks_processed == 2
+        assert bench.core.blocks_processed == 2
 
     def test_buffer_capture_during_key_setup(self, fips_key, rng):
         bench = Testbench(Variant.DECRYPT)
@@ -101,17 +122,27 @@ class TestInputBuffer:
 
 
 class TestProtocolEdges:
-    def test_wr_data_during_setup_period_is_ignored(self, encrypt_bench):
-        core = encrypt_bench.core
+    def test_wr_data_during_setup_period_is_ignored(self, bus_bench):
+        bench, _ = bus_bench
+        core = bench.core
         core.setup.value = 1
         core.wr_data.value = 1
         core.din.value = 123
-        encrypt_bench.simulator.step()
+        bench.simulator.step()
         core.setup.value = 0
         core.wr_data.value = 0
         assert core.protocol_errors == 1
         assert core.blocks_processed == 0
         assert not core.busy
+
+    def test_stream_after_setup_left_high(self, bus_bench, rng):
+        # The host leaves the configuration period without lowering
+        # setup; the stream's first write must still be data.
+        bench, golden = bus_bench
+        blocks = [random_block(rng) for _ in range(3)]
+        bench.core.setup.value = 1
+        results, _ = bench.stream_blocks(blocks)
+        assert results == [golden.encrypt_block(b) for b in blocks]
 
     def test_wr_key_during_operation_period_is_ignored(self,
                                                        encrypt_bench,

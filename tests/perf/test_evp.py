@@ -9,6 +9,7 @@ the feature under test.
 
 import array
 import asyncio
+import collections
 import ctypes
 import random
 
@@ -289,6 +290,42 @@ class TestNativeModes:
         ct, tag = gcm.gcm_encrypt(key, iv, b"payload", b"aad")
         assert (ct, tag) == gcm._seal(key, iv, b"payload", b"aad")
         assert gcm.gcm_decrypt(key, iv, ct, tag, b"aad") == b"payload"
+
+    @pytest.mark.parametrize("failing", [None, "init", "update"])
+    def test_each_call_frees_the_context_it_creates(self, monkeypatch,
+                                                    failing):
+        # One EVP_CIPHER_CTX_new and one EVP_CIPHER_CTX_free per call:
+        # on success, on a refused tag, and when keying
+        # (EVP_CipherInit_ex) or the data pass (EVP_CipherUpdate)
+        # fails.
+        lib = evp._probe()
+        key, iv, data = bytes(16), bytes(12), bytes(48)
+        ct, tag = lib.gcm_seal(key, iv, b"aad", data)
+        calls = {
+            "ecb": lambda: lib.ecb(key, data),
+            "ctr": lambda: lib.ctr(key, bytes(16), data),
+            "gcm_seal": lambda: lib.gcm_seal(key, iv, b"aad", data),
+            "gcm_open": lambda: lib.gcm_open(key, iv, b"aad", ct, tag),
+            "gcm_open refused": lambda: lib.gcm_open(
+                key, iv, b"aad", ct, bytes(16)),
+        }
+        counts = collections.Counter()
+        for name in ("new", "free"):
+            def counted(*args, _name=name, _call=getattr(lib, name)):
+                counts[_name] += 1
+                return _call(*args)
+
+            monkeypatch.setattr(lib, name, counted)
+        if failing:
+            monkeypatch.setattr(lib, failing, lambda *args: 0)
+        for name, call in calls.items():
+            counts.clear()
+            if failing:
+                with pytest.raises(RuntimeError, match="failed"):
+                    call()
+            else:
+                assert (call() is None) == (name == "gcm_open refused")
+            assert counts == {"new": 1, "free": 1}, name
 
 
 @needs_evp
