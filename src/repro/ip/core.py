@@ -34,17 +34,18 @@ With ``sync_rom=True`` (the future-work variant for devices whose
 block RAM cannot read asynchronously, e.g. Cyclone M4K) the ROM reads
 are pipelined and the round takes 6 cycles: latency 60, setup 50.
 
-The pins, the Data_In and Out processes and the bus accounting are
-:class:`BusCore`, which the ablation cores of
-:mod:`repro.ip.precomputed` and :mod:`repro.ip.multikey` share: a core
-supplies only its engine behind the one interface.
+The pins, the Data_In and Out processes, the asynchronous-ROM round
+engine and the bus accounting are :class:`BusCore`, which the ablation
+cores of :mod:`repro.ip.precomputed` and :mod:`repro.ip.multikey`
+share: a core supplies only its key source behind the one interface
+and engine.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.ip.control import NUM_ROUNDS, Phase, Variant, block_latency
+from repro.ip.control import Phase, Variant, cycles_per_round
 from repro.ip.datapath import (
     add_key_128,
     decrypt_mix_stage,
@@ -75,24 +76,38 @@ _PHASES = {_IDLE: Phase.IDLE, _KEY_SETUP: Phase.KEY_SETUP, _RUN: Phase.RUN}
 
 
 class BusCore:
-    """The registered bus interface every cycle-accurate core shares.
+    """The bus interface and round engine every cycle-accurate core shares.
 
     The pins of Table 1, the Data_In process (a capture register plus
     a one-deep pending buffer), the Out process (the result register
     behind ``dout``), the ``top``/``round``/``step``/``direction``
-    control registers and the bus accounting.  A core supplies the
-    engine behind them: the methods below that raise
-    ``NotImplementedError``, and ``key_bits`` when its key takes more
-    than one 128-bit ``wr_key`` beat.
+    control registers, the bus accounting, and the asynchronous-ROM
+    round: Nr = Nk + 6 rounds of 4 (I)ByteSub word cycles through the
+    ``sbox_f``/``sbox_i`` units and 1 wide ShiftRow/MixColumn/AddKey
+    cycle.  A core supplies its S-box units, its key source through
+    the key hooks (it must give ``_first_key`` and ``_round_key``;
+    ``_start_keys``, ``_key_forward`` and ``_key_reverse`` default to
+    no key work, all a stored schedule needs) and the methods below
+    that raise ``NotImplementedError``.
     """
 
-    key_bits = 128
+    #: The 6-cycle-round build with pipelined ROM reads (RijndaelCore).
+    sync_rom = False
+    sbox_f: Optional[SubWordUnit] = None
+    sbox_i: Optional[SubWordUnit] = None
 
     def __init__(self, simulator: Simulator, variant: Variant,
-                 name: str):
+                 name: str, key_bits: int = 128):
+        if key_bits not in (128, 192, 256):
+            raise ValueError("key_bits must be 128, 192 or 256")
         self.simulator = simulator
         self.variant = variant
         self.name = name
+        self.key_bits = key_bits
+        self.nk = key_bits // 32
+        self.rounds = self.nk + 6
+        #: Words in the expanded schedule, w[0 .. 4(Nr+1)-1].
+        self.total_words = 4 * (self.rounds + 1)
 
         # ------------------------------------------------------ input pins
         self.setup = Signal(f"{name}_setup", 1)
@@ -163,8 +178,9 @@ class BusCore:
 
     @property
     def latency_cycles(self) -> int:
-        """Data-capture-to-result latency of this build."""
-        raise NotImplementedError
+        """Data-capture-to-result latency: Nr rounds of 5 cycles, or of
+        6 on a sync-ROM build (50/60/70, or 60)."""
+        return self.rounds * cycles_per_round(self.sync_rom)
 
     def out_words(self) -> Word4:
         """The Out register contents as 4 words."""
@@ -284,8 +300,22 @@ class BusCore:
         self.top.next = _RUN
 
     def _load_block(self, words: Word4, direction: int) -> None:
-        """Load the state, the round counter and the first round key."""
-        raise NotImplementedError
+        """Load the state, the round counter and the key source.
+
+        Encryption folds the initial Add Key into the load edge (state
+        := din xor K0); decryption loads din raw and folds the final
+        Add Key into the output edge — this is how Nr rounds x 5
+        cycles covers the Nr + 1 Add Keys without extra cycles.
+        """
+        self._start_keys(direction)
+        if direction == DIR_ENCRYPT:
+            for reg, word, key in zip(self.state, words, self._first_key()):
+                reg.next = word ^ key
+            self.round.next = 1
+        else:
+            for reg, word in zip(self.state, words):
+                reg.next = word
+            self.round.next = self.rounds
 
     def _active_direction(self) -> int:
         """The direction driving the datapath muxes.
@@ -308,6 +338,111 @@ class BusCore:
         self.blocks_processed += 1
         self.counters.block_end(self.simulator.cycle)
         return True
+
+    # ---------------------------------------------------- key-source hooks
+    def _start_keys(self, direction: int) -> None:
+        """Point the key source at the block's first round (load edge)."""
+
+    def _first_key(self) -> Word4:
+        """K0: the encrypt load edge and the decrypt result edge add it."""
+        raise NotImplementedError
+
+    def _round_key(self, r: int) -> Word4:
+        """The round key round ``r``'s wide stage adds."""
+        raise NotImplementedError
+
+    def _key_forward(self, s: int, r: int) -> None:
+        """The key work of ByteSub cycle ``s`` (0..3) of round ``r``."""
+
+    def _key_reverse(self, slot: int, r: int) -> None:
+        """The key work of IByteSub cycle ``slot`` (0..3) of round ``r``."""
+
+    # -------------------------------------------------------- round engine
+    def _tick_run(self) -> bool:
+        if self._active_direction() == DIR_ENCRYPT:
+            return self._tick_encrypt()
+        return self._tick_decrypt()
+
+    def _state_words(self) -> Word4:
+        s0, s1, s2, s3 = self.state
+        return (s0.value, s1.value, s2.value, s3.value)
+
+    # encrypt, asynchronous ROM: steps 0..3 ByteSub words, step 4 mix stage
+    def _tick_encrypt(self) -> bool:
+        r = self.round.value
+        s = self.step.value
+        if s > 3:
+            return self._encrypt_wide(r)
+        assert self.sbox_f is not None
+        self.state[s].next = self.sbox_f.lookup(self.state[s].value)
+        self._key_forward(s, r)
+        self.counters.bytesub()
+        self.step.next = s + 1
+        return False
+
+    def _encrypt_wide(self, r: int) -> bool:
+        """ShiftRow/MixColumn/AddKey; the last round's result goes out."""
+        result = encrypt_mix_stage(
+            self._state_words(),
+            self._round_key(r),
+            last_round=(r == self.rounds),
+        )
+        self.counters.mix()
+        self.counters.round_end()
+        if r == self.rounds:
+            return self._finish(result)
+        for reg, word in zip(self.state, result):
+            reg.next = word
+        self.round.next = r + 1
+        self.step.next = 0
+        return False
+
+    # decrypt, asynchronous ROM: step 0 mix stage, steps 1..4 IByteSub
+    def _tick_decrypt(self) -> bool:
+        r = self.round.value
+        s = self.step.value
+        if s == 0:
+            return self._decrypt_wide(r)
+        slot = s - 1
+        self._key_reverse(slot, r)
+        assert self.sbox_i is not None
+        substituted = self.sbox_i.lookup(self.state[slot].value)
+        self.counters.bytesub()
+        if slot < 3:
+            self.state[slot].next = substituted
+            self.step.next = s + 1
+            return False
+        return self._decrypt_round_end(r, substituted)
+
+    def _decrypt_wide(self, r: int) -> bool:
+        """AddKey/IMixColumn/IShiftRow, ahead of the round's IByteSub."""
+        result = decrypt_mix_stage(
+            self._state_words(),
+            self._round_key(r),
+            first_round=(r == self.rounds),
+        )
+        self.counters.mix()
+        for reg, word in zip(self.state, result):
+            reg.next = word
+        self.step.next = 1
+        return False
+
+    def _decrypt_round_end(self, r: int, substituted: int) -> bool:
+        """The round's last IByteSub word lands in ``state[3]``."""
+        self.counters.round_end()
+        if r > 1:
+            self.state[3].next = substituted
+            self.round.next = r - 1
+            self.step.next = 0
+            return False
+        # Final round: fold the last Add Key (K0) into the output edge.
+        full = (
+            self.state[0].value,
+            self.state[1].value,
+            self.state[2].value,
+            substituted,
+        )
+        return self._finish(add_key_128(full, self._first_key()))
 
     # ------------------------------------------------------- combinational
     def _drive_outputs(self) -> None:
@@ -338,8 +473,6 @@ class RijndaelCore(BusCore):
         # ----------------------------------------------------------- units
         self.keyunit = KeyScheduleUnit(f"{name}_ksu", sync_rom=sync_rom)
         simulator.adopt(self.keyunit.registers)
-        self.sbox_f: Optional[SubWordUnit] = None
-        self.sbox_i: Optional[SubWordUnit] = None
         if variant.can_encrypt:
             self.sbox_f = SubWordUnit(f"{name}_sbox_f", inverse=False,
                                       sync_rom=sync_rom)
@@ -350,11 +483,6 @@ class RijndaelCore(BusCore):
             simulator.adopt(self.sbox_i.registers)
 
     # ------------------------------------------------------------- queries
-    @property
-    def latency_cycles(self) -> int:
-        """Data-capture-to-result latency of this build (50 or 60)."""
-        return block_latency(self.sync_rom)
-
     @property
     def rom_bits(self) -> int:
         """ROM bits in the *functional* model.
@@ -393,6 +521,8 @@ class RijndaelCore(BusCore):
         if top == _KEY_SETUP:
             return self._tick_key_setup()
         if top == _RUN:
+            if self.sync_rom:
+                return self._tick_run_sync()
             return self._tick_run()
         return True
 
@@ -401,163 +531,74 @@ class RijndaelCore(BusCore):
             return self.variant.can_encrypt
         return self.variant.can_decrypt and bool(self.key_ready.value)
 
-    def _load_block(self, words: Word4, direction: int) -> None:
-        """Load the state and point the key unit at the right end.
-
-        Encryption folds the initial Add Key into the load edge (state
-        := din xor K0); decryption loads din raw and folds the final
-        Add Key into the output edge — this is how 10 rounds x 5
-        cycles covers the 11 Add Keys without extra cycles.
-        """
+    # ------------------------------------------- key source: on the fly
+    def _start_keys(self, direction: int) -> None:
+        unit = self.keyunit
         if direction == DIR_ENCRYPT:
-            key0 = self.keyunit.key0_words()
-            for reg, word, key in zip(self.state, words, key0):
-                reg.next = word ^ key
-            self.keyunit.load_work(key0)
-            self.round.next = 1
+            unit.load_work(unit.key0_words())
         else:
-            for reg, word in zip(self.state, words):
-                reg.next = word
-            self.keyunit.load_work(self.keyunit.key_last_words())
-            self.round.next = NUM_ROUNDS
+            unit.load_work(unit.key_last_words())
+
+    def _first_key(self) -> Word4:
+        return self.keyunit.key0_words()
+
+    def _round_key(self, r: int) -> Word4:
+        return self.keyunit.work_words()
+
+    def _key_forward(self, s: int, r: int) -> None:
+        value = self.keyunit.step_forward(s, r)
+        self.counters.key_word()
+        if s == 3:
+            self.keyunit.commit_build(value, 3)
+
+    def _key_reverse(self, slot: int, r: int) -> None:
+        key_index, key_value = self.keyunit.step_reverse(slot, r)
+        self.counters.key_word()
+        if slot == 3:
+            self.keyunit.commit_build(key_value, key_index)
 
     # ---------------------------------------------------- key setup pass
     def _tick_key_setup(self) -> bool:
         """One word of the forward expansion per cycle (40 cycles async).
 
         The sync-ROM build needs a fifth cycle per round to wait for
-        the KStran read (50 cycles): word counter value 4 is the
+        the KStran read (50 cycles): word counter value 0 is the
         issue slot and words 0..3 shift one cycle later.
         """
         r = self.ks_round.value
         w = self.ks_word.value
+        unit = self.keyunit
+        index, kstran = w, None
         if self.sync_rom:
-            return self._tick_key_setup_sync(r, w)
-        value = self.keyunit.step_forward(w, r)
-        self.counters.key_word()
-        if w < 3:
-            self.ks_word.next = w + 1
-            return False
-        committed = self.keyunit.commit_build(value, 3)
-        self.ks_word.next = 0
-        if r < NUM_ROUNDS:
-            self.ks_round.next = r + 1
-            return False
-        self.keyunit.latch_last(committed)
-        self.key_ready.next = 1
-        self.top.next = _IDLE
-        self.counters.setup_pass_end()
-        return True
-
-    def _tick_key_setup_sync(self, r: int, w: int) -> bool:
-        if w == 0:  # issue the KStran read for this round
-            self.keyunit.kstran_issue(self.keyunit.work_words()[3])
-            self.ks_word.next = 1
-            return False
-        index = w - 1
-        kstran = self.keyunit.kstran_data(r) if index == 0 else None
-        value = self.keyunit.step_forward(index, r, kstran_value=kstran)
+            if w == 0:  # issue the KStran read for this round
+                unit.kstran_issue(unit.work_words()[3])
+                self.ks_word.next = 1
+                return False
+            index = w - 1
+            kstran = unit.kstran_data(r) if index == 0 else None
+        value = unit.step_forward(index, r, kstran_value=kstran)
         self.counters.key_word()
         if index < 3:
             self.ks_word.next = w + 1
             return False
-        committed = self.keyunit.commit_build(value, 3)
+        committed = unit.commit_build(value, 3)
         self.ks_word.next = 0
-        if r < NUM_ROUNDS:
+        if r < self.rounds:
             self.ks_round.next = r + 1
             return False
-        self.keyunit.latch_last(committed)
+        unit.latch_last(committed)
         self.key_ready.next = 1
         self.top.next = _IDLE
         self.counters.setup_pass_end()
         return True
 
-    # -------------------------------------------------------- cipher round
-    def _tick_run(self) -> bool:
+    # ------------------------------ cipher round, synchronous ROM: 6 steps
+    def _tick_run_sync(self) -> bool:
         if self._active_direction() == DIR_ENCRYPT:
-            if self.sync_rom:
-                return self._tick_encrypt_sync()
-            return self._tick_encrypt_async()
-        if self.sync_rom:
-            return self._tick_decrypt_sync()
-        return self._tick_decrypt_async()
+            return self._tick_encrypt_sync()
+        return self._tick_decrypt_sync()
 
-    def _state_words(self) -> Word4:
-        s0, s1, s2, s3 = self.state
-        return (s0.value, s1.value, s2.value, s3.value)
-
-    # encrypt, asynchronous ROM: steps 0..3 ByteSub words, step 4 mix stage
-    def _tick_encrypt_async(self) -> bool:
-        r = self.round.value
-        s = self.step.value
-        assert self.sbox_f is not None
-        if s <= 3:
-            self.state[s].next = self.sbox_f.lookup(self.state[s].value)
-            value = self.keyunit.step_forward(s, r)
-            self.counters.bytesub()
-            self.counters.key_word()
-            if s == 3:
-                self.keyunit.commit_build(value, 3)
-            self.step.next = s + 1
-            return False
-        result = encrypt_mix_stage(
-            self._state_words(),
-            self.keyunit.work_words(),
-            last_round=(r == NUM_ROUNDS),
-        )
-        self.counters.mix()
-        self.counters.round_end()
-        if r == NUM_ROUNDS:
-            return self._finish(result)
-        for reg, word in zip(self.state, result):
-            reg.next = word
-        self.round.next = r + 1
-        self.step.next = 0
-        return False
-
-    # decrypt, asynchronous ROM: step 0 mix stage, steps 1..4 IByteSub
-    def _tick_decrypt_async(self) -> bool:
-        r = self.round.value
-        s = self.step.value
-        assert self.sbox_i is not None
-        if s == 0:
-            result = decrypt_mix_stage(
-                self._state_words(),
-                self.keyunit.work_words(),
-                first_round=(r == NUM_ROUNDS),
-            )
-            self.counters.mix()
-            for reg, word in zip(self.state, result):
-                reg.next = word
-            self.step.next = 1
-            return False
-        slot = s - 1
-        key_index, key_value = self.keyunit.step_reverse(slot, r)
-        substituted = self.sbox_i.lookup(self.state[slot].value)
-        self.counters.bytesub()
-        self.counters.key_word()
-        if slot < 3:
-            self.state[slot].next = substituted
-            self.step.next = s + 1
-            return False
-        # Last IByteSub word of the round.
-        self.keyunit.commit_build(key_value, key_index)
-        self.counters.round_end()
-        if r > 1:
-            self.state[3].next = substituted
-            self.round.next = r - 1
-            self.step.next = 0
-            return False
-        # Final round: fold the last Add Key (K0) into the output edge.
-        full = (
-            self.state[0].value,
-            self.state[1].value,
-            self.state[2].value,
-            substituted,
-        )
-        return self._finish(add_key_128(full, self.keyunit.key0_words()))
-
-    # encrypt, synchronous ROM: 6 steps (pipelined reads)
+    # encrypt: ROM reads pipelined one step ahead, step 5 the mix stage
     def _tick_encrypt_sync(self) -> bool:
         r = self.round.value
         s = self.step.value
@@ -585,37 +626,15 @@ class RijndaelCore(BusCore):
             self.counters.key_word()
             self.step.next = 5
             return False
-        result = encrypt_mix_stage(
-            self._state_words(),
-            self.keyunit.work_words(),
-            last_round=(r == NUM_ROUNDS),
-        )
-        self.counters.mix()
-        self.counters.round_end()
-        if r == NUM_ROUNDS:
-            return self._finish(result)
-        for reg, word in zip(self.state, result):
-            reg.next = word
-        self.round.next = r + 1
-        self.step.next = 0
-        return False
+        return self._encrypt_wide(r)
 
-    # decrypt, synchronous ROM: 6 steps
+    # decrypt: step 0 mix stage, then the pipelined IByteSub reads
     def _tick_decrypt_sync(self) -> bool:
         r = self.round.value
         s = self.step.value
         assert self.sbox_i is not None
         if s == 0:
-            result = decrypt_mix_stage(
-                self._state_words(),
-                self.keyunit.work_words(),
-                first_round=(r == NUM_ROUNDS),
-            )
-            self.counters.mix()
-            for reg, word in zip(self.state, result):
-                reg.next = word
-            self.step.next = 1
-            return False
+            return self._decrypt_wide(r)
         if s == 1:
             self.sbox_i.clock_read(self.state[0].value)
             self.keyunit.step_reverse(0, r)  # build word 3
@@ -655,16 +674,4 @@ class RijndaelCore(BusCore):
         previous_key = tuple(reg.value for reg in self.keyunit.build)
         self.keyunit.load_work(previous_key)
         self.counters.bytesub()
-        self.counters.round_end()
-        if r > 1:
-            self.state[3].next = substituted
-            self.round.next = r - 1
-            self.step.next = 0
-            return False
-        full = (
-            self.state[0].value,
-            self.state[1].value,
-            self.state[2].value,
-            substituted,
-        )
-        return self._finish(add_key_128(full, self.keyunit.key0_words()))
+        return self._decrypt_round_end(r, substituted)

@@ -27,15 +27,16 @@ the behavioral model covers functional decryption for all sizes.
 Key loading uses one ``wr_key`` beat per 128 din bits: 1 beat for
 AES-128, 2 beats for AES-192 (words 4..5 in the top half of the
 second beat) and AES-256.
+
+The round engine is :class:`~repro.ip.core.BusCore`'s, the one the
+paper's device runs; this core supplies only the key source above:
+each ByteSub cycle's window shift and the wide stage's window read.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 from repro.ip.control import Variant
-from repro.ip.core import _RUN, BusCore
-from repro.ip.datapath import encrypt_mix_stage
+from repro.ip.core import _RUN, BusCore, Word4
 from repro.ip.keysched_unit import schedule_word
 from repro.ip.sbox_unit import SubWordUnit
 from repro.ip.testbench import Testbench
@@ -47,15 +48,9 @@ class MultiKeyEncryptCore(BusCore):
 
     def __init__(self, simulator: Simulator, key_bits: int = 128,
                  name: str = "mk"):
-        if key_bits not in (128, 192, 256):
-            raise ValueError("key_bits must be 128, 192 or 256")
         # An encrypt device: ``encdec``, ``buf_dir`` and ``direction``
         # always read 0.
-        super().__init__(simulator, Variant.ENCRYPT, name)
-        self.key_bits = key_bits
-        self.nk = key_bits // 32
-        self.rounds = self.nk + 6
-        self.total_words = 4 * (self.rounds + 1)
+        super().__init__(simulator, Variant.ENCRYPT, name, key_bits)
 
         reg = simulator.register
         # Raw key latch: Nk words, filled over 1-2 wr_key beats.
@@ -72,12 +67,9 @@ class MultiKeyEncryptCore(BusCore):
 
     # ------------------------------------------------------------- queries
     @property
-    def latency_cycles(self) -> int:
-        return self.rounds * 5
-
-    @property
     def rom_bits(self) -> int:
         """Same memory as the AES-128 device: Nk never adds S-boxes."""
+        assert self.sbox_f is not None
         return self.sbox_f.rom_bits + self.kstran_sbox.rom_bits
 
     # ------------------------------------------------------- clocked logic
@@ -96,43 +88,44 @@ class MultiKeyEncryptCore(BusCore):
         self.key_beat.next = 0
 
     def _service_engine(self) -> bool:
+        # No setup phase, and no hold on a ``wr_key`` edge: a block in
+        # flight runs on under the key its window was loaded from.
         if self.top.value != _RUN:
             return True
-        return self._tick_round()
+        return self._tick_run()
 
     def _can_start(self, direction: int) -> bool:
         return True
 
-    def _load_block(self, words, direction: int) -> None:
-        key_words = [r.value for r in self.key]
-        # Initial Add Key folds into the load edge (w0..w3).
-        for regi, word, kw in zip(self.state, words, key_words[0:4]):
-            regi.next = word ^ kw
-        # Window resets to the raw key: w[0 .. Nk-1].
-        for regi, word in zip(self.window, key_words):
-            regi.next = word
+    # ------------------------------------- key source: the sliding window
+    def _start_keys(self, direction: int) -> None:
+        # The window resets to the raw key: w[0 .. Nk-1].
+        for regi, key in zip(self.window, self.key):
+            regi.next = key.value
         self.sched_pos.next = self.nk
-        self.round.next = 1
 
-    # -------------------------------------------------------- round engine
-    def _next_schedule_word(self) -> Optional[int]:
-        """Combinationally compute w[i] from the current window."""
+    def _first_key(self) -> Word4:
+        k0, k1, k2, k3 = self.key[0:4]
+        return (k0.value, k1.value, k2.value, k3.value)
+
+    def _key_forward(self, s: int, r: int) -> None:
+        """Make w[i] from the window's newest and oldest words and
+        shift it in; none once generation has run off the schedule's
+        end (the final round, for Nk > 4)."""
         i = self.sched_pos.value
         if i >= self.total_words:
-            return None
-        return schedule_word(self.kstran_sbox, i, self.nk,
+            return
+        word = schedule_word(self.kstran_sbox, i, self.nk,
                              self.window[self.nk - 1].value,
                              self.window[0].value)
-
-    def _shift_window(self, new_word: int) -> None:
         for index in range(self.nk - 1):
             self.window[index].next = self.window[index + 1].value
-        self.window[self.nk - 1].next = new_word
-        self.sched_pos.next = self.sched_pos.value + 1
+        self.window[self.nk - 1].next = word
+        self.sched_pos.next = i + 1
+        self.counters.key_word()
 
-    def _round_key(self) -> Tuple[int, int, int, int]:
+    def _round_key(self, r: int) -> Word4:
         """The round key w[4r .. 4r+3], read at its window offset."""
-        r = self.round.value
         i = self.sched_pos.value
         offset = 4 * r - i + self.nk
         assert 0 <= offset <= self.nk - 4, (
@@ -142,31 +135,6 @@ class MultiKeyEncryptCore(BusCore):
         return tuple(
             self.window[offset + j].value for j in range(4)
         )
-
-    def _tick_round(self) -> bool:
-        s = self.step.value
-        r = self.round.value
-        if s <= 3:
-            self.state[s].next = self.sbox_f.lookup(
-                self.state[s].value
-            )
-            word = self._next_schedule_word()
-            if word is not None:
-                self._shift_window(word)
-            self.step.next = s + 1
-            return False
-        result = encrypt_mix_stage(
-            tuple(st.value for st in self.state),
-            self._round_key(),
-            last_round=(r == self.rounds),
-        )
-        if r == self.rounds:
-            return self._finish(result)
-        for regi, word in zip(self.state, result):
-            regi.next = word
-        self.round.next = r + 1
-        self.step.next = 0
-        return False
 
 
 class MultiKeyTestbench(Testbench):

@@ -14,21 +14,17 @@ reads it back during rounds.  Consequences, all measurable here:
   reverse walk is AES-128-only; see :mod:`repro.ip.multikey`), and a
   wider datapath would no longer be key-schedule-bound (§6).
 
-The round engine is the same mixed 32/128 structure: 4 (I)ByteSub
-cycles + 1 wide cycle, Nr × 5 cycles per block.
+The round engine is :class:`~repro.ip.core.BusCore`'s, the one the
+paper's device runs: 4 (I)ByteSub cycles + 1 wide cycle, Nr × 5
+cycles per block.  This core supplies only the key source: the wide
+stage reads its round key from the store, and the ByteSub cycles do
+no key work.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 from repro.ip.control import Variant
-from repro.ip.core import _IDLE, _KEY_SETUP, _RUN, DIR_ENCRYPT, BusCore
-from repro.ip.datapath import (
-    add_key_128,
-    decrypt_mix_stage,
-    encrypt_mix_stage,
-)
+from repro.ip.core import _IDLE, _KEY_SETUP, _RUN, BusCore, Word4
 from repro.ip.keysched_unit import schedule_word
 from repro.ip.sbox_unit import SubWordUnit
 from repro.ip.testbench import Testbench
@@ -40,13 +36,7 @@ class PrecomputedKeyCore(BusCore):
 
     def __init__(self, simulator: Simulator, key_bits: int = 128,
                  variant: Variant = Variant.BOTH, name: str = "pk"):
-        if key_bits not in (128, 192, 256):
-            raise ValueError("key_bits must be 128, 192 or 256")
-        super().__init__(simulator, variant, name)
-        self.key_bits = key_bits
-        self.nk = key_bits // 32
-        self.rounds = self.nk + 6
-        self.total_words = 4 * (self.rounds + 1)
+        super().__init__(simulator, variant, name, key_bits)
 
         reg = simulator.register
         self.key_beat = reg(f"{name}_key_beat", 1)
@@ -59,22 +49,14 @@ class PrecomputedKeyCore(BusCore):
         self.expand_pos = reg(f"{name}_expand_pos", 6)
         self.key_ready = reg(f"{name}_key_ready", 1)
 
-        self.sbox_f: Optional[SubWordUnit] = (
-            SubWordUnit(f"{name}_sbox_f")
-            if variant.can_encrypt else None
-        )
-        self.sbox_i: Optional[SubWordUnit] = (
-            SubWordUnit(f"{name}_sbox_i", inverse=True)
-            if variant.can_decrypt else None
-        )
+        if variant.can_encrypt:
+            self.sbox_f = SubWordUnit(f"{name}_sbox_f")
+        if variant.can_decrypt:
+            self.sbox_i = SubWordUnit(f"{name}_sbox_i", inverse=True)
         # The expansion shares KStran-style S-boxes.
         self.kstran_sbox = SubWordUnit(f"{name}_kstran")
 
     # ------------------------------------------------------------- queries
-    @property
-    def latency_cycles(self) -> int:
-        return self.rounds * 5
-
     @property
     def expansion_cycles(self) -> int:
         """Cycles of the per-key expansion pass."""
@@ -112,7 +94,7 @@ class PrecomputedKeyCore(BusCore):
         if top == _KEY_SETUP:
             return self._tick_expand()
         if top == _RUN:
-            return self._tick_round()
+            return self._tick_run()
         return True
 
     def _tick_expand(self) -> bool:
@@ -121,91 +103,25 @@ class PrecomputedKeyCore(BusCore):
             self.kstran_sbox, i, self.nk, self.keyram[i - 1].value,
             self.keyram[i - self.nk].value,
         )
+        self.counters.key_word()
         if i + 1 < self.total_words:
             self.expand_pos.next = i + 1
             return False
         self.key_ready.next = 1
         self.top.next = _IDLE
+        self.counters.setup_pass_end()
         return True
 
-    # --------------------------------------------------------- data port
     def _can_start(self, direction: int) -> bool:
         return bool(self.key_ready.value)
 
-    def _round_key(self, rnd: int) -> Tuple[int, int, int, int]:
-        base = 4 * rnd
+    # ------------------------------------------- key source: the store
+    def _first_key(self) -> Word4:
+        return self._round_key(0)
+
+    def _round_key(self, r: int) -> Word4:
+        base = 4 * r
         return tuple(self.keyram[base + j].value for j in range(4))
-
-    def _load_block(self, words, direction: int) -> None:
-        if direction == DIR_ENCRYPT:
-            key0 = self._round_key(0)
-            for regi, word, kw in zip(self.state, words, key0):
-                regi.next = word ^ kw
-            self.round.next = 1
-        else:
-            for regi, word in zip(self.state, words):
-                regi.next = word
-            self.round.next = self.rounds
-
-    # -------------------------------------------------------- round engine
-    def _tick_round(self) -> bool:
-        if self._active_direction() == DIR_ENCRYPT:
-            return self._tick_encrypt()
-        return self._tick_decrypt()
-
-    def _tick_encrypt(self) -> bool:
-        s, r = self.step.value, self.round.value
-        assert self.sbox_f is not None
-        if s <= 3:
-            self.state[s].next = self.sbox_f.lookup(
-                self.state[s].value
-            )
-            self.step.next = s + 1
-            return False
-        result = encrypt_mix_stage(
-            tuple(st.value for st in self.state),
-            self._round_key(r),
-            last_round=(r == self.rounds),
-        )
-        if r == self.rounds:
-            return self._finish(result)
-        for regi, word in zip(self.state, result):
-            regi.next = word
-        self.round.next = r + 1
-        self.step.next = 0
-        return False
-
-    def _tick_decrypt(self) -> bool:
-        s, r = self.step.value, self.round.value
-        assert self.sbox_i is not None
-        if s == 0:
-            result = decrypt_mix_stage(
-                tuple(st.value for st in self.state),
-                self._round_key(r),
-                first_round=(r == self.rounds),
-            )
-            for regi, word in zip(self.state, result):
-                regi.next = word
-            self.step.next = 1
-            return False
-        slot = s - 1
-        substituted = self.sbox_i.lookup(self.state[slot].value)
-        if slot < 3:
-            self.state[slot].next = substituted
-            self.step.next = s + 1
-            return False
-        if r > 1:
-            self.state[3].next = substituted
-            self.round.next = r - 1
-            self.step.next = 0
-            return False
-        full = (
-            self.state[0].value,
-            self.state[1].value,
-            self.state[2].value,
-            substituted,
-        )
-        return self._finish(add_key_128(full, self._round_key(0)))
 
 
 class PrecomputedTestbench(Testbench):

@@ -138,11 +138,21 @@ class Testbench:
         return result, self.simulator.cycle - start
 
     def encrypt(self, block: bytes) -> Tuple[bytes, int]:
-        """Encrypt one block (convenience around :meth:`process_block`)."""
+        """Encrypt one block (convenience around :meth:`process_block`).
+
+        Raises ``ValueError`` on a device without the encrypt datapath:
+        its hardwired direction would ignore the request.
+        """
+        if not self.core.variant.can_encrypt:
+            raise ValueError(
+                f"the {self.core.variant.name} device cannot encrypt")
         return self.process_block(block, direction=DIR_ENCRYPT)
 
     def decrypt(self, block: bytes) -> Tuple[bytes, int]:
-        """Decrypt one block."""
+        """Decrypt one block; ``ValueError`` where the device cannot."""
+        if not self.core.variant.can_decrypt:
+            raise ValueError(
+                f"the {self.core.variant.name} device cannot decrypt")
         return self.process_block(block, direction=DIR_DECRYPT)
 
     def stream_blocks(

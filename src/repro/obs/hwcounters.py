@@ -1,6 +1,8 @@
 """Cycle-accurate hardware performance counters for the IP core.
 
-Every :class:`~repro.ip.core.RijndaelCore` carries a
+Every cycle-accurate core (each :class:`~repro.ip.core.BusCore`:
+:class:`~repro.ip.core.RijndaelCore` and the ablation cores of
+:mod:`repro.ip.precomputed` and :mod:`repro.ip.multikey`) carries a
 :class:`HwCounters` instance that the clocked process feeds as the
 machine runs: one event per ByteSub word pass, per wide mix stage, per
 key-schedule word, per round boundary, per bus stall/overlap.  An
@@ -14,7 +16,10 @@ capable devices.
 report for a given workload straight from the declared architecture
 (:mod:`repro.ip.control`), and the ``obs.counter-divergence`` check
 rule (:mod:`repro.checks.obs`) fails the lint gate when an observed
-run disagrees with the :mod:`repro.checks.fsm` model.
+run disagrees with the :mod:`repro.checks.fsm` model.  Both model
+``RijndaelCore`` only; the ablation cores' figures (Nr = Nk + 6
+rounds of 5 events, key words per block or per key load) are pinned
+by tests.
 
 The counters are plain Python integers bumped from code that is
 already simulating hardware a cycle at a time — their overhead is

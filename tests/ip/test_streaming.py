@@ -13,7 +13,7 @@ import pytest
 
 from repro.aes.cipher import AES128, Rijndael
 from repro.ip.control import Variant
-from repro.ip.core import DIR_ENCRYPT
+from repro.ip.core import DIR_DECRYPT, DIR_ENCRYPT
 from repro.ip.multikey import MultiKeyTestbench
 from repro.ip.precomputed import PrecomputedTestbench
 from repro.ip.testbench import Testbench
@@ -25,6 +25,35 @@ BUS_CORES = {
     "RijndaelCore": (lambda: Testbench(Variant.ENCRYPT), 16),
     "PrecomputedKeyCore": (lambda: PrecomputedTestbench(128), 16),
     "MultiKeyEncryptCore": (lambda: MultiKeyTestbench(192), 24),
+}
+
+#: Capture-to-result latency of a block when the host loads a new key
+#: mid-block, or None where the key load abandons the block.  The
+#: encrypt RijndaelCore holds its engine on the ``wr_key`` edge and
+#: finishes one cycle late; the multi-key core has no hold; the cores
+#: with a key-setup phase start it and drop the block.
+MID_BLOCK_KEY_LOAD = {
+    "RijndaelCore-ENCRYPT": (lambda: Testbench(Variant.ENCRYPT), 51),
+    "RijndaelCore-ENCRYPT-sync_rom": (
+        lambda: Testbench(Variant.ENCRYPT, sync_rom=True), 61),
+    "RijndaelCore-DECRYPT": (lambda: Testbench(Variant.DECRYPT), None),
+    "RijndaelCore-BOTH": (lambda: Testbench(Variant.BOTH), None),
+    "PrecomputedKeyCore-128": (lambda: PrecomputedTestbench(128), None),
+    "PrecomputedKeyCore-256": (lambda: PrecomputedTestbench(256), None),
+    "MultiKeyEncryptCore-128": (lambda: MultiKeyTestbench(128), 50),
+    "MultiKeyEncryptCore-256": (lambda: MultiKeyTestbench(256), 70),
+}
+
+#: A convenience call for a direction the device has no datapath for.
+MISSING_DIRECTION = {
+    "RijndaelCore-ENCRYPT-decrypt": (
+        lambda: Testbench(Variant.ENCRYPT), "decrypt"),
+    "MultiKeyEncryptCore-192-decrypt": (
+        lambda: MultiKeyTestbench(192), "decrypt"),
+    "PrecomputedKeyCore-128-ENCRYPT-decrypt": (
+        lambda: PrecomputedTestbench(128, Variant.ENCRYPT), "decrypt"),
+    "RijndaelCore-DECRYPT-encrypt": (
+        lambda: Testbench(Variant.DECRYPT), "encrypt"),
 }
 
 
@@ -169,3 +198,43 @@ class TestProtocolEdges:
         block = random_block(rng)
         result, _ = bench.encrypt(block)
         assert result == AES128(key2).encrypt_block(block)
+
+    @pytest.mark.parametrize("offset", (3, 10, 30))
+    @pytest.mark.parametrize("subject", list(MID_BLOCK_KEY_LOAD))
+    def test_key_load_mid_block(self, subject, offset, rng):
+        build, latency = MID_BLOCK_KEY_LOAD[subject]
+        bench = build()
+        core = bench.core
+        old, new = (bytes(rng.randrange(256)
+                          for _ in range(core.key_bits // 8))
+                    for _ in range(2))
+        bench.load_key(old)
+        decrypts = core.variant is Variant.DECRYPT
+        block = random_block(rng)
+        bench.write_block(block, DIR_DECRYPT if decrypts else DIR_ENCRYPT)
+        start = bench.simulator.cycle
+        bench.simulator.step(offset)
+        bench.load_key(new, wait=False)
+        if latency is None:
+            with pytest.raises(TimeoutError):
+                bench.wait_result(max_cycles=4 * core.latency_cycles)
+            assert core.blocks_processed == 0
+            return
+        result = bench.wait_result(max_cycles=4 * core.latency_cycles)
+        assert bench.simulator.cycle - start == latency
+        assert result == Rijndael(old, block_bytes=16).encrypt_block(block)
+
+    @pytest.mark.parametrize("subject", list(MISSING_DIRECTION))
+    def test_convenience_call_refuses_a_missing_direction(self, subject):
+        build, call = MISSING_DIRECTION[subject]
+        bench = build()
+        core = bench.core
+        bench.load_key(bytes(core.key_bits // 8))
+        cycle = bench.simulator.cycle
+        with pytest.raises(ValueError, match=core.variant.name):
+            getattr(bench, call)(bytes(16))
+        # Refused before any pin moved or the clock ticked.
+        assert bench.simulator.cycle == cycle
+        assert (core.wr_data.value, core.din.value, core.encdec.value) \
+            == (0, 0, 0)
+        assert not core.busy

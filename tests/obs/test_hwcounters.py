@@ -3,6 +3,8 @@
 import pytest
 
 from repro.ip.control import Variant
+from repro.ip.multikey import MultiKeyTestbench
+from repro.ip.precomputed import PrecomputedTestbench
 from repro.ip.testbench import Testbench
 from repro.obs.hwcounters import (
     MAX_BLOCK_RECORDS,
@@ -72,6 +74,44 @@ class TestPaperInvariants:
             assert record.cycles == expected["block_cycles"]
             assert set(record.events_per_round) == \
                 {expected["events_per_round"]}
+
+    @pytest.mark.parametrize("bits", (128, 192, 256))
+    @pytest.mark.parametrize("bench_class", (PrecomputedTestbench,
+                                             MultiKeyTestbench))
+    def test_ablation_cores_count_every_round(self, bench_class, bits):
+        # The shared round engine counts Nr rounds of 4 ByteSub + 1 mix
+        # on every core; key words are counted where each core makes
+        # them: once per key load in the precomputed expansion, per
+        # block in the multi-key window.
+        nk = bits // 32
+        nr = nk + 6
+        schedule_words = 4 * (nr + 1) - nk  # 40 / 46 / 52
+        precomputed = bench_class is PrecomputedTestbench
+        bench = bench_class(bits)
+        bench.load_key(bytes(range(bits // 8)))
+        counters = bench.core.counters
+        setup = schedule_words if precomputed else 0
+        assert (counters.setup_cycles, counters.setup_passes,
+                counters.key_words) == (setup, int(precomputed), setup)
+        bench.encrypt(BLOCK)
+        if precomputed:
+            bench.decrypt(BLOCK)
+        else:
+            bench.encrypt(BLOCK)
+        assert [r.direction for r in counters.block_records] == \
+            ["encrypt", "decrypt" if precomputed else "encrypt"]
+        for record in counters.block_records:
+            assert (record.cycles, record.rounds, record.bytesub_cycles,
+                    record.mix_cycles) == (5 * nr, nr, 4 * nr, nr)
+            assert record.events_per_round == (5,) * nr
+        per_block = 0 if precomputed else schedule_words
+        assert (counters.blocks, counters.rounds, counters.run_cycles,
+                counters.bytesub_cycles, counters.mix_cycles,
+                counters.rom_issue_cycles) == (2, 2 * nr, 10 * nr,
+                                               8 * nr, 2 * nr, 0)
+        assert (counters.setup_cycles, counters.setup_passes,
+                counters.key_words) == (setup, int(precomputed),
+                                        setup + 2 * per_block)
 
     def test_decrypt_direction_recorded(self):
         bench = _run(Variant.DECRYPT, False, 1, encrypt=False)
