@@ -43,7 +43,7 @@ and engine.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.ip.control import Phase, Variant, cycles_per_round
 from repro.ip.datapath import (
@@ -56,10 +56,12 @@ from repro.ip.datapath import (
 from repro.ip.keysched_unit import KeyScheduleUnit
 from repro.ip.sbox_unit import SubWordUnit
 from repro.obs.hwcounters import HwCounters
-from repro.rtl.signal import Signal
+from repro.rtl.signal import Register, Signal
 from repro.rtl.simulator import Simulator
 
 Word4 = Tuple[int, int, int, int]
+#: One cycle of a round; returns True if the engine is idle after it.
+_Step = Callable[[], bool]
 
 # Top-level FSM encoding (the ``top`` register).
 _IDLE = 0
@@ -87,14 +89,20 @@ class BusCore:
     cycle.  A core supplies its S-box units, its key source through
     the key hooks (it must give ``_first_key`` and ``_round_key``;
     ``_start_keys``, ``_key_forward`` and ``_key_reverse`` default to
-    no key work, all a stored schedule needs) and the methods below
-    that raise ``NotImplementedError``.
+    no key work, all a stored schedule needs), the methods below
+    that raise ``NotImplementedError`` and, if it has a key set-up
+    phase, ``_tick_key_setup``.
     """
 
     #: The 6-cycle-round build with pipelined ROM reads (RijndaelCore).
     sync_rom = False
     sbox_f: Optional[SubWordUnit] = None
     sbox_i: Optional[SubWordUnit] = None
+    #: The two-beat key load's phase (cores taking 192/256-bit keys).
+    key_beat: Optional[Register] = None
+    #: Whether a ``wr_key`` edge holds the engine for that cycle, a
+    #: key load preempting whatever was running.
+    key_load_holds = True
 
     def __init__(self, simulator: Simulator, variant: Variant,
                  name: str, key_bits: int = 128):
@@ -148,6 +156,10 @@ class BusCore:
         #: ``wr_data``/``wr_key`` pulses ignored due to the setup pin.
         self.protocol_errors = 0
 
+        #: The round step each value of the ``direction`` bit selects.
+        self._round_steps = self._direction_mux(self._tick_encrypt,
+                                                self._tick_decrypt)
+
         simulator.add_clocked(self._tick)
         simulator.add_comb(self._drive_outputs)
 
@@ -193,45 +205,63 @@ class BusCore:
 
     # ------------------------------------------------------- clocked logic
     def _tick(self) -> None:
-        # Direct lookup, not self.phase: a fault campaign can flip the
-        # top register into an illegal encoding mid-run, and counting
-        # must not crash the simulation the checker is observing.
-        self.counters.cycle_tick(
-            _PHASE_NAMES.get(self.top.value, "idle")
-        )
+        # ``top`` and the pins hold still until the edge, so each is
+        # read once.  The phase name is a direct lookup, not
+        # self.phase: a fault campaign can flip ``top`` into an
+        # illegal encoding mid-run, and counting must not crash the
+        # simulation the checker is observing.
+        top = self.top.value
+        self.counters.cycle_tick(_PHASE_NAMES.get(top, "idle"))
         if self.data_ok.value:
             self.data_ok.next = 0
-        self._service_key_port()
-        idle_after = self._service_engine()
-        self._service_data_port(idle_after)
+        setup = self.setup.value
+        wr_data = self.wr_data.value
 
-    def _service_key_port(self) -> None:
-        """The ``wr_key`` side of the bus protocol (setup period only)."""
-        if not self.wr_key.value:
-            return
-        if not self.setup.value:
-            self.protocol_errors += 1
-            self.counters.protocol_error()
-            return
-        self._load_key_beat(int_to_words(self.din.value))
+        # The ``wr_key`` side of the bus protocol (setup period only).
+        key_edge = False
+        if self.wr_key.value:
+            if setup:
+                key_edge = True
+                self._load_key_beat(int_to_words(self.din.value))
+            else:
+                self.protocol_errors += 1
+                self.counters.protocol_error()
+        if not setup:
+            # The configuration period is over: a key load left at
+            # its second beat starts again from the first.
+            beat = self.key_beat
+            if beat is not None and beat.value:
+                beat.next = 0
+
+        # The engine; ``idle_after`` is True if idle after this edge.
+        if key_edge and self.key_load_holds:
+            idle_after = False
+        elif top == _RUN:
+            idle_after = self._round_steps[self.direction.value]()
+        elif top == _KEY_SETUP:
+            idle_after = self._tick_key_setup()
+        else:
+            idle_after = True
+        self._service_data_port(idle_after, wr_data, setup)
 
     def _load_key_beat(self, words: Word4) -> None:
         """Latch one ``wr_key`` beat."""
         raise NotImplementedError
 
-    def _service_engine(self) -> bool:
-        """Advance the engine; returns True if idle after this edge."""
-        raise NotImplementedError
+    def _tick_key_setup(self) -> bool:
+        """One cycle of the key set-up phase; True once it ends.
 
-    def _service_data_port(self, idle_after: bool) -> None:
+        A core without one reads a flipped ``top`` as idle.
+        """
+        return True
+
+    def _service_data_port(self, idle_after: bool, wr_data: int,
+                           setup: int) -> None:
         """The Data_In process: capture, buffer, and block starts."""
-        wr = self.wr_data.value and not (
-            self.wr_key.value and self.setup.value
-        )
-        if self.wr_data.value and self.setup.value:
+        wr = wr_data and not setup
+        if wr_data and setup:
             self.protocol_errors += 1
             self.counters.protocol_error()
-            wr = False
 
         direct: Optional[Tuple[Word4, int]] = None
         if wr:
@@ -317,18 +347,20 @@ class BusCore:
                 reg.next = word
             self.round.next = self.rounds
 
-    def _active_direction(self) -> int:
-        """The direction driving the datapath muxes.
+    def _direction_mux(self, encrypt: _Step,
+                       decrypt: _Step) -> Tuple[_Step, _Step]:
+        """The datapath each value of the direction bit selects.
 
-        Single-direction devices have the direction hardwired — there
-        is no mux for a flipped direction bit to steer, which matters
-        for fault-injection fidelity.
+        Single-direction devices have the direction hardwired — both
+        selections are the one datapath, so there is no mux for a
+        flipped direction bit to steer, which matters for
+        fault-injection fidelity.
         """
         if self.variant is Variant.ENCRYPT:
-            return DIR_ENCRYPT
+            return encrypt, encrypt
         if self.variant is Variant.DECRYPT:
-            return DIR_DECRYPT
-        return self.direction.value
+            return decrypt, decrypt
+        return encrypt, decrypt
 
     def _finish(self, result: Word4) -> bool:
         for reg, word in zip(self.out, result):
@@ -358,11 +390,6 @@ class BusCore:
         """The key work of IByteSub cycle ``slot`` (0..3) of round ``r``."""
 
     # -------------------------------------------------------- round engine
-    def _tick_run(self) -> bool:
-        if self._active_direction() == DIR_ENCRYPT:
-            return self._tick_encrypt()
-        return self._tick_decrypt()
-
     def _state_words(self) -> Word4:
         s0, s1, s2, s3 = self.state
         return (s0.value, s1.value, s2.value, s3.value)
@@ -481,6 +508,9 @@ class RijndaelCore(BusCore):
             self.sbox_i = SubWordUnit(f"{name}_sbox_i", inverse=True,
                                       sync_rom=sync_rom)
             simulator.adopt(self.sbox_i.registers)
+        if sync_rom:
+            self._round_steps = self._direction_mux(
+                self._tick_encrypt_sync, self._tick_decrypt_sync)
 
     # ------------------------------------------------------------- queries
     @property
@@ -511,20 +541,6 @@ class RijndaelCore(BusCore):
             self.ks_word.next = 0
             self.top.next = _KEY_SETUP
         # Encrypt-only devices are ready the moment the key latches.
-
-    def _service_engine(self) -> bool:
-        """Advance KEY_SETUP or RUN; returns True if idle after this edge."""
-        top = self.top.value
-        if self.wr_key.value and self.setup.value:
-            # A key load (handled above) preempts whatever was running.
-            return False
-        if top == _KEY_SETUP:
-            return self._tick_key_setup()
-        if top == _RUN:
-            if self.sync_rom:
-                return self._tick_run_sync()
-            return self._tick_run()
-        return True
 
     def _can_start(self, direction: int) -> bool:
         if direction == DIR_ENCRYPT:
@@ -593,11 +609,6 @@ class RijndaelCore(BusCore):
         return True
 
     # ------------------------------ cipher round, synchronous ROM: 6 steps
-    def _tick_run_sync(self) -> bool:
-        if self._active_direction() == DIR_ENCRYPT:
-            return self._tick_encrypt_sync()
-        return self._tick_decrypt_sync()
-
     # encrypt: ROM reads pipelined one step ahead, step 5 the mix stage
     def _tick_encrypt_sync(self) -> bool:
         r = self.round.value

@@ -37,16 +37,6 @@ def _check_words(words: Word4) -> Word4:
     return tuple(words)
 
 
-def _bytes(word: int) -> Word4:
-    """The bytes at State rows 0..3 of a column word (row 0 = MSB)."""
-    return ((word >> 24) & 0xFF, (word >> 16) & 0xFF,
-            (word >> 8) & 0xFF, word & 0xFF)
-
-
-def _from_bytes(b0: int, b1: int, b2: int, b3: int) -> int:
-    return (b0 << 24) | (b1 << 16) | (b2 << 8) | b3
-
-
 #: Byte lanes of State rows 0..3 within a column word (row 0 = MSB).
 _ROW0, _ROW1, _ROW2, _ROW3 = 0xFF000000, 0xFF0000, 0xFF00, 0xFF
 
@@ -103,14 +93,14 @@ def mix_column_word(word: int) -> int:
 
     In hardware each output byte is 1 xtime level plus a 4-input XOR
     (2 levels); the model looks each ×2/×3 product up in its table.
+    Rows 0..3 are the word's bytes from the MSB down.
     """
-    b0, b1, b2, b3 = _bytes(word)
-    return _from_bytes(
-        _MUL2[b0] ^ _MUL3[b1] ^ b2 ^ b3,
-        b0 ^ _MUL2[b1] ^ _MUL3[b2] ^ b3,
-        b0 ^ b1 ^ _MUL2[b2] ^ _MUL3[b3],
-        _MUL3[b0] ^ b1 ^ b2 ^ _MUL2[b3],
-    )
+    b0, b1, b2, b3 = ((word >> 24) & 0xFF, (word >> 16) & 0xFF,
+                      (word >> 8) & 0xFF, word & 0xFF)
+    return ((_MUL2[b0] ^ _MUL3[b1] ^ b2 ^ b3) << 24
+            | (b0 ^ _MUL2[b1] ^ _MUL3[b2] ^ b3) << 16
+            | (b0 ^ b1 ^ _MUL2[b2] ^ _MUL3[b3]) << 8
+            | (_MUL3[b0] ^ b1 ^ b2 ^ _MUL2[b3]))
 
 
 def inv_mix_column_word(word: int) -> int:
@@ -121,13 +111,12 @@ def inv_mix_column_word(word: int) -> int:
     vs 14 ns on Acex1K — and the timing model charges it accordingly;
     the model looks each product up in its table.
     """
-    b0, b1, b2, b3 = _bytes(word)
-    return _from_bytes(
-        _MULE[b0] ^ _MULB[b1] ^ _MULD[b2] ^ _MUL9[b3],
-        _MUL9[b0] ^ _MULE[b1] ^ _MULB[b2] ^ _MULD[b3],
-        _MULD[b0] ^ _MUL9[b1] ^ _MULE[b2] ^ _MULB[b3],
-        _MULB[b0] ^ _MULD[b1] ^ _MUL9[b2] ^ _MULE[b3],
-    )
+    b0, b1, b2, b3 = ((word >> 24) & 0xFF, (word >> 16) & 0xFF,
+                      (word >> 8) & 0xFF, word & 0xFF)
+    return ((_MULE[b0] ^ _MULB[b1] ^ _MULD[b2] ^ _MUL9[b3]) << 24
+            | (_MUL9[b0] ^ _MULE[b1] ^ _MULB[b2] ^ _MULD[b3]) << 16
+            | (_MULD[b0] ^ _MUL9[b1] ^ _MULE[b2] ^ _MULB[b3]) << 8
+            | (_MULB[b0] ^ _MULD[b1] ^ _MUL9[b2] ^ _MULE[b3]))
 
 
 def mix_columns_128(words: Word4) -> Word4:
@@ -146,9 +135,9 @@ def inv_mix_columns_128(words: Word4) -> Word4:
 
 def add_key_128(words: Word4, key_words: Word4) -> Word4:
     """Add Key: 128 parallel 2-input XORs (one logic level)."""
-    words = _check_words(words)
-    key_words = _check_words(key_words)
-    return tuple(w ^ k for w, k in zip(words, key_words))
+    w0, w1, w2, w3 = _check_words(words)
+    k0, k1, k2, k3 = _check_words(key_words)
+    return (w0 ^ k0, w1 ^ k1, w2 ^ k2, w3 ^ k3)
 
 
 def encrypt_mix_stage(

@@ -56,7 +56,8 @@ class TmrRegister:
     @property
     def value(self) -> int:
         """Bitwise 2-of-3 majority of the copies."""
-        a, b, c = (copy.value for copy in self.copies)
+        first, second, third = self.copies
+        a, b, c = first.value, second.value, third.value
         return (a & b) | (a & c) | (b & c)
 
     @value.setter

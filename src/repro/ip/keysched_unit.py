@@ -172,18 +172,18 @@ class KeyScheduleUnit:
         ``slot`` is the cycle index 0..3 within the round; the words
         come out in order 3, 2, 1, 0.  Returns ``(word_index, value)``.
         """
-        work = self.work_words()
+        work = self.work
         if slot == 0:
-            return 3, work[3] ^ work[2]
+            return 3, work[3].value ^ work[2].value
         if slot == 1:
-            return 2, work[2] ^ work[1]
+            return 2, work[2].value ^ work[1].value
         if slot == 2:
-            return 1, work[1] ^ work[0]
+            return 1, work[1].value ^ work[0].value
         if slot == 3:
             recovered_w3 = self.build[3].value
             if kstran_value is None:
                 kstran_value = self.kstran_now(recovered_w3, round_index)
-            return 0, work[0] ^ kstran_value
+            return 0, work[0].value ^ kstran_value
         raise ValueError(f"slot out of range: {slot}")
 
     def step_reverse(self, slot: int, round_index: int,

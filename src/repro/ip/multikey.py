@@ -36,15 +36,21 @@ each ByteSub cycle's window shift and the wide stage's window read.
 from __future__ import annotations
 
 from repro.ip.control import Variant
-from repro.ip.core import _RUN, BusCore, Word4
+from repro.ip.core import BusCore, Word4
 from repro.ip.keysched_unit import schedule_word
 from repro.ip.sbox_unit import SubWordUnit
 from repro.ip.testbench import Testbench
+from repro.rtl.signal import Register
 from repro.rtl.simulator import Simulator
 
 
 class MultiKeyEncryptCore(BusCore):
     """Encrypt-only AES-128/192/256 device (mixed 32/128 datapath)."""
+
+    # No setup phase, and no hold on a ``wr_key`` edge: a block in
+    # flight runs on under the key its window was loaded from.
+    key_load_holds = False
+    key_beat: Register
 
     def __init__(self, simulator: Simulator, key_bits: int = 128,
                  name: str = "mk"):
@@ -86,13 +92,6 @@ class MultiKeyEncryptCore(BusCore):
         for regi, word in zip(self.key[4:self.nk], words):
             regi.next = word
         self.key_beat.next = 0
-
-    def _service_engine(self) -> bool:
-        # No setup phase, and no hold on a ``wr_key`` edge: a block in
-        # flight runs on under the key its window was loaded from.
-        if self.top.value != _RUN:
-            return True
-        return self._tick_run()
 
     def _can_start(self, direction: int) -> bool:
         return True

@@ -24,15 +24,18 @@ no key work.
 from __future__ import annotations
 
 from repro.ip.control import Variant
-from repro.ip.core import _IDLE, _KEY_SETUP, _RUN, BusCore, Word4
+from repro.ip.core import _IDLE, _KEY_SETUP, BusCore, Word4
 from repro.ip.keysched_unit import schedule_word
 from repro.ip.sbox_unit import SubWordUnit
 from repro.ip.testbench import Testbench
+from repro.rtl.signal import Register
 from repro.rtl.simulator import Simulator
 
 
 class PrecomputedKeyCore(BusCore):
     """AES-128/192/256 encrypt/decrypt core with a round-key store."""
+
+    key_beat: Register
 
     def __init__(self, simulator: Simulator, key_bits: int = 128,
                  variant: Variant = Variant.BOTH, name: str = "pk"):
@@ -87,17 +90,8 @@ class PrecomputedKeyCore(BusCore):
         self.key_ready.next = 0
         self.top.next = _KEY_SETUP
 
-    def _service_engine(self) -> bool:
-        if self.wr_key.value and self.setup.value:
-            return False
-        top = self.top.value
-        if top == _KEY_SETUP:
-            return self._tick_expand()
-        if top == _RUN:
-            return self._tick_run()
-        return True
-
-    def _tick_expand(self) -> bool:
+    def _tick_key_setup(self) -> bool:
+        """One word of the expansion pass into the store."""
         i = self.expand_pos.value
         self.keyram[i].next = schedule_word(
             self.kstran_sbox, i, self.nk, self.keyram[i - 1].value,

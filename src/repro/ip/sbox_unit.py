@@ -70,6 +70,14 @@ class SubWordUnit:
         self._roms: Tuple[SboxRom, ...] = tuple(
             SboxRom(inverse) for _ in range(LANES)
         )
+        #: Each lane's ROM read out once, its data pre-shifted into the
+        #: lane's byte of the word (lane 0 = MSB): a substitution is
+        #: four table reads ORed together.
+        self._lanes: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(rom.read(address) << 8 * (LANES - 1 - lane)
+                  for address in range(256))
+            for lane, rom in enumerate(self._roms)
+        )
         self._out_reg = (
             Register(f"{name}_q", 32) if sync_rom else None
         )
@@ -116,8 +124,6 @@ class SubWordUnit:
     def _substitute(self, word: int) -> int:
         if not 0 <= word <= 0xFFFFFFFF:
             raise ValueError(f"word out of range: {word!r}")
-        out = 0
-        for lane in range(LANES):
-            shift = 8 * (LANES - 1 - lane)
-            out |= self._roms[lane].read((word >> shift) & 0xFF) << shift
-        return out
+        lane0, lane1, lane2, lane3 = self._lanes
+        return (lane0[word >> 24] | lane1[(word >> 16) & 0xFF]
+                | lane2[(word >> 8) & 0xFF] | lane3[word & 0xFF])

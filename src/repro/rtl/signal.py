@@ -8,11 +8,19 @@ the simulator calls at the rising edge on every register written since
 the last one.  This two-phase discipline is what makes the Python
 model race-free in the same way synchronous HDL is: every clocked
 process observes the *pre-edge* state regardless of evaluation order.
+
+A simulated cycle reads far more values than it writes, so the two
+sides cost differently.  A ``.value`` read is a C-level property
+getter (:func:`operator.attrgetter`) that runs no Python frame; a
+write (``Signal.value``, ``Register.next``, ``Register.deposit``)
+tests type and width inline and calls :meth:`Signal._check` only to
+raise, so every write is still checked.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from operator import attrgetter
+from typing import TYPE_CHECKING, List, Optional
 
 
 class SignalError(ValueError):
@@ -32,14 +40,23 @@ class Signal:
         self._mask = (1 << width) - 1
         self._value = self._check(reset)
 
-    @property
-    def value(self) -> int:
-        """Current value of the wire."""
-        return self._value
+    def _write(self, new: int) -> None:
+        if not (isinstance(new, int) and 0 <= new <= self._mask):
+            self._check(new)
+        self._value = new
 
-    @value.setter
-    def value(self, new: int) -> None:
-        self._value = self._check(new)
+    if TYPE_CHECKING:
+        @property
+        def value(self) -> int:
+            return self._value
+
+        @value.setter
+        def value(self, new: int) -> None:
+            self._write(new)
+    else:
+        # The same property, read through a C-level getter.
+        value = property(attrgetter("_value"), _write,
+                         doc="Current value of the wire.")
 
     def bit(self, index: int) -> int:
         """Read a single bit (LSB = 0)."""
@@ -58,6 +75,7 @@ class Signal:
         return (self._value >> low) & ((1 << (high - low + 1)) - 1)
 
     def _check(self, value: int) -> int:
+        """Return ``value`` if this wire can carry it, else raise."""
         if not isinstance(value, int):
             raise SignalError(
                 f"signal {self.name!r}: value must be int, "
@@ -111,7 +129,9 @@ class Register(Signal):
 
     @next.setter
     def next(self, value: int) -> None:
-        self._next = self._check(value)
+        if not (isinstance(value, int) and 0 <= value <= self._mask):
+            self._check(value)
+        self._next = value
         if not self._pending:
             self._pending = True
             if self._queue is not None:
@@ -128,12 +148,15 @@ class Register(Signal):
         if self._pending:
             queue.append(self)
 
-    @Signal.value.setter
-    def value(self, new: int) -> None:  # type: ignore[misc]
+    def _refuse_write(self, new: int) -> None:
         raise SignalError(
             f"register {self.name!r}: assign .next, not .value "
             "(values change only at commit)"
         )
+
+    if not TYPE_CHECKING:
+        value = property(attrgetter("_value"), _refuse_write,
+                         doc="The pre-edge (Q) value; read-only.")
 
     def commit(self) -> bool:
         """Latch the scheduled value; returns True if the value changed.
@@ -166,7 +189,7 @@ class Register(Signal):
         :mod:`repro.analysis.seu` uses it to flip state bits mid-run.
         Normal design code must never call it.
         """
-        self._value = self._check(value)
+        self._write(value)
 
     def __repr__(self) -> str:
         return f"Register({self.name!r}, width={self.width}, " \

@@ -86,6 +86,18 @@ class TestCampaign:
         assert [i.outcome for i in again.injections] == \
             [i.outcome for i in self.CAMPAIGN.injections]
 
+    def test_seeded_outcomes_pinned(self):
+        # Injection reads and deposits registers directly, so these
+        # counts guard the register read and write paths too.
+        c = self.CAMPAIGN
+        assert (c.count("corrupted"), c.count("masked"),
+                c.count("hung")) == (12, 28, 0)
+
+    def test_seeded_hardened_outcomes_pinned(self):
+        c = run_campaign(40, seed=2003, hardened=True)
+        assert (c.count("masked"), c.count("corrupted"),
+                c.count("detected"), c.count("hung")) == (37, 1, 2, 0)
+
     def test_by_register_totals(self):
         table = self.CAMPAIGN.by_register()
         assert sum(hits for hits, _ in table.values()) == 40

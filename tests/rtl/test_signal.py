@@ -1,5 +1,7 @@
 """Tests for signals and two-phase registers."""
 
+from enum import IntEnum
+
 import pytest
 
 from repro.rtl.signal import Register, Signal, SignalError
@@ -117,3 +119,65 @@ class TestRegister:
     def test_deposit_checks_width(self):
         with pytest.raises(SignalError):
             Register("r", 4).deposit(0x10)
+
+
+class Level(IntEnum):
+    HIGH = 9
+
+
+WIDTH = 4
+ACCEPTED = [0, (1 << WIDTH) - 1, True, Level.HIGH]
+REJECTED = [
+    (-1, "signal 'w': value -0x1 does not fit in 4 bits"),
+    (1 << WIDTH, "signal 'w': value 0x10 does not fit in 4 bits"),
+    ("3", "signal 'w': value must be int, got str"),
+    (1.0, "signal 'w': value must be int, got float"),
+]
+
+
+def _assign_value(value):
+    sig = Signal("w", WIDTH)
+    sig.value = value
+    return sig.value
+
+
+def _assign_next(value):
+    reg = Register("w", WIDTH)
+    reg.next = value
+    assert reg.next == value
+    assert reg.commit() is bool(value)
+    return reg.value
+
+
+def _deposit(value):
+    reg = Register("w", WIDTH)
+    reg.deposit(value)
+    return reg.value
+
+
+WRITES = [_assign_value, _assign_next, _deposit]
+
+
+class TestEveryWriteChecked:
+    """Each write path accepts and refuses the same values, with the
+    same messages, whatever its fast path."""
+
+    @pytest.mark.parametrize("write", WRITES)
+    @pytest.mark.parametrize("value", ACCEPTED)
+    def test_accepted(self, write, value):
+        assert write(value) == value
+
+    @pytest.mark.parametrize("write", WRITES)
+    @pytest.mark.parametrize("value,message", REJECTED)
+    def test_rejected(self, write, value, message):
+        with pytest.raises(SignalError) as info:
+            write(value)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [value for value, _ in REJECTED])
+    def test_rejected_next_leaves_nothing_pending(self, value):
+        reg = Register("w", WIDTH, reset=5)
+        with pytest.raises(SignalError):
+            reg.next = value
+        assert reg.commit() is False
+        assert reg.value == 5
