@@ -22,7 +22,8 @@ an unbounded one always is.
   bound is the defect.
 - ``serve.missing-timeout`` — a stream call that can block on the
   peer (``readexactly``, ``drain``, ``wait_closed``,
-  ``open_connection``, ``create_connection``, ...) awaited outside
+  ``open_connection``, ``create_connection``, a frame connection's
+  ``_wait_frame``, ...) awaited outside
   the body of an ``async with`` over ``asyncio.timeout``,
   ``asyncio.timeout_at`` or :func:`repro.serve.protocol.deadline`,
   either directly or handed to an awaited call other than
@@ -57,10 +58,12 @@ _QUEUE_TYPES = {"Queue", "LifoQueue", "PriorityQueue"}
 #: Stream-API attribute calls that block on the remote peer.  A bare
 #: ``await`` on any of these is a hang waiting to happen; each must
 #: sit in a timeout scope or inside ``asyncio.wait_for`` (or ``wait``).
+#: ``_wait_frame`` is :class:`repro.serve.protocol.FrameStream`'s wait
+#: for a whole frame.
 _RISKY_AWAITS = {
     "read", "readline", "readexactly", "readuntil", "drain",
     "wait_closed", "open_connection", "create_connection",
-    "start_tls",
+    "start_tls", "_wait_frame",
 }
 
 #: Context managers that bound every await in their ``async with``

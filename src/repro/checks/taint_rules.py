@@ -31,8 +31,9 @@ Sinks:
   a rendered secret is one innocent-looking ``print`` away from one,
   and the string keeps its taint for the error-severity sinks.
 - ``taint.secret-in-metric`` (error) — secret data used as a metrics
-  label value (``.labels(...)``): label values are exported in every
-  Prometheus scrape and JSON snapshot.
+  label value (``.labels(...)``, or ``.bind(...)`` of a series kept
+  for a hot path): label values are exported in every Prometheus
+  scrape and JSON snapshot.
 - ``taint.secret-in-span`` (error) — secret data passed as a trace
   span attribute (``trace_span(...)`` keyword): spans are written to
   Chrome-trace files meant to be shared.
@@ -223,7 +224,7 @@ def secret_in_metric(subject: FlowSubject,
         for node in own_nodes(info.node):
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "labels"):
+                    and node.func.attr in ("labels", "bind")):
                 continue
             reads = _leaks(program, info, _call_payload(node))
             if reads:

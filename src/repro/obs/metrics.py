@@ -16,10 +16,11 @@ stays stdlib-only, like everything else here):
 
 Metrics support labels in the Prometheus style: a metric is created
 with label *names* and observations go through :meth:`Metric.labels`,
-which returns a per-label-set child.  Hot paths bind children once at
-import time so the per-call cost is one method call and one integer
-add.  All mutation is lock-protected — the batch engine observes from
-worker threads.
+which returns a per-label-set child.  Hot paths bind their series
+once, at import or construction, with :meth:`Metric.bind`, so the
+per-call cost is one method call and one integer add; a bound series
+still appears only once it has been observed.  All mutation is
+lock-protected — the batch engine observes from worker threads.
 
 A process-global registry (:func:`global_registry`) collects the
 instrumentation of :mod:`repro.perf.engine`, :mod:`repro.aes.modes`
@@ -33,7 +34,8 @@ import math
 import re
 import threading
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, \
+    Sequence, Tuple
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -73,6 +75,42 @@ def _render_labels(labels: Tuple[Tuple[str, str], ...],
         f'{key}="{_escape_label_value(value)}"' for key, value in pairs
     )
     return "{" + inner + "}"
+
+
+def _label_values(owner: str, label_names: Tuple[str, ...],
+                  labels: Dict[str, str]) -> Tuple[str, ...]:
+    """``labels``' values in ``label_names`` order, once they name
+    exactly those labels."""
+    if set(labels) != set(label_names):
+        raise MetricError(
+            f"{owner} takes labels {label_names}, "
+            f"got {tuple(sorted(labels))}"
+        )
+    return tuple(str(labels[name]) for name in label_names)
+
+
+#: What a bound series forwards to its child series.
+_MUTATORS = frozenset({"inc", "dec", "set", "observe"})
+
+
+class BoundSeries:
+    """One label set's series, bound before its first observation
+    (see :meth:`Metric.bind`)."""
+
+    def __init__(self, child_for: Callable[[Tuple[str, ...]], Any],
+                 values: Tuple[str, ...]) -> None:
+        self._child_for = child_for
+        self._values = values
+
+    def __getattr__(self, name: str) -> Callable[..., None]:
+        # Reached once per mutator: the first use creates the series,
+        # and its bound method then sits on this handle, so every later
+        # call goes straight to the series.
+        if name not in _MUTATORS:
+            raise AttributeError(name)
+        method = getattr(self._child_for(self._values), name)
+        setattr(self, name, method)
+        return method
 
 
 def _format_value(value: float) -> str:
@@ -220,13 +258,21 @@ class Metric:
 
     def labels(self, **labels: str) -> _Child:
         """The child series for one label-value assignment."""
-        if set(labels) != set(self.label_names):
-            raise MetricError(
-                f"metric {self.name!r} takes labels "
-                f"{self.label_names}, got {tuple(sorted(labels))}"
-            )
-        values = tuple(str(labels[name]) for name in self.label_names)
-        return self._child_for(values)
+        return self._child_for(_label_values(
+            f"metric {self.name!r}", self.label_names, labels))
+
+    def bind(self, **labels: str) -> BoundSeries:
+        """The series for one label-value assignment, as a handle a hot
+        path keeps from import or construction on.
+
+        The labels are checked now, as :meth:`labels` checks them.  The
+        series joins the family, and so every exposition, at the
+        handle's first ``inc``/``dec``/``set``/``observe``, as it would
+        through :meth:`labels`; from then on each call goes straight
+        to it, with no lookup.
+        """
+        return BoundSeries(self._child_for, _label_values(
+            f"metric {self.name!r}", self.label_names, labels))
 
     def children(self) -> List[_Child]:
         """Every live child series, label-value-sorted.
@@ -553,12 +599,16 @@ class WindowedQuantileSet:
 
     def labels(self, **labels: str) -> WindowedQuantiles:
         """The child window for one label-value assignment."""
-        if set(labels) != set(self.label_names):
-            raise MetricError(
-                f"quantile set {self.name!r} takes labels "
-                f"{self.label_names}, got {tuple(sorted(labels))}"
-            )
-        values = tuple(str(labels[name]) for name in self.label_names)
+        return self._child_for(_label_values(
+            f"quantile set {self.name!r}", self.label_names, labels))
+
+    def bind(self, **labels: str) -> BoundSeries:
+        """The window for one label-value assignment, as a handle bound
+        ahead of its first observation (see :meth:`Metric.bind`)."""
+        return BoundSeries(self._child_for, _label_values(
+            f"quantile set {self.name!r}", self.label_names, labels))
+
+    def _child_for(self, values: Tuple[str, ...]) -> WindowedQuantiles:
         with self._lock:
             child = self._children.get(values)
             if child is None:

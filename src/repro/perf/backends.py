@@ -169,9 +169,10 @@ class Backend:
     16-byte-aligned buffer — and returns the ECB encryption of every
     block.  Engines layer counter generation and XOR on top,
     unless the backend has ``native_modes``: then the engine's
-    ``xcrypt_ctr`` hands CTR to :meth:`ctr`, and :mod:`repro.aes.gcm`
-    seals and opens through :meth:`gcm_seal` / :meth:`gcm_open` in one
-    call each.
+    ``xcrypt_ctr`` hands CTR to :meth:`ctr`, :mod:`repro.aes.gcm`
+    seals and opens through :meth:`gcm_seal` / :meth:`gcm_open`, and
+    :func:`repro.aes.modes.ecb_decrypt` runs :meth:`decrypt_blocks`,
+    in one call each.
     """
 
     #: Registry name; subclasses override.
@@ -183,8 +184,8 @@ class Backend:
 
     @property
     def native_modes(self) -> bool:
-        """True when :meth:`ctr`, :meth:`gcm_seal` and :meth:`gcm_open`
-        are implemented."""
+        """True when :meth:`decrypt_blocks`, :meth:`ctr`,
+        :meth:`gcm_seal` and :meth:`gcm_open` are implemented."""
         return self.max_gcm_iv_bytes > 0
 
     @property
@@ -194,6 +195,10 @@ class Backend:
 
     def encrypt_blocks(self, key: bytes, data: bytes) -> bytes:
         """Encrypt every 16-byte block of ``data`` under ``key``."""
+        raise NotImplementedError
+
+    def decrypt_blocks(self, key: bytes, data: bytes) -> bytes:
+        """Decrypt every 16-byte block of ``data`` under ``key``."""
         raise NotImplementedError
 
     def ctr(self, key: bytes, counter: bytes, data: Buffer) -> bytes:

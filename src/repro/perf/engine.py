@@ -32,8 +32,9 @@ from repro.perf.backends import Backend, Buffer, as_buffer, get_backend
 
 BLOCK = 16
 
-# Engine instrumentation: children are bound once at import so the
-# per-call cost on the hot path is a dict-free method call.
+# Engine instrumentation: children are bound once, at import or per
+# engine, so the per-call cost on the hot path is a dict-free method
+# call.
 _REGISTRY = global_registry()
 _OPS = _REGISTRY.counter(
     "repro_engine_ops_total",
@@ -79,6 +80,7 @@ class BatchEngine:
         if isinstance(backend, str):
             backend = get_backend(backend)
         self._backend = backend
+        self._backend_seconds = _BACKEND_SECONDS.bind(backend=backend.name)
         _BACKEND_SELECTED.labels(backend=backend.name).inc()
 
     @property
@@ -90,9 +92,10 @@ class BatchEngine:
     def encrypt_blocks(self, key: bytes, data: bytes) -> bytes:
         """Encrypt an aligned buffer block-by-block (ECB direction).
 
-        Decryption needs the inverse cipher, which stays on the
-        straightforward model — every backend here is encrypt-only,
-        like the paper's smallest device variant.
+        Decryption needs the inverse cipher, which only a backend
+        with native modes has (:func:`repro.aes.modes.ecb_decrypt`
+        calls it); every other backend here is encrypt-only, like the
+        paper's smallest device variant.
         """
         key = bytes(key)
         if len(key) != BLOCK:
@@ -113,9 +116,7 @@ class BatchEngine:
                         blocks=len(data) // BLOCK):
             start = time.perf_counter()
             out = self._backend.encrypt_blocks(key, data)
-            _BACKEND_SECONDS.labels(backend=self._backend.name).observe(
-                time.perf_counter() - start
-            )
+            self._backend_seconds.observe(time.perf_counter() - start)
             return out
 
     # ------------------------------------------------------------ CTR

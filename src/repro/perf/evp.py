@@ -5,14 +5,15 @@ units behind one fabric; the software analogue is registering the
 platform's best engine — OpenSSL's EVP AES-128, which runs on AES-NI
 where the CPU has it — behind the same :class:`Backend` interface the
 pure-Python backends implement.  Beyond ECB blocks it offers the modes
-natively: AES-128-CTR, and one-shot AES-128-GCM seal and open, so a
-served CTR or GCM request is one libcrypto call instead of Python
-counter generation, block encryption, XOR and GHASH.
+natively: ECB decryption, AES-128-CTR, and one-shot AES-128-GCM seal
+and open, so every served request is one libcrypto call instead of
+Python counter generation, block encryption, XOR and GHASH, or the
+golden per-block inverse cipher.
 
 Everything is gated: no libcrypto, a missing symbol, or a failed
-known-answer test (FIPS-197 C.1 ECB, SP 800-38A F.5.1 CTR, GCM cases
-with a 12-byte and a 60-byte IV, and a flipped tag that must fail)
-means :func:`have_evp` is false, the backend never registers, and
+known-answer test (FIPS-197 C.1 ECB both ways, SP 800-38A F.5.1 CTR,
+GCM cases with a 12-byte and a 60-byte IV, and a flipped tag that must
+fail) means :func:`have_evp` is false, the backend never registers, and
 ``auto`` selects ``sliced``.  Where the tests pass, ``auto`` selects
 this backend.  No new Python dependencies — ctypes only.
 """
@@ -232,11 +233,13 @@ class _Lib:
             raise RuntimeError("EVP_CipherFinal_ex failed")
         return out
 
-    def ecb(self, key: bytes, data: bytes) -> bytes:
-        """Raw AES-128-ECB over ``data`` (padding disabled)."""
+    def ecb(self, key: bytes, data: bytes,
+            encrypt: bool = True) -> bytes:
+        """Raw AES-128-ECB over ``data`` (padding disabled), the
+        inverse cipher when ``encrypt`` is false."""
         ctx = self._new_context()
         try:
-            self._key(ctx, "ecb", key)
+            self._key(ctx, "ecb", key, encrypt=encrypt)
             _ok(self.set_padding(ctx, 0), "EVP_CIPHER_CTX_set_padding")
             return self._produce(ctx, data)
         finally:
@@ -281,7 +284,9 @@ class _Lib:
 def _self_test(lib: _Lib) -> bool:
     """The known answers every primitive must reproduce before use."""
     c1 = FIPS197_APPENDIX_C1
-    if lib.ecb(c1.key, c1.plaintext) != c1.ciphertext:
+    if (lib.ecb(c1.key, c1.plaintext) != c1.ciphertext
+            or lib.ecb(c1.key, c1.ciphertext, encrypt=False)
+            != c1.plaintext):
         return False
     if lib.ctr(SP800_38A_ECB128_KEY, SP800_38A_CTR128_COUNTER0,
                SP800_38A_ECB128_PLAINTEXT) != SP800_38A_CTR128_CIPHERTEXT:
@@ -354,22 +359,17 @@ def _checked_lib(key: bytes) -> _Lib:
 
 
 class EvpBackend(Backend):
-    """AES-128 ECB, CTR and GCM through OpenSSL EVP."""
+    """AES-128 ECB (both ways), CTR and GCM through OpenSSL EVP."""
 
     name = "evp"
     vectorized = True
     max_gcm_iv_bytes = GCM_MAX_IV_BYTES
 
     def encrypt_blocks(self, key: bytes, data: bytes) -> bytes:
-        key, data = bytes(key), bytes(data)
-        lib = _checked_lib(key)
-        if len(data) % _BLOCK:
-            raise ValueError(
-                f"data length {len(data)} is not a multiple of "
-                f"{_BLOCK}")
-        if not data:
-            return b""
-        return lib.ecb(key, data)
+        return _ecb(key, data, encrypt=True)
+
+    def decrypt_blocks(self, key: bytes, data: bytes) -> bytes:
+        return _ecb(key, data, encrypt=False)
 
     def ctr(self, key: bytes, counter: bytes, data: Buffer) -> bytes:
         key, counter, data = bytes(key), bytes(counter), as_buffer(data)
@@ -398,6 +398,17 @@ class EvpBackend(Backend):
             return None
         return lib.gcm_open(key, iv, bytes(aad), as_buffer(ciphertext),
                             tag)
+
+
+def _ecb(key: bytes, data: bytes, encrypt: bool) -> bytes:
+    key, data = bytes(key), bytes(data)
+    lib = _checked_lib(key)
+    if len(data) % _BLOCK:
+        raise ValueError(
+            f"data length {len(data)} is not a multiple of {_BLOCK}")
+    if not data:
+        return b""
+    return lib.ecb(key, data, encrypt)
 
 
 def _check_iv(iv: bytes) -> None:

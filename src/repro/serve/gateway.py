@@ -47,7 +47,8 @@ from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Dict, List, Optional, Set, \
     Tuple
 
-from repro.obs.metrics import WindowedQuantileSet, global_registry
+from repro.obs.metrics import BoundSeries, WindowedQuantileSet, \
+    global_registry
 from repro.serve.protocol import (
     Frame,
     FrameError,
@@ -82,6 +83,10 @@ _BACKEND_UP = _REGISTRY.gauge(
     "Whether a backend shard is in the routing ring (1) or not (0)",
     labels=("shard",),
 )
+_NO_BACKEND = _ROUTED.bind(shard="none", outcome="no_backend")
+
+#: The outcomes of a frame routed to a shard, each bound per shard.
+_SHARD_OUTCOMES = ("forwarded", "shed", "unreachable", "backend_lost")
 
 
 class HashRing:
@@ -163,9 +168,12 @@ class BackendSpec:
 
 @dataclass
 class _BackendState:
-    """Mutable per-backend bookkeeping."""
+    """Mutable per-backend bookkeeping, and the shard's series, bound
+    once: its routed-request window and its count of each outcome."""
 
     spec: BackendSpec
+    window: BoundSeries
+    routed: Dict[str, BoundSeries]
     healthy: bool = True
     #: Requests forwarded and not yet answered, across all client
     #: connections — the shedding valve reads this.
@@ -284,7 +292,13 @@ class Gateway(FrameServer[GatewayConfig, _GatewayConn]):
         previous = self._backends.get(spec.shard)
         if previous is not None:
             self._ring.remove(spec.shard)
-        self._backends[spec.shard] = _BackendState(spec=spec)
+        self._backends[spec.shard] = _BackendState(
+            spec=spec,
+            window=self.request_window.bind(shard=spec.shard),
+            routed={outcome: _ROUTED.bind(shard=spec.shard,
+                                          outcome=outcome)
+                    for outcome in _SHARD_OUTCOMES},
+        )
         self._ring.add(spec.shard)
         _BACKEND_UP.labels(shard=spec.shard).set(1.0)
 
@@ -339,13 +353,13 @@ class Gateway(FrameServer[GatewayConfig, _GatewayConn]):
         key = frame.session_id or conn.fallback_key
         shard = self._ring.lookup(key)
         if shard is None:
-            _ROUTED.labels(shard="none", outcome="no_backend").inc()
+            _NO_BACKEND.inc()
             await self._send(conn, frame.error(
                 Status.OVERLOADED, "no healthy backend"))
             return
         state = self._backends[shard]
         if state.inflight >= self.config.shed_inflight:
-            _ROUTED.labels(shard=shard, outcome="shed").inc()
+            state.routed["shed"].inc()
             await self._send(conn, frame.error(
                 Status.OVERLOADED,
                 f"shard {shard} is saturated"))
@@ -357,8 +371,7 @@ class Gateway(FrameServer[GatewayConfig, _GatewayConn]):
             except (OSError, asyncio.TimeoutError):
                 # The probe loop will confirm, but the failed dial is
                 # evidence enough to stop routing there now.
-                _ROUTED.labels(shard=shard,
-                               outcome="unreachable").inc()
+                state.routed["unreachable"].inc()
                 self._set_health(state, False)
                 await self._send(conn, frame.error(
                     Status.OVERLOADED,
@@ -390,7 +403,6 @@ class Gateway(FrameServer[GatewayConfig, _GatewayConn]):
     async def _pump(self, conn: _GatewayConn, state: _BackendState,
                     upstream: _Upstream) -> None:
         """Relay one upstream's responses back to the client."""
-        shard = upstream.shard
         try:
             while True:
                 try:
@@ -408,11 +420,9 @@ class Gateway(FrameServer[GatewayConfig, _GatewayConn]):
                                                None)
                 if pending is not None:
                     state.inflight -= 1
-                    self.request_window.labels(shard=shard).observe(
-                        time.perf_counter() - pending.started
-                    )
-                    _ROUTED.labels(shard=shard,
-                                   outcome="forwarded").inc()
+                    state.window.observe(
+                        time.perf_counter() - pending.started)
+                    state.routed["forwarded"].inc()
                 await self._send(conn, response)
                 if pending is not None:
                     conn.stream.answered()
@@ -437,8 +447,7 @@ class Gateway(FrameServer[GatewayConfig, _GatewayConn]):
         )
         for pending in upstream.pending.values():
             state.inflight -= 1
-            _ROUTED.labels(shard=upstream.shard,
-                           outcome="backend_lost").inc()
+            state.routed["backend_lost"].inc()
             await self._send(conn, pending.frame.error(
                 Status.OVERLOADED,
                 f"shard {upstream.shard} connection lost; retry"))

@@ -139,6 +139,12 @@ class Status(enum.IntEnum):
     INTERNAL = 8         #: unexpected server-side failure
 
 
+#: Each enum's members by wire value, built once: a decoded header
+#: field is one table lookup, not an enum call.
+_OPS = {op.value: op for op in Op}
+_MODES = {mode.value: mode for mode in Mode}
+_STATUSES = {status.value: status for status in Status}
+
 #: Statuses a client may transparently retry: transient server-side
 #: conditions where the request itself was well-formed.
 RETRYABLE_STATUSES = frozenset(
@@ -328,12 +334,17 @@ def decode_payload(header: bytes, payload: bytes,
             f"payload of {len(payload)} bytes exceeds the "
             f"{MAX_PAYLOAD_BYTES}-byte frame limit"
         )
-    try:
-        frame_op = Op(op)
-        frame_mode = Mode(mode)
-        frame_status = Status(status)
-    except ValueError as exc:
-        raise FrameError(f"unknown field value: {exc}") from None
+    frame_op = _OPS.get(op)
+    frame_mode = _MODES.get(mode)
+    frame_status = _STATUSES.get(status)
+    if frame_op is None or frame_mode is None or frame_status is None:
+        # Worded as the enum's own ValueError, for the first bad field.
+        field_name, value = (
+            ("Op", op) if frame_op is None
+            else ("Mode", mode) if frame_mode is None
+            else ("Status", status))
+        raise FrameError(
+            f"unknown field value: {value} is not a valid {field_name}")
     return Frame(op=frame_op, mode=frame_mode, status=frame_status,
                  session_id=session_id, request_id=request_id,
                  payload=payload, trace_id=trace_id,
@@ -540,15 +551,17 @@ class FrameStream(asyncio.BufferedProtocol):
     """One frame connection: the transport's protocol, its reader and
     its writer in one object.
 
-    The transport receives straight into the connection's one buffer,
-    and :meth:`readexactly` copies exactly the bytes asked for out of
-    it as ``bytes``: a frame read that finds its bytes buffered makes
-    one allocation and one copy of them.  The buffer starts at
+    The transport receives straight into the connection's one buffer.
+    :func:`read_frame` waits, if it must, until a whole frame is
+    buffered, then copies each part of it out as ``bytes`` with no
+    further wait (:meth:`readexactly` copies exactly the bytes asked
+    for): one allocation and one copy per part.  The buffer starts at
     :data:`RECV_BYTES` and grows only when a read is waiting for more
     than it can hold, to that read plus one receive; it never
     shrinks.  So the largest frame a connection has read sets its
-    size for the connection's life, at most one maximum frame plus
-    one receive (:data:`MAX_FRAME_BYTES` + :data:`RECV_BYTES`).
+    size for the connection's life, at most one maximum frame with
+    its prefix plus one receive (4 + :data:`MAX_FRAME_BYTES` +
+    :data:`RECV_BYTES`).
     Reading pauses only when the buffer is full and no read is
     waiting, and resumes when a read has to wait;
     ``repro_serve_read_pauses_total`` counts the pauses.
@@ -657,27 +670,66 @@ class FrameStream(asyncio.BufferedProtocol):
     async def readexactly(self, n: int) -> bytes:
         """Exactly ``n`` bytes, as ``asyncio.StreamReader`` reads
         them."""
+        while (self._end - self._start < n and not self._eof
+               and self._exc is None):
+            await self._fill(n)
+        return self._take(n)
+
+    def _frame_wants(self) -> int:
+        """How many bytes must be buffered before :func:`read_frame`
+        can take the next frame: its length prefix, then the whole
+        frame.  0 when the read need not wait: the frame is whole, its
+        prefix is over :data:`MAX_FRAME_BYTES` (the read rejects it
+        from the prefix alone) or the connection has ended."""
+        start = self._start
+        held = self._end - start
+        if held < 4:
+            need = 4
+        else:
+            size = int.from_bytes(self._view[start:start + 4], "big")
+            need = 0 if size > MAX_FRAME_BYTES else 4 + size
+        if held >= need or self._eof or self._exc is not None:
+            return 0
+        return need
+
+    async def _wait_frame(self) -> None:
+        """Wait until :meth:`_frame_wants` is 0: at most one wait for
+        the prefix and one for the rest of the frame."""
+        need = self._frame_wants()
+        while need:
+            await self._fill(need)
+            need = self._frame_wants()
+
+    async def _fill(self, n: int) -> None:
+        """Wait once for ``n`` bytes buffered, EOF or the loss."""
+        if self._waiter is not None:
+            raise RuntimeError("a read is already waiting on this "
+                               "connection")
+        self._reserve(n)
+        self._want = n
+        self._waiter = self._loop.create_future()
+        try:
+            await self._waiter
+        finally:
+            self._waiter = None
+            self._want = 0
+
+    def _take(self, n: int) -> bytes:
+        """Exactly ``n`` buffered bytes, copied out once, with no wait.
+        A lost connection raises its error first, as ``readexactly``
+        always has.  With fewer than ``n`` bytes buffered the
+        connection has ended, and EOF raises
+        :class:`asyncio.IncompleteReadError` with what is left."""
         if self._exc is not None:
             raise self._exc
-        if self._waiter is not None:
-            raise RuntimeError("readexactly() called while another "
-                               "read is waiting")
-        while self._end - self._start < n:
-            if self._eof:
-                partial = bytes(self._view[self._start:self._end])
-                self._start = self._end = 0
-                raise asyncio.IncompleteReadError(partial, n)
-            self._reserve(n)
-            self._want = n
-            self._waiter = self._loop.create_future()
-            try:
-                await self._waiter
-            finally:
-                self._waiter = None
-                self._want = 0
-        start = self._start
+        start, end = self._start, self._end
+        if end - start < n:
+            assert self._eof, "bytes taken before they were buffered"
+            self._start = self._end = 0
+            raise asyncio.IncompleteReadError(
+                bytes(self._view[start:end]), n)
         data = bytes(self._view[start:start + n])
-        if start + n == self._end:
+        if start + n == end:
             self._start = self._end = 0
         else:
             self._start = start + n
@@ -709,6 +761,12 @@ class FrameStream(asyncio.BufferedProtocol):
 
     def close(self) -> None:
         self.transport.close()
+
+    def _drain_waits(self) -> bool:
+        """Whether :meth:`drain` would do more than return at once:
+        writing is paused, or the connection is closing or lost."""
+        return (self._write_paused or self._exc is not None
+                or self._closed.done() or self.transport.is_closing())
 
     async def drain(self) -> None:
         """Wait until the transport takes more writes, as
@@ -783,35 +841,35 @@ FrameReader = Union[asyncio.StreamReader, FrameStream]
 FrameWriter = Union[asyncio.StreamWriter, FrameStream]
 
 
-async def _readexactly(reader: FrameReader, count: int,
-                       timeout: Optional[float]) -> bytes:
-    """``reader.readexactly(count)`` bounded by ``timeout``.
-
-    The :func:`deadline` scope bounds the await in place, so bytes
-    the reader already holds come back with no new Task, no extra
-    event-loop turn and, on a warm task, no timer.
-    """
-    async with deadline(timeout):
-        return await reader.readexactly(count)
-
-
 async def read_frame(reader: FrameReader,
                      timeout: Optional[float] = None) -> Optional[Frame]:
     """Read one frame from a stream; ``None`` on clean EOF.
 
     ``reader`` is a :class:`FrameStream` on every serve-tier
-    connection, where each read below copies exactly its bytes out of
-    the connection's one receive buffer; an ``asyncio.StreamReader``
-    reads the same frames with the same errors.  Every read is
-    bounded by ``timeout`` on its own, in a :func:`deadline` scope
+    connection.  A frame it already holds whole is taken at once, each
+    part copied exactly once out of the connection's receive buffer,
+    with no wait and so no timeout scope.  Otherwise one
+    :func:`deadline` scope of ``timeout`` bounds every wait of the
+    read, so a peer that trickles its bytes is cut off ``timeout``
+    after the read began; nothing is consumed until the frame is
+    whole.  An ``asyncio.StreamReader`` reads the same frames with the
+    same errors, its prefix and its body each in a scope of their own
     (``None`` waits forever — callers on untrusted sockets pass a real
     number).  EOF *between* frames returns ``None``; EOF inside a
     frame raises an unrecoverable :class:`FrameError`, as does an
     oversized length prefix — in both cases the stream cannot be
     re-synchronized and the connection must close.
     """
+    stream = reader if isinstance(reader, FrameStream) else None
     try:
-        prefix = await _readexactly(reader, 4, timeout)
+        if stream is None:
+            async with deadline(timeout):
+                prefix = await reader.readexactly(4)
+        else:
+            if stream._frame_wants():
+                async with deadline(timeout):
+                    await stream._wait_frame()
+            prefix = stream._take(4)
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             return None  # clean EOF on a frame boundary
@@ -825,29 +883,31 @@ async def read_frame(reader: FrameReader,
             recoverable=False,
         )
     try:
+        if stream is None:
+            async with deadline(timeout):
+                body = await reader.readexactly(body_len)
+            return decode_body(body)
         if body_len < HEADER_BYTES:
             # Undersized frames go through decode_body so the
             # failure classifies exactly as before (recoverable:
             # the promised byte count was fully consumed).
-            body = await _readexactly(reader, body_len, timeout)
-            return decode_body(body)
-        header = await _readexactly(reader, HEADER_BYTES, timeout)
+            return decode_body(stream._take(body_len))
+        header = stream._take(HEADER_BYTES)
         remaining = body_len - HEADER_BYTES
         trace: Optional[Tuple[int, int]] = None
         if header[2] == TRACE_VERSION and remaining >= TRACE_EXT_BYTES:
-            # The trace context is read as its own 16-byte chunk so
-            # the payload buffer below is still adopted unsliced; an
-            # undersized traced frame skips this read and classifies
-            # in decode_payload (recoverable — fully consumed).
-            ext = await _readexactly(reader, TRACE_EXT_BYTES, timeout)
-            trace = _TRACE_EXT.unpack(ext)
+            # The trace context is taken as its own 16-byte chunk so
+            # the payload below is still one unsliced copy; an
+            # undersized traced frame skips this and classifies in
+            # decode_payload (recoverable — fully consumed).
+            trace = _TRACE_EXT.unpack(stream._take(TRACE_EXT_BYTES))
             remaining -= TRACE_EXT_BYTES
-        payload = await _readexactly(reader, remaining, timeout)
+        payload = stream._take(remaining)
     except asyncio.IncompleteReadError:
         raise FrameError("connection closed mid-frame",
                          recoverable=False) from None
-    # The length was parsed exactly once (above); the payload bytes
-    # land in the frame as the very object readexactly produced.
+    # The decoder does not parse the length again; the payload bytes
+    # land in the frame as the very object the take produced.
     return decode_payload(header, payload, trace)
 
 
@@ -855,7 +915,9 @@ async def write_frame(writer: FrameWriter, frame: Frame,
                       timeout: Optional[float] = None) -> None:
     """Serialize ``frame`` and drain the transport, bounded by a
     ``timeout`` :func:`deadline` so a stalled peer cannot wedge the
-    writer.
+    writer.  A :class:`FrameStream` whose drain would return at once
+    (writing not paused, the connection open) skips both: a scope
+    around an await that cannot wait bounds nothing.
 
     Head, payload and tail are written as separate parts — the
     transport buffers them back to back, so no joined copy of the
@@ -867,6 +929,8 @@ async def write_frame(writer: FrameWriter, frame: Frame,
         writer.write(payload)
     if frame.tail:
         writer.write(frame.tail)
+    if isinstance(writer, FrameStream) and not writer._drain_waits():
+        return
     async with deadline(timeout):
         await writer.drain()
 

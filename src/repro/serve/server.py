@@ -44,16 +44,16 @@ bounded buffering, measured behaviour:
   the server adds its sessions, its queue and its drain.
 
 Crypto runs through :func:`repro.perf.engine.default_engine` (via the
-mode layer).  Where that engine's backend has native modes, a CTR
-request, a GCM seal or open, or an ECB encryption is one libcrypto
-call over at most one frame's payload, measured cheaper than a
-thread-pool round trip at every size up to that limit, so it runs on
-the event loop.  The rest runs on a small thread pool, where the
-loop keeps reading frames: ECB decryption (the golden per-block
-cipher) and every request on the ``sliced`` fallback.  Everything is
-instrumented into the process-global :mod:`repro.obs` registry —
-request/byte/error counters, an in-flight gauge, a latency histogram
-and ``serve.*`` spans.
+mode layer).  Where that engine's backend has native modes, every
+crypto request (CTR, GCM seal or open, ECB either way) is one
+libcrypto call over at most one frame's payload, measured cheaper
+than a thread-pool round trip at every size up to that limit, so it
+runs on the event loop.  On the ``sliced`` fallback every crypto
+request runs on a small thread pool, where the loop keeps reading
+frames.  Everything is instrumented into the process-global
+:mod:`repro.obs` registry — request/byte/error counters, an in-flight
+gauge, a latency histogram and ``serve.*`` spans — through series
+bound once per label set, so a warm request looks none of them up.
 """
 
 from __future__ import annotations
@@ -130,6 +130,18 @@ _EXECUTOR_HOPS = _REGISTRY.counter(
 )
 _BYTES_IN = _BYTES.labels(direction="in")
 _BYTES_OUT = _BYTES.labels(direction="out")
+
+#: Lower-case enum names, for labels and span arguments.
+_OP_NAMES = {op: op.name.lower() for op in Op}
+_MODE_NAMES = {mode: mode.name.lower() for mode in Mode}
+
+#: The per-request series, bound once per label set; each shows on
+#: ``/metrics`` from its first observation on.
+_REPLIES = {(op, status): _REQUESTS.bind(op=_OP_NAMES[op],
+                                         status=status.name.lower())
+            for op in Op for status in Status}
+_REQUEST_SECONDS_BY_OP = {op: _REQUEST_SECONDS.bind(op=_OP_NAMES[op])
+                          for op in Op}
 
 
 @dataclass
@@ -528,6 +540,11 @@ class CryptoServer(FrameServer[ServeConfig, _ServerConn]):
         )
         self._windows = {"request_seconds": self.request_window,
                          "queue_wait_seconds": self.queue_wait_window}
+        self._request_series = {
+            (op, mode): self.request_window.bind(op=_OP_NAMES[op],
+                                                 mode=_MODE_NAMES[mode])
+            for op in Op for mode in Mode}
+        self._queue_wait_series = self.queue_wait_window.bind()
 
     # ------------------------------------------------ frame-loop hooks
     async def _begin(self) -> None:
@@ -591,8 +608,7 @@ class CryptoServer(FrameServer[ServeConfig, _ServerConn]):
             self._executor.shutdown(wait=False)
 
     def _count(self, reply: Frame, sent: Optional[Frame]) -> None:
-        _REQUESTS.labels(op=reply.op.name.lower(),
-                         status=reply.status.name.lower()).inc()
+        _REPLIES[reply.op, reply.status].inc()
         if sent is not None:
             _BYTES_OUT.inc(sent.wire_payload_bytes)
 
@@ -617,10 +633,11 @@ class CryptoServer(FrameServer[ServeConfig, _ServerConn]):
 
     async def _process(self, item: _WorkItem) -> None:
         frame = item.frame
+        op, mode = frame.op, frame.mode
         start = time.perf_counter()
         span_args: Dict[str, object] = {
-            "op": frame.op.name.lower(),
-            "mode": frame.mode.name.lower(),
+            "op": _OP_NAMES[op],
+            "mode": _MODE_NAMES[mode],
             "payload_bytes": len(frame.payload),
         }
         if frame.trace_id:
@@ -635,7 +652,7 @@ class CryptoServer(FrameServer[ServeConfig, _ServerConn]):
                      category="serve", **span_args)
         with trace_span("serve.request", category="serve",
                         **span_args):
-            handler = self._handlers.get(frame.op)
+            handler = self._handlers.get(op)
             if handler is None:
                 reply = frame.error(Status.BAD_REQUEST,
                                     f"unhandled op {frame.op.name}")
@@ -659,15 +676,9 @@ class CryptoServer(FrameServer[ServeConfig, _ServerConn]):
                              time.perf_counter(), category="serve",
                              **span_args)
         elapsed = time.perf_counter() - start
-        _REQUEST_SECONDS.labels(op=frame.op.name.lower()).observe(
-            elapsed
-        )
-        self.request_window.labels(
-            op=frame.op.name.lower(), mode=frame.mode.name.lower()
-        ).observe(elapsed)
-        self.queue_wait_window.labels().observe(
-            start - item.enqueued_at
-        )
+        _REQUEST_SECONDS_BY_OP[op].observe(elapsed)
+        self._request_series[op, mode].observe(elapsed)
+        self._queue_wait_series.observe(start - item.enqueued_at)
         send_start = time.perf_counter()
         await self._send(item.conn, reply)
         trace_record("serve.write", send_start, time.perf_counter(),
@@ -699,7 +710,7 @@ class CryptoServer(FrameServer[ServeConfig, _ServerConn]):
                 f"no {frame.mode.name} handler for {frame.op.name}",
             )
         try:
-            if _runs_inline(work):
+            if _runs_inline():
                 # Bounded by construction: one libcrypto call over at
                 # most one frame (1 MiB), cheaper than a hop.
                 out = work(session.key, frame.payload)
@@ -725,9 +736,10 @@ class CryptoServer(FrameServer[ServeConfig, _ServerConn]):
 # The crypto table: (op, mode) -> callable(session_key, payload),
 # returning the reply payload, or a seal's (ciphertext, tag), which
 # the reply writes as payload and tail.
-# Every entry routes its bulk work through
-# ``repro.perf.default_engine()`` via the mode layer; _runs_inline
-# decides whether it runs on the event loop or the thread pool.
+# Every entry routes its work through ``repro.perf.default_engine()``
+# via the mode layer, as one libcrypto call where its backend has
+# native modes; _runs_inline decides between the event loop and the
+# thread pool.
 # The CTR and GCM entries pass the payload-sized part of a request
 # on as a ``memoryview``, not a slice, so the native call allocates
 # no copy of it.  (Dispatch through this table also keeps the
@@ -795,16 +807,12 @@ _CRYPTO_OPS: Dict[Tuple[Op, Mode], Callable[[bytes, bytes], _Reply]] = {
     (Op.DECRYPT, Mode.GCM): _gcm_decrypt,
 }
 
-#: The entries whose whole work is one libcrypto call where the
-#: default engine's backend has native modes.  ECB decryption runs
-#: the golden per-block cipher, so it is not one of them.
-_NATIVE_OPS = frozenset(
-    (modes.ecb_encrypt, _ctr_xcrypt, _gcm_encrypt, _gcm_decrypt))
 
-
-def _runs_inline(work: Callable[[bytes, bytes], _Reply]) -> bool:
-    """Whether a request runs on the event loop, not the pool."""
-    return work in _NATIVE_OPS and default_engine().backend.native_modes
+def _runs_inline() -> bool:
+    """Whether crypto requests run on the event loop, not the pool:
+    where the default engine's backend has native modes, every
+    ``_CRYPTO_OPS`` entry is one libcrypto call."""
+    return default_engine().backend.native_modes
 
 
 __all__ = ["GCM_MAX_PLAINTEXT_BYTES", "CryptoServer", "ServeConfig",

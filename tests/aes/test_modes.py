@@ -83,6 +83,13 @@ class TestECB:
     def test_round_trip(self):
         assert ecb_decrypt(KEY, ecb_encrypt(KEY, PT)) == PT
 
+    def test_sp800_38a_vector_decrypts(self):
+        assert ecb_decrypt(KEY, SP800_38A_ECB128_CIPHERTEXT) == PT
+
+    def test_sp800_38a_vector_decrypts_on_the_fallback(self, no_evp):
+        assert ecb_decrypt(KEY, SP800_38A_ECB128_CIPHERTEXT) == PT
+        assert ecb_decrypt(KEY, b"") == b""
+
     def test_identical_blocks_leak(self):
         # The well-known ECB weakness — also why the examples use CBC.
         two = ecb_encrypt(KEY, bytes(32))

@@ -109,6 +109,15 @@ class TestMissingTimeout:
         assert len(findings) == 1
         assert "readexactly" in findings[0].message
 
+    def test_bare_frame_wait_triggers(self):
+        findings = lint(
+            """
+            async def f(stream):
+                await stream._wait_frame()
+            """, "serve.missing-timeout")
+        assert len(findings) == 1
+        assert "_wait_frame" in findings[0].message
+
     def test_bare_drain_triggers(self):
         findings = lint(
             """

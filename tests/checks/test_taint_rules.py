@@ -156,6 +156,13 @@ class TestSecretInMetric:
             """)
         assert len(findings) == 1
 
+    def test_key_as_bound_label_value_triggers(self):
+        findings = lint("taint.secret-in-metric", mod="""
+            def f(counter, key):
+                return counter.bind(peer=key)
+            """)
+        assert len(findings) == 1
+
     def test_public_label_is_clean(self):
         findings = lint("taint.secret-in-metric", mod="""
             def f(counter, frame, key):

@@ -53,6 +53,52 @@ class TestCounter:
         c = registry.counter("ops_total", "ops", labels=("mode",))
         with pytest.raises(MetricError):
             c.labels(direction="enc")
+        with pytest.raises(MetricError):
+            c.bind(direction="enc")
+
+
+class TestBind:
+    def test_bound_series_appears_at_first_observation(self, registry):
+        c = registry.counter("ops_total", "ops", labels=("mode",))
+        bound = c.bind(mode="ctr")
+        assert c.children() == []
+        assert "ops_total{" not in registry.render_prometheus()
+        bound.inc()
+        bound.inc(2)
+        assert c.labels(mode="ctr").value == 3
+        assert 'ops_total{mode="ctr"} 3' in registry.render_prometheus()
+
+    def test_bound_calls_go_straight_to_the_series(self, registry):
+        h = registry.histogram("lat_seconds", "lat", labels=("op",))
+        bound = h.bind(op="ping")
+        bound.observe(0.01)
+        assert bound.observe == h.labels(op="ping").observe
+        assert h.labels(op="ping").count == 1
+
+    def test_bound_series_survives_reset(self, registry):
+        g = registry.gauge("depth", "depth", labels=("queue",))
+        bound = g.bind(queue="a")
+        bound.set(4)
+        registry.reset()
+        bound.inc()
+        assert g.labels(queue="a").value == 1
+
+    def test_only_mutators_reach_the_series(self, registry):
+        c = registry.counter("ops_total", "ops", labels=("mode",))
+        with pytest.raises(AttributeError):
+            c.bind(mode="ctr").value
+        assert c.children() == []
+
+    def test_bound_window_appears_at_first_observation(self):
+        s = WindowedQuantileSet("b_seconds", "b", label_names=("op",))
+        bound = s.bind(op="encrypt")
+        assert s.snapshot(now=1_000.0)["samples"] == []
+        bound.observe(0.002, now=1_000.0)
+        sample, = s.snapshot(now=1_000.0)["samples"]
+        assert (sample["labels"], sample["count"]) == (
+            {"op": "encrypt"}, 1)
+        with pytest.raises(MetricError):
+            s.bind(wrong="x")
 
 
 class TestGauge:

@@ -15,9 +15,11 @@ import random
 
 import pytest
 
-from repro.aes import gcm
+from repro.aes import gcm, modes
+from repro.aes.cipher import AES128
 from repro.aes.gcm import AuthenticationError
 from repro.aes.vectors import (
+    FIPS197_APPENDIX_C1,
     GCM_VECTORS,
     SP800_38A_CTR128_CIPHERTEXT,
     SP800_38A_CTR128_COUNTER0,
@@ -149,6 +151,35 @@ def _golden_ctr(key, counter, data):
 
 @needs_evp
 class TestNativeModes:
+    def test_ecb_decrypt_fips197_c1_and_golden_inverse(self):
+        c1 = FIPS197_APPENDIX_C1
+        backend = EvpBackend()
+        assert backend.decrypt_blocks(c1.key, c1.ciphertext) == \
+            c1.plaintext
+        key = _RNG.randbytes(16)
+        golden = AES128(key)
+        for blocks in (0, 1, 2, 257):
+            data = _RNG.randbytes(blocks * BLOCK)
+            assert backend.decrypt_blocks(key, data) == b"".join(
+                golden.decrypt_block(data[i:i + BLOCK])
+                for i in range(0, len(data), BLOCK))
+            assert modes.ecb_decrypt(key, data) == \
+                backend.decrypt_blocks(key, data)
+        with pytest.raises(ValueError, match="multiple"):
+            backend.decrypt_blocks(key, b"x" * 17)
+
+    def test_probe_refuses_a_wrong_inverse_cipher(self, monkeypatch):
+        lib = evp._probe()
+        assert evp._self_test(lib)
+        ecb = evp._Lib.ecb
+
+        def wrong_inverse(self, key, data, encrypt=True):
+            out = ecb(self, key, data, encrypt)
+            return out if encrypt else bytes(len(out))
+
+        monkeypatch.setattr(evp._Lib, "ecb", wrong_inverse)
+        assert not evp._self_test(lib)
+
     def test_ctr_sp800_38a_f51(self):
         assert EvpBackend().ctr(SP800_38A_ECB128_KEY,
                                 SP800_38A_CTR128_COUNTER0,
@@ -303,6 +334,7 @@ class TestNativeModes:
         ct, tag = lib.gcm_seal(key, iv, b"aad", data)
         calls = {
             "ecb": lambda: lib.ecb(key, data),
+            "ecb decrypt": lambda: lib.ecb(key, data, encrypt=False),
             "ctr": lambda: lib.ctr(key, bytes(16), data),
             "gcm_seal": lambda: lib.gcm_seal(key, iv, b"aad", data),
             "gcm_open": lambda: lib.gcm_open(key, iv, b"aad", ct, tag),

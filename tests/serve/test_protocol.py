@@ -174,6 +174,27 @@ class TestRejection:
             decode_frame(bytes(wire))
         assert exc_info.value.recoverable
 
+    @pytest.mark.parametrize("bad, named", [
+        ({7: 250}, (Op, 250)),
+        ({8: 251}, (Mode, 251)),
+        ({9: 252}, (Status, 252)),
+        ({8: 251, 9: 252}, (Mode, 251)),
+    ], ids=["op", "mode", "status", "mode-and-status"])
+    def test_unknown_field_worded_as_its_enum(self, bad, named):
+        # The header tables answer exactly as the enum calls did: the
+        # first unknown field, in the enum's own ValueError wording.
+        wire = bytearray(encode_frame(Frame(op=Op.PING)))
+        for offset, value in bad.items():
+            wire[offset] = value
+        enum_cls, value = named
+        with pytest.raises(ValueError) as enum_error:
+            enum_cls(value)
+        with pytest.raises(FrameError) as exc_info:
+            decode_frame(bytes(wire))
+        assert exc_info.value.recoverable
+        assert str(exc_info.value) == \
+            f"unknown field value: {enum_error.value}"
+
     def test_garbage_body_rejected(self):
         body = b"\xde\xad\xbe\xef" * 8
         with pytest.raises(FrameError):

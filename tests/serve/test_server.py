@@ -383,12 +383,13 @@ class TestEndToEnd:
         asyncio.run(scenario())
 
     def test_executor_stall_trips_one_timeout_connection_survives(
-        self, monkeypatch
+        self, monkeypatch, no_evp
     ):
         # The crypto call itself stalls in the pool thread, past the
-        # budget.  The handler's timeout scope in _process is the
-        # only timer: one TIMEOUT reply, one timeout count, and the
-        # same connection still answers.
+        # budget: on the fallback, where crypto runs on the pool (with
+        # native modes it runs on the loop).  The handler's timeout
+        # scope in _process is the only timer: one TIMEOUT reply, one
+        # timeout count, and the same connection still answers.
         release = threading.Event()
 
         def stalled(key: bytes, payload: bytes) -> bytes:
@@ -518,6 +519,53 @@ class TestEndToEnd:
                     reply = await client.ping(b"after")
                     assert (reply.status, reply.payload) == (
                         Status.OK, b"after")
+
+        asyncio.run(scenario())
+
+    @both_services
+    def test_trickling_peer_cut_off_after_io_timeout(self,
+                                                     through_gateway):
+        """A peer that sends a length prefix, then one header byte
+        every 0.12 s, never stalls as long as ``io_timeout`` (0.2 s),
+        yet is cut off about ``io_timeout`` after the frame read
+        began: one bound spans every wait of the read, not one per
+        wait.  It reads EOF with no reply bytes, and the service's
+        open-connection gauge drops back by one."""
+
+        async def scenario():
+            gauge = global_registry().get(_OPEN_GAUGES[through_gateway])
+            loop = asyncio.get_running_loop()
+            async with _serving(through_gateway,
+                                io_timeout=0.2) as service:
+                before = gauge.value
+                reader, writer = await asyncio.open_connection(
+                    *service.address)
+                wire = encode_frame(Frame(op=Op.PING, request_id=1,
+                                          payload=bytes(64)))
+
+                async def trickle():
+                    writer.write(wire[:4])
+                    for index in range(4, len(wire)):
+                        await asyncio.sleep(0.12)
+                        writer.write(wire[index:index + 1])
+
+                start = loop.time()
+                sender = asyncio.ensure_future(trickle())
+                try:
+                    async with asyncio.timeout(5.0):
+                        tail = await reader.read()
+                    elapsed = loop.time() - start
+                finally:
+                    sender.cancel()
+                    await asyncio.gather(sender, return_exceptions=True)
+                    writer.close()
+                assert tail == b""  # EOF, and no reply bytes before it
+                assert 0.15 <= elapsed < 2.0
+                for _ in range(100):
+                    if gauge.value == before:
+                        break
+                    await asyncio.sleep(0.01)
+                assert gauge.value == before
 
         asyncio.run(scenario())
 

@@ -8,9 +8,9 @@ Three properties, each of which held false before the split codec:
   parts, and a reply's tail as a third; the payload buffer on the
   transport *is* the frame's.
 - The streaming read path (a ``FrameStream``, the serve tier's frame
-  connection) adopts ``readexactly``'s buffer into the decoded frame
-  without a reassembly slice, and parses the length prefix exactly
-  once (``decode_payload``).
+  connection) adopts the payload's one ``bytes`` copy into the decoded
+  frame without a reassembly slice, and parses the length prefix
+  exactly once (``decode_payload``).
 
 The allocation-count test pins the whole send path with tracemalloc:
 encoding a frame must not allocate anything proportional to the
