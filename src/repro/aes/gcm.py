@@ -11,10 +11,10 @@ tag.  Two properties make GCM a natural fit for the paper's device:
 
 Verified against the canonical NIST GCM test cases.  The composition
 here — :class:`AES128` for H and the tag mask, GCTR on the batch
-engine, a GHASH provider — is the golden reference, like the rest of
-:mod:`repro.aes`, with no constant-time claims.  Where the default
-engine's backend has native modes (``evp``, which ``auto`` selects
-where libcrypto passes its known-answer tests), :func:`gcm_encrypt`
+engine, the process's GHASH — is the golden reference, like the rest
+of :mod:`repro.aes`, with no constant-time claims.  Where the default
+engine's backend has native modes (``evp``, which it runs where
+libcrypto passes its known-answer tests), :func:`gcm_encrypt`
 and :func:`gcm_decrypt` make one native seal or open call instead,
 after the same length checks; the composition stays the fallback.
 """
@@ -49,7 +49,7 @@ _SEALS = _GCM_OPS.bind(op="encrypt")
 _OPENS = _GCM_OPS.bind(op="decrypt")
 
 #: GHASH reduction polynomial and the golden bitwise multiply now
-#: live in :mod:`repro.aes.ghash` next to the fast providers; the
+#: live in :mod:`repro.aes.ghash` next to the table folds; the
 #: re-exports keep this module the public home of the primitive.
 from repro.aes.ghash import _R, gf128_mul  # noqa: E402,F401
 
@@ -100,8 +100,8 @@ def _check_lengths(plaintext_len: int, aad_len: int,
 
 
 def _ghash(h: int, data: bytes) -> int:
-    """Golden table-free GHASH; the providers in
-    :mod:`repro.aes.ghash` are cross-checked against it."""
+    """Golden table-free GHASH; :mod:`repro.aes.ghash`'s folds are
+    cross-checked against it."""
     y = 0
     for index in range(0, len(data), BLOCK):
         chunk = data[index:index + BLOCK]
@@ -160,8 +160,8 @@ def _lengths_block(aad: bytes, ciphertext: bytes) -> bytes:
 
 def _tag(aes: AES128, h: int, j0: bytes, aad: bytes,
          ciphertext: bytes) -> bytes:
-    # Each part is padded to the block boundary by the provider
-    # (tail block only) — no fully padded concatenation is built.
+    # Each part is padded to the block boundary by the digest (tail
+    # block only) — no fully padded concatenation is built.
     s = _ghash_provider().digest(
         h, (aad, ciphertext, _lengths_block(aad, ciphertext)))
     return _gctr(aes, j0, s.to_bytes(16, "big"))

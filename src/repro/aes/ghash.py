@@ -1,4 +1,4 @@
-"""Pluggable GHASH providers: byte-table and numpy-vectorized.
+"""GHASH over byte tables, with a numpy lane fold for long parts.
 
 GHASH is multiplication in GF(2^128) with GCM's reflected bit order
 (SP 800-38D §6.3): field elements live in 128-bit ints whose bit 127
@@ -9,23 +9,27 @@ end of the integer.  :mod:`repro.aes.gcm` keeps a table-free
 against it (see ``tests/aes/test_ghash.py`` and the bench equivalence
 gate).
 
-Two providers, mirroring the cipher backend ladder in
-:mod:`repro.perf.backends`; ``auto`` picks ``vector`` where numpy
-imports and ``table`` elsewhere:
+The process has one GHASH, :func:`default_provider`, and two folds
+it picks between per part, from the part's length and whether numpy
+imports — never by the caller, as :mod:`repro.perf.engine` picks one
+block cipher per host:
 
-- ``table`` — per-subkey byte tables ``T[j][v] = (v · x^(8j)) · H``
-  so a block multiply is 16 lookups and 16 xors instead of 128
-  shift/xor rounds.  Tables are cached per subkey (LRU, zeroized on
-  evict — same hygiene contract as ``RoundKeyCache``).
-- ``vector`` — numpy lane decomposition: ``W`` interleaved Horner
+- the byte-table fold — per-subkey byte tables
+  ``T[j][v] = (v · x^(8j)) · H``, so a block multiply is 16 lookups
+  and 16 xors instead of 128 shift/xor rounds.  Tables are cached per
+  subkey (LRU, zeroized on evict — same hygiene contract as
+  ``RoundKeyCache``).  It runs every part where numpy does not import,
+  and every part shorter than ``2 * VECTOR_LANES`` whole blocks;
+- the lane fold — numpy lane decomposition for a part of at least
+  ``2 * VECTOR_LANES`` whole blocks: ``W`` interleaved Horner
   accumulators each step by ``H^W`` (a batched table multiply over
   uint64 hi/lo halves), folded at the end by ``W`` scalar multiplies
-  with ``H``.  Pure-Python fallback when numpy is absent.
+  with ``H``.
 
 A *message* is a sequence of byte parts; each part is padded to the
 16-byte block boundary independently (exactly GCM's layout: padded
-AAD, padded ciphertext, lengths block), so providers never build the
-fully padded concatenation the old ``_ghash`` call sites did.
+AAD, padded ciphertext, lengths block), so the digest never builds
+the fully padded concatenation the old ``_ghash`` call sites did.
 """
 
 from __future__ import annotations
@@ -44,15 +48,15 @@ _R = 0xE1000000000000000000000000000000
 
 _MASK64 = (1 << 64) - 1
 
-#: Lane width of the vector provider: how many independent Horner
+#: Lane width of the lane fold: how many independent Horner
 #: accumulators step together through one batched ``· H^W`` multiply.
 #: Wide enough that numpy's per-op overhead amortizes, small enough
 #: that the final ``W`` scalar combine multiplies stay cheap.
 VECTOR_LANES = 256
 
-#: Below this many whole blocks the vector provider delegates to the
-#: scalar byte-table path: the lane fold needs at least two full
-#: chunks before the batched multiply beats plain table lookups.
+#: Below this many whole blocks a part runs the byte-table fold: the
+#: lane fold needs at least two full chunks before the batched
+#: multiply beats plain table lookups.
 _VECTOR_MIN_BLOCKS = 2 * VECTOR_LANES
 
 
@@ -92,7 +96,7 @@ def _numpy() -> Optional[object]:
 
 
 def have_numpy() -> bool:
-    """Whether the vector provider can use numpy here."""
+    """Whether the lane fold can run here (numpy imports)."""
     return _numpy() is not None
 
 
@@ -151,8 +155,8 @@ def _pow_gf128(h: int, n: int) -> int:
 
 class _TableSet:
     """Everything cached for one subkey: scalar byte tables for ``H``
-    and, lazily, numpy hi/lo table pairs for ``H`` powers (the vector
-    provider steps lanes by ``H^W``)."""
+    and, lazily, numpy hi/lo table pairs for ``H`` powers (the lane
+    fold steps lanes by ``H^W``)."""
 
     __slots__ = ("tables", "numpy_packs", "users", "dropped")
 
@@ -302,23 +306,7 @@ def cached_subkeys() -> int:
     return len(_TABLES)
 
 
-# ------------------------------------------------------------- providers
-
-class GhashProvider:
-    """One GHASH implementation; ``digest`` folds byte parts."""
-
-    #: Registry name.
-    name = "abstract"
-    #: Whether the provider batches block multiplies (numpy).
-    vectorized = False
-
-    def digest(self, h: int, parts: Sequence[bytes]) -> int:
-        """GHASH of the parts, each zero-padded to a block boundary."""
-        raise NotImplementedError
-
-    def forget(self, h: int) -> None:
-        """Drop any per-subkey state (tables); default: stateless."""
-
+# ------------------------------------------------------------- the digest
 
 def _fold_table(y: int, part: bytes,
                 tables: List[List[int]]) -> int:
@@ -333,23 +321,8 @@ def _fold_table(y: int, part: bytes,
     return y
 
 
-class TableGhash(GhashProvider):
-    """Byte-table multiplies: 16 lookups per block."""
-
-    name = "table"
-
-    def digest(self, h: int, parts: Sequence[bytes]) -> int:
-        with _TABLES.use(h) as table_set:
-            y = 0
-            for part in parts:
-                y = _fold_table(y, part, table_set.tables)
-            return y
-
-    def forget(self, h: int) -> None:
-        _TABLES.discard(h)
-
-
-class VectorGhash(GhashProvider):
+def _fold_lanes(np: object, y: int, h: int, part: bytes,
+                table_set: _TableSet) -> int:
     """Numpy lane decomposition over the byte tables.
 
     With ``W`` lanes and blocks ``X_1..X_m`` (``m = kW`` after the
@@ -358,148 +331,94 @@ class VectorGhash(GhashProvider):
     lane ``r``'s result then carries weight ``H^{W-r}``, so a final
     scalar Horner pass ``acc = (acc ^ Y_r) · H`` recovers the exact
     GHASH value.  The running digest folds into the first block, so
-    parts chain exactly like the scalar providers.
+    parts chain exactly like the byte-table fold.
     """
+    blocks = len(part) // BLOCK
+    lanes = VECTOR_LANES
+    chunks = blocks // lanes
+    head = (blocks - chunks * lanes) * BLOCK
+    # Scalar prefix so the vector body is an exact chunk multiple.
+    y = _fold_table(y, part[:head], table_set.tables)
+    body = len(part) // BLOCK * BLOCK
+    words = np.frombuffer(  # type: ignore[attr-defined]
+        part, dtype=">u8", count=(body - head) // 8, offset=head,
+    ).astype(np.uint64).reshape(-1, 2)  # type: ignore[attr-defined]
+    hi = np.ascontiguousarray(  # type: ignore[attr-defined]
+        words[:, 0]).reshape(chunks, lanes)
+    lo = np.ascontiguousarray(  # type: ignore[attr-defined]
+        words[:, 1]).reshape(chunks, lanes)
+    # Fold the running digest into the first block.
+    hi[0, 0] ^= np.uint64(y >> 64)  # type: ignore[attr-defined]
+    lo[0, 0] ^= np.uint64(y & _MASK64)  # type: ignore[attr-defined]
+    t_hi, t_lo = table_set.numpy_pack(h, lanes)
+    y_hi = np.zeros(lanes, dtype=np.uint64)  # type: ignore[attr-defined]
+    y_lo = np.zeros(lanes, dtype=np.uint64)  # type: ignore[attr-defined]
+    u8 = np.uint64(0xFF)  # type: ignore[attr-defined]
+    shifts = [np.uint64(56 - 8 * j)  # type: ignore[attr-defined]
+              for j in range(8)]
+    for chunk in range(chunks):
+        if chunk:
+            z_hi = t_hi[0][(y_hi >> shifts[0]) & u8]
+            z_lo = t_lo[0][(y_hi >> shifts[0]) & u8]
+            for j in range(1, 8):
+                idx = (y_hi >> shifts[j]) & u8
+                z_hi ^= t_hi[j][idx]
+                z_lo ^= t_lo[j][idx]
+            for j in range(8):
+                idx = (y_lo >> shifts[j]) & u8
+                z_hi ^= t_hi[8 + j][idx]
+                z_lo ^= t_lo[8 + j][idx]
+            y_hi = z_hi ^ hi[chunk]
+            y_lo = z_lo ^ lo[chunk]
+        else:
+            y_hi = hi[0].copy()
+            y_lo = lo[0].copy()
+    # Scalar Horner combine: W multiplies with H's tables.
+    acc = 0
+    tables = table_set.tables
+    hi_list = y_hi.tolist()  # type: ignore[attr-defined]
+    lo_list = y_lo.tolist()  # type: ignore[attr-defined]
+    for lane in range(lanes):
+        acc = _table_mul(
+            acc ^ (hi_list[lane] << 64) ^ lo_list[lane], tables)
+    # Tail (partial block) after the vector body.
+    return _fold_table(acc, part[body:], table_set.tables)
 
-    name = "vector"
-    vectorized = True
+
+class Ghash:
+    """GHASH over byte parts: the lane fold on a part of at least
+    ``2 * VECTOR_LANES`` whole blocks where numpy imports, the
+    byte-table fold on every other part."""
 
     def digest(self, h: int, parts: Sequence[bytes]) -> int:
+        """GHASH of the parts, each zero-padded to a block boundary."""
         np = _numpy()
-        if np is None:
-            return _TABLE_PROVIDER.digest(h, parts)
         with _TABLES.use(h) as table_set:
             y = 0
             for part in parts:
-                y = self._fold_part(np, y, h, part, table_set)
+                if (np is not None
+                        and len(part) // BLOCK >= _VECTOR_MIN_BLOCKS):
+                    y = _fold_lanes(np, y, h, part, table_set)
+                else:
+                    y = _fold_table(y, part, table_set.tables)
             return y
 
-    def forget(self, h: int) -> None:
-        _TABLES.discard(h)
 
-    def _fold_part(self, np: object, y: int, h: int, part: bytes,
-                   table_set: _TableSet) -> int:
-        blocks = len(part) // BLOCK
-        if blocks < _VECTOR_MIN_BLOCKS:
-            return _fold_table(y, part, table_set.tables)
-        lanes = VECTOR_LANES
-        chunks = blocks // lanes
-        head = (blocks - chunks * lanes) * BLOCK
-        # Scalar prefix so the vector body is an exact chunk multiple.
-        y = _fold_table(y, part[:head], table_set.tables)
-        body = len(part) // BLOCK * BLOCK
-        words = np.frombuffer(  # type: ignore[attr-defined]
-            part, dtype=">u8", count=(body - head) // 8, offset=head,
-        ).astype(np.uint64).reshape(-1, 2)  # type: ignore[attr-defined]
-        hi = np.ascontiguousarray(  # type: ignore[attr-defined]
-            words[:, 0]).reshape(chunks, lanes)
-        lo = np.ascontiguousarray(  # type: ignore[attr-defined]
-            words[:, 1]).reshape(chunks, lanes)
-        # Fold the running digest into the first block.
-        hi[0, 0] ^= np.uint64(y >> 64)  # type: ignore[attr-defined]
-        lo[0, 0] ^= np.uint64(y & _MASK64)  # type: ignore[attr-defined]
-        t_hi, t_lo = table_set.numpy_pack(h, lanes)
-        y_hi = np.zeros(lanes, dtype=np.uint64)  # type: ignore[attr-defined]
-        y_lo = np.zeros(lanes, dtype=np.uint64)  # type: ignore[attr-defined]
-        u8 = np.uint64(0xFF)  # type: ignore[attr-defined]
-        shifts = [np.uint64(56 - 8 * j)  # type: ignore[attr-defined]
-                  for j in range(8)]
-        for chunk in range(chunks):
-            if chunk:
-                z_hi = t_hi[0][(y_hi >> shifts[0]) & u8]
-                z_lo = t_lo[0][(y_hi >> shifts[0]) & u8]
-                for j in range(1, 8):
-                    idx = (y_hi >> shifts[j]) & u8
-                    z_hi ^= t_hi[j][idx]
-                    z_lo ^= t_lo[j][idx]
-                for j in range(8):
-                    idx = (y_lo >> shifts[j]) & u8
-                    z_hi ^= t_hi[8 + j][idx]
-                    z_lo ^= t_lo[8 + j][idx]
-                y_hi = z_hi ^ hi[chunk]
-                y_lo = z_lo ^ lo[chunk]
-            else:
-                y_hi = hi[0].copy()
-                y_lo = lo[0].copy()
-        # Scalar Horner combine: W multiplies with H's tables.
-        acc = 0
-        tables = table_set.tables
-        hi_list = y_hi.tolist()  # type: ignore[attr-defined]
-        lo_list = y_lo.tolist()  # type: ignore[attr-defined]
-        for lane in range(lanes):
-            acc = _table_mul(
-                acc ^ (hi_list[lane] << 64) ^ lo_list[lane], tables)
-        # Tail (partial block) after the vector body.
-        return _fold_table(acc, part[body:], table_set.tables)
+_GHASH = Ghash()
 
 
-_TABLE_PROVIDER = TableGhash()
-_VECTOR_PROVIDER = VectorGhash()
-
-
-def available_providers() -> Dict[str, GhashProvider]:
-    """Providers usable in this interpreter, keyed by name."""
-    providers: Dict[str, GhashProvider] = {"table": _TABLE_PROVIDER}
-    if have_numpy():
-        providers["vector"] = _VECTOR_PROVIDER
-    return providers
-
-
-def get_provider(name: str = "auto") -> GhashProvider:
-    """Resolve a provider name; ``auto`` picks the fastest available."""
-    if name == "auto":
-        return _VECTOR_PROVIDER if have_numpy() else _TABLE_PROVIDER
-    providers = available_providers()
-    try:
-        return providers[name]
-    except KeyError:
-        if name == "vector":
-            raise ValueError(
-                "ghash provider 'vector' needs numpy, which is not "
-                "importable here (try 'table')"
-            ) from None
-        known = ", ".join(sorted(providers))
-        raise ValueError(
-            f"unknown ghash provider {name!r} (known: {known}, "
-            f"or 'auto')"
-        ) from None
-
-
-_DEFAULT: Optional[GhashProvider] = None
-_DEFAULT_LOCK = threading.Lock()
-
-
-def default_provider() -> GhashProvider:
-    """Process-wide provider the GCM hot path routes through."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        with _DEFAULT_LOCK:
-            if _DEFAULT is None:
-                _DEFAULT = get_provider("auto")
-    return _DEFAULT
-
-
-def set_default_provider(name: str) -> GhashProvider:
-    """Pin the process-wide provider by name."""
-    global _DEFAULT
-    provider = get_provider(name)
-    with _DEFAULT_LOCK:
-        _DEFAULT = provider
-    return provider
+def default_provider() -> Ghash:
+    """The process's GHASH, which the GCM composition digests through."""
+    return _GHASH
 
 
 __all__ = [
     "BLOCK",
-    "GhashProvider",
-    "TableGhash",
+    "Ghash",
     "VECTOR_LANES",
-    "VectorGhash",
-    "available_providers",
     "cached_subkeys",
     "default_provider",
     "forget",
-    "get_provider",
     "gf128_mul",
     "have_numpy",
-    "set_default_provider",
 ]

@@ -10,8 +10,8 @@ while ECB/CTR allow the device's I/O overlap to hide load time.
 
 The bulk paths of the parallelizable modes (ECB, the CTR keystream)
 route through the batch engine
-(:func:`repro.perf.engine.default_engine`), which picks the fastest
-backend that still agrees bit-for-bit with :class:`AES128`.
+(:func:`repro.perf.engine.default_engine`), whose one backend, chosen
+from what the host offers, agrees bit-for-bit with :class:`AES128`.
 
 Padding: PKCS#7 helpers are provided for the byte-stream modes.
 """

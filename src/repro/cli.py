@@ -370,19 +370,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
         cipher = cross_check()
         ghash = cross_check_ghash()
     except BackendMismatch as exc:
-        # A backend or GHASH provider produced bytes the golden model
+        # A backend or the GHASH produced bytes the golden model
         # disagrees with: a fast wrong answer fails the gate.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     backends = cipher["backends"]
     primitives = cipher["primitives"]
-    providers = ghash["ghash_providers"]
+    folds = ghash["ghash_folds"]
     assert isinstance(backends, list) and isinstance(primitives, list)
-    assert isinstance(providers, list)
+    assert isinstance(folds, list)
     print(f"equivalence: {len(backends)} backend(s) "
+          f"({', '.join(backends)}) "
           f"x {len(primitives)} primitive(s) x {cipher['keys']} key(s), "
           f"{cipher['mismatches']} mismatch(es)")
-    print(f"ghash equivalence: {len(providers)} provider(s), "
+    print(f"ghash equivalence: {len(folds)} fold(s) "
+          f"({', '.join(folds)}), "
           f"{ghash['ghash_cases']} case(s), "
           f"{ghash['ghash_mismatches']} mismatch(es)")
     return 0
@@ -799,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="equivalence gate: every backend and GHASH provider "
+        help="equivalence gate: the host's backends and its GHASH "
              "against the golden model, bit for bit (timing lives "
              "in bench/run.py)",
     )

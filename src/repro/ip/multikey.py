@@ -16,8 +16,8 @@ extra SubWord when Nk == 8 and i mod Nk == 4) and shifts it in.  At
 round r's wide cycle the round key w[4r .. 4r+3] sits at window
 offset ``4r - i + Nk`` — 0 in steady state, up to Nk - 4 in the final
 round once generation has run off the end of the schedule.  That
-offset is a small mux in hardware; the invariant is asserted in the
-model.
+offset is a small mux in hardware; the model refuses any other offset
+(an upset ``round`` or ``sched_pos``) with ``ValueError``.
 
 Decryption for Nk > 4 is intentionally out of scope for the on-the-fly
 unit (the reverse window walks the schedule backwards through
@@ -127,10 +127,10 @@ class MultiKeyEncryptCore(BusCore):
         """The round key w[4r .. 4r+3], read at its window offset."""
         i = self.sched_pos.value
         offset = 4 * r - i + self.nk
-        assert 0 <= offset <= self.nk - 4, (
-            f"round-key window invariant broken: offset {offset} "
-            f"(round {r}, i {i}, Nk {self.nk})"
-        )
+        if not 0 <= offset <= self.nk - 4:
+            raise ValueError(
+                f"round-key window invariant broken: offset {offset} "
+                f"(round {r}, i {i}, Nk {self.nk})")
         return tuple(
             self.window[offset + j].value for j in range(4)
         )

@@ -114,6 +114,9 @@ class PrecomputedKeyCore(BusCore):
         return self._round_key(0)
 
     def _round_key(self, r: int) -> Word4:
+        if r > self.rounds:
+            raise ValueError(
+                f"round {r} is past the {self.rounds}-round key store")
         base = 4 * r
         return tuple(self.keyram[base + j].value for j in range(4))
 

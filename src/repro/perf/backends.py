@@ -1,44 +1,36 @@
-"""Bulk-encryption backends for the batch throughput engine.
+"""The software bulk-encryption backend for the batch throughput engine.
 
 A backend turns ``(key, many 16-byte blocks)`` into ciphertext in one
-call.  Two are provided here:
+call.  :class:`SlicedBackend` is the one written here: round keys come
+from a shared :class:`RoundKeyCache` (an LRU keyed by the raw key), so
+a hot key pays for expansion once across calls — the software
+analogue of the paper's ``wr_key``-once-stream-many usage model.  The
+state is held *word-sliced*: four parallel vectors of 32-bit column
+words for the whole batch, walked round-by-round so the table lookups
+run in a tight inner loop over all blocks at once.  Where numpy
+imports the vectors are ``uint32`` arrays and the lookups are
+fancy-indexed gathers; elsewhere a pure-Python sliced loop runs.
+numpy is detected, never required, and never chosen by the caller.
 
-``baseline``
-    The straightforward model, exactly as the mode layer used it
-    before the engine existed: construct :class:`repro.aes.cipher.
-    AES128` (one key expansion per call) and loop block by block.
-    This is the reference every other backend must match bit-for-bit
-    in the equivalence gate (``repro-aes bench``).
+It is encrypt-only, like :mod:`repro.aes.fast`: the batch modes (ECB
+encrypt, CTR, GCTR) only ever use the encrypt direction — the same
+property that lets the paper's smallest device variant serve CTR
+links.  The equivalence gate (``repro-aes bench``) holds it to serial
+loops over the golden :class:`repro.aes.cipher.AES128`.
 
-``sliced``
-    The batch backend this module exists for.  Round keys come from a
-    shared :class:`RoundKeyCache` (an LRU keyed by the raw key), so a
-    hot key pays for expansion once across calls — the software
-    analogue of the paper's ``wr_key``-once-stream-many usage model.
-    The state is held *word-sliced*: four parallel vectors of 32-bit
-    column words for the whole batch, walked round-by-round so the
-    table lookups run in a tight inner loop over all blocks at once.
-    When numpy is importable the vectors are ``uint32`` arrays and the
-    lookups are fancy-indexed gathers; otherwise a pure-Python sliced
-    loop runs.  numpy is detected, never required.
-
-All backends are encrypt-only, like :mod:`repro.aes.fast`: the batch
-modes (ECB encrypt, CTR, GCTR) only ever use the encrypt direction —
-the same property that lets the paper's smallest device variant serve
-CTR links.
-
-A third backend, ``evp`` (:mod:`repro.perf.evp`), runs ECB, CTR and
-GCM natively through OpenSSL where a libcrypto passes its known-answer
-tests; ``auto`` selects it there and ``sliced`` everywhere else.
+Each process runs one backend, chosen once from what the host offers,
+as the paper's S-boxes sit in EAB ROM on Acex1K and in logic cells on
+Cyclone: :func:`repro.perf.engine.default_engine` builds ``evp``
+(:mod:`repro.perf.evp`, native ECB, CTR and GCM through OpenSSL) where
+a libcrypto passes its known-answer tests, and ``sliced`` elsewhere.
 """
 
 from __future__ import annotations
 
 import struct as _struct
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
-from repro.aes.cipher import AES128
 from repro.aes.constants import SBOX
 from repro.aes.fast import T0, T1, T2, T3
 from repro.aes.key_schedule import expand_key
@@ -175,7 +167,7 @@ class Backend:
     in one call each.
     """
 
-    #: Registry name; subclasses override.
+    #: Names the backend in metrics, traces and the equivalence gate.
     name = "abstract"
 
     #: Longest IV :meth:`gcm_seal` and :meth:`gcm_open` take; longer
@@ -187,11 +179,6 @@ class Backend:
         """True when :meth:`decrypt_blocks`, :meth:`ctr`,
         :meth:`gcm_seal` and :meth:`gcm_open` are implemented."""
         return self.max_gcm_iv_bytes > 0
-
-    @property
-    def vectorized(self) -> bool:
-        """True when the hot loop runs vectorized (numpy)."""
-        return False
 
     def encrypt_blocks(self, key: bytes, data: bytes) -> bytes:
         """Encrypt every 16-byte block of ``data`` under ``key``."""
@@ -218,38 +205,14 @@ class Backend:
         raise NotImplementedError
 
 
-class BaselineBackend(Backend):
-    """The pre-engine software path: per-call expansion, per-block loop."""
-
-    name = "baseline"
-
-    def encrypt_blocks(self, key: bytes, data: bytes) -> bytes:
-        aes = AES128(key)
-        return b"".join(
-            aes.encrypt_block(data[i:i + BLOCK])
-            for i in range(0, len(data), BLOCK)
-        )
-
-
 class SlicedBackend(Backend):
-    """Word-sliced batch T-table backend with an LRU round-key cache.
-
-    ``vectorize=None`` (the default) auto-detects numpy;
-    ``vectorize=False`` forces the pure-Python sliced loop (the tests
-    run both against the golden model); ``vectorize=True`` demands
-    numpy and raises if it is missing.
-    """
+    """Word-sliced batch T-table backend with an LRU round-key cache:
+    numpy gathers where numpy imports, the pure-Python sliced loop
+    elsewhere."""
 
     name = "sliced"
 
-    def __init__(self, cache: Optional[RoundKeyCache] = None,
-                 vectorize: Optional[bool] = None):
-        if vectorize is None:
-            vectorize = _np is not None
-        if vectorize and _np is None:
-            raise RuntimeError("numpy is not available; "
-                               "use vectorize=False")
-        self._vectorize = bool(vectorize)
+    def __init__(self, cache: Optional[RoundKeyCache] = None):
         self._cache = cache if cache is not None else RoundKeyCache()
 
     @property
@@ -257,16 +220,11 @@ class SlicedBackend(Backend):
         """The round-key LRU this backend amortizes expansion through."""
         return self._cache
 
-    @property
-    def vectorized(self) -> bool:
-        """True when the numpy gather path is active."""
-        return self._vectorize
-
     def encrypt_blocks(self, key: bytes, data: bytes) -> bytes:
         if not data:
             return b""
         rk = self._cache.words(key)
-        if self._vectorize:
+        if _np is not None:
             return _encrypt_numpy(rk, data)
         return _encrypt_sliced(rk, data)
 
@@ -380,38 +338,3 @@ def _encrypt_numpy(rk: Tuple[int, ...], data: bytes) -> bytes:
     out[:, 2] = final(s2, s3, s0, s1, rk[42])
     out[:, 3] = final(s3, s0, s1, s2, rk[43])
     return out.astype(">u4").tobytes()
-
-
-def available_backends() -> Dict[str, Backend]:
-    """Fresh instances of every backend, keyed by registry name."""
-    backends: Dict[str, Backend] = {
-        BaselineBackend.name: BaselineBackend(),
-        SlicedBackend.name: SlicedBackend(),
-    }
-    # OpenSSL EVP registers only where a libcrypto passes its
-    # known-answer tests at probe time.
-    from repro.perf.evp import EvpBackend, have_evp
-    if have_evp():
-        backends[EvpBackend.name] = EvpBackend()
-    return backends
-
-
-def get_backend(name: str) -> Backend:
-    """Instantiate a backend by registry name.
-
-    ``auto`` is ``evp`` where a libcrypto passed its known-answer
-    tests, else ``sliced``.
-    """
-    if name == "auto":
-        from repro.perf.evp import EvpBackend, have_evp
-        return EvpBackend() if have_evp() else SlicedBackend()
-    backends = available_backends()
-    if name not in backends:
-        if name == "evp":
-            raise ValueError(
-                "backend 'evp' needs a loadable OpenSSL libcrypto, "
-                "which is unavailable here (try 'sliced')")
-        known = ", ".join(sorted(backends))
-        raise ValueError(f"unknown backend {name!r}; "
-                         f"choose from {known} (or 'auto')")
-    return backends[name]

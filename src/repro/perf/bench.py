@@ -1,14 +1,16 @@
-"""Equivalence gate: every backend and GHASH provider against the
+"""Equivalence gate: the host's backends and its GHASH against the
 golden model, bit for bit.
 
 This is the harness behind ``repro-aes bench``.  :func:`cross_check`
-runs every registered backend's batch primitives (ECB, CTR with a
-partial tail, GCTR across the 32-bit counter wrap) against serial
-loops over :class:`repro.aes.cipher.AES128`; :func:`cross_check_ghash`
-runs every GHASH provider against the golden ``_ghash``.  A fast
-wrong answer is worthless: a divergence raises
-:class:`~repro.perf.engine.BackendMismatch`, and the command exits 1,
-which is what the CI equivalence step keys off.
+runs the batch primitives (ECB, CTR with a partial tail, GCTR across
+the 32-bit counter wrap) of every backend this host runs —
+:func:`host_backends`: ``sliced`` everywhere, plus ``evp`` where
+libcrypto passed its known-answer tests — against serial loops over
+:class:`repro.aes.cipher.AES128`; :func:`cross_check_ghash` runs the
+process's GHASH against the golden ``_ghash`` over lengths on both
+sides of its lane threshold.  A fast wrong answer is worthless: a
+divergence raises :class:`~repro.perf.engine.BackendMismatch`, and the
+command exits 1, which is what the CI equivalence step keys off.
 
 Timing lives in ``bench/run.py`` (see ``bench/README.md``): repeated
 segments, an oracle check on every reply and a noise-aware compare.
@@ -17,12 +19,13 @@ segments, an oracle check on every reply and a noise-aware compare.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.aes.cipher import AES128
 from repro.aes.vectors import SP800_38A_ECB128_KEY
-from repro.perf.backends import Backend, available_backends
+from repro.perf.backends import Backend, SlicedBackend
 from repro.perf.engine import BackendMismatch, BatchEngine
+from repro.perf.evp import EvpBackend, have_evp
 
 BLOCK = 16
 
@@ -62,17 +65,28 @@ def _serial_gctr(key: bytes, icb: bytes, data: bytes) -> bytes:
 
 
 # --------------------------------------------------- equivalence gate
-def cross_check(backends: Optional[Dict[str, Backend]] = None,
+def host_backends() -> List[Backend]:
+    """Every backend this host runs: ``sliced``, which the process's
+    engine falls back to, and ``evp`` where a libcrypto passed its
+    known-answer tests (the engine then runs it)."""
+    backends: List[Backend] = [SlicedBackend()]
+    if have_evp():
+        backends.append(EvpBackend())
+    return backends
+
+
+def cross_check(backends: Optional[Sequence[Backend]] = None,
                 corpus_blocks: int = 48,
                 seed: int = _SEED) -> Dict[str, object]:
-    """Verify every backend against the straightforward model.
+    """Verify ``backends`` (default: :func:`host_backends`) against
+    the straightforward model.
 
     Raises :class:`BackendMismatch` naming the first divergent
     (backend, primitive) pair; returns the summary ``repro-aes bench``
     prints when everything agrees.
     """
     if backends is None:
-        backends = available_backends()
+        backends = host_backends()
     rng = random.Random(seed)
     keys = [SP800_38A_ECB128_KEY,
             bytes(rng.randrange(256) for _ in range(16))]
@@ -92,20 +106,20 @@ def cross_check(backends: Optional[Dict[str, Backend]] = None,
         "gctr": lambda eng, key: (eng.gctr(key, icb, ragged),
                                   _serial_gctr(key, icb, ragged)),
     }
-    for name, backend in sorted(backends.items()):
+    for backend in backends:
         engine = BatchEngine(backend)
         for primitive, run in primitives.items():
             for key in keys:
                 got, want = run(engine, key)
                 if got != want:
                     raise BackendMismatch(
-                        f"backend {name!r} diverges from the "
+                        f"backend {backend.name!r} diverges from the "
                         f"straightforward model on {primitive} "
                         f"(corpus {corpus_blocks} blocks, "
                         f"seed {seed})"
                     )
     return {
-        "backends": sorted(backends),
+        "backends": sorted(backend.name for backend in backends),
         "primitives": sorted(primitives),
         "corpus_blocks": corpus_blocks,
         "keys": len(keys),
@@ -113,21 +127,19 @@ def cross_check(backends: Optional[Dict[str, Backend]] = None,
     }
 
 
-def cross_check_ghash(providers: Optional[Dict[str, object]] = None,
-                      seed: int = _SEED) -> Dict[str, object]:
-    """Verify every GHASH provider against the golden ``_ghash``.
+def cross_check_ghash(seed: int = _SEED) -> Dict[str, object]:
+    """Verify the process's GHASH against the golden ``_ghash``.
 
     The corpus sweeps message lengths 0..3 blocks ± 1 byte, a
     multi-part split (GCM's AAD/ciphertext/lengths layout), and a
-    buffer long enough to cross the vector provider's lane
-    threshold.  Raises :class:`BackendMismatch` on the first
+    buffer long enough to cross the lane threshold, so both folds run
+    where numpy imports.  Raises :class:`BackendMismatch` on the first
     divergence; returns the summary ``repro-aes bench`` prints.
     """
     from repro.aes import ghash as ghash_mod
     from repro.aes.gcm import _ghash as golden
 
-    if providers is None:
-        providers = dict(ghash_mod.available_providers())
+    digest = ghash_mod.default_provider().digest
     rng = random.Random(seed)
     subkeys = [rng.getrandbits(128) for _ in range(2)]
     lengths = sorted({
@@ -147,19 +159,16 @@ def cross_check_ghash(providers: Optional[Dict[str, object]] = None,
                     p + bytes((-len(p)) % BLOCK) for p in parts)
                 expect = golden(subkey, padded) \
                     if len(parts) > 1 else want
-                for name, provider in sorted(providers.items()):
-                    cases += 1
-                    got = provider.digest(subkey, parts)
-                    if got != expect:
-                        raise BackendMismatch(
-                            f"ghash provider {name!r} diverges from "
-                            f"the golden _ghash on a {length}-byte "
-                            f"message split {tuple(len(p) for p in parts)} "
-                            f"(seed {seed})"
-                        )
+                cases += 1
+                if digest(subkey, parts) != expect:
+                    raise BackendMismatch(
+                        f"ghash diverges from the golden _ghash on a "
+                        f"{length}-byte message split "
+                        f"{tuple(len(p) for p in parts)} (seed {seed})"
+                    )
     return {
-        "ghash_providers": sorted(providers),
+        "ghash_folds": (["byte-table", "lane"] if ghash_mod.have_numpy()
+                        else ["byte-table"]),
         "ghash_cases": cases,
         "ghash_mismatches": 0,
     }
-

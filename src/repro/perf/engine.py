@@ -1,4 +1,4 @@
-"""The batch throughput engine: one interface over every backend.
+"""The batch throughput engine: one interface over the host's backend.
 
 :class:`BatchEngine` is the software counterpart of the paper's IP
 wrapper: the caller hands it a key and a buffer, and the engine's
@@ -8,27 +8,28 @@ Only the *parallelizable* primitives live here: ECB encryption, CTR
 keystream generation, and GCTR (GCM's 32-bit-counter variant).  Each
 encrypts an independent block stream: it builds its counter blocks,
 encrypts them in one ``encrypt_blocks`` backend call and XORs; only
-``xcrypt_ctr`` hands a whole buffer to a backend with native modes
-(``evp``, what ``auto`` selects where libcrypto passes its
-known-answer tests).  The feedback modes (CBC, CFB) are deliberately
-absent: block *i* needs ciphertext *i - 1*, so no amount of batching
-hides per-block latency — in hardware terms, the paper's 50-cycle
-block latency is the whole story for a chained mode, and
-:mod:`repro.aes.modes` keeps those loops serial.
+``xcrypt_ctr`` hands a whole buffer to a backend with native modes.
+The feedback modes (CBC, CFB) are deliberately absent: block *i*
+needs ciphertext *i - 1*, so no amount of batching hides per-block
+latency — in hardware terms, the paper's 50-cycle block latency is
+the whole story for a chained mode, and :mod:`repro.aes.modes` keeps
+those loops serial.
 
-Hot-swapping backends behind this one interface mirrors the dynamic-
-reconfiguration direction of the related FPGA work: the caller's code
-does not change when the implementation under it does.
+The process runs one engine, :func:`default_engine`, over the one
+backend its host offers, chosen once and never by the caller: the
+paper places its S-boxes by device in the same way (asynchronous EAB
+ROM on Acex1K, logic cells on Cyclone).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional, Union
+from typing import Optional
 
 from repro.obs.metrics import global_registry
 from repro.obs.tracing import trace_span
-from repro.perf.backends import Backend, Buffer, as_buffer, get_backend
+from repro.perf.backends import Backend, Buffer, SlicedBackend, as_buffer
+from repro.perf.evp import EvpBackend, have_evp
 
 BLOCK = 16
 
@@ -69,23 +70,19 @@ class BackendMismatch(ValueError):
 
 
 class BatchEngine:
-    """Batched encryption over a pluggable backend.
-
-    ``backend`` is a registry name (``baseline`` / ``sliced`` /
-    ``evp`` / ``auto``) or a :class:`~repro.perf.backends.Backend`
-    instance.  Every call runs on the calling thread.
+    """Batched encryption over one
+    :class:`~repro.perf.backends.Backend` instance.  Every call runs on
+    the calling thread.
     """
 
-    def __init__(self, backend: Union[str, Backend] = "auto"):
-        if isinstance(backend, str):
-            backend = get_backend(backend)
+    def __init__(self, backend: Backend):
         self._backend = backend
         self._backend_seconds = _BACKEND_SECONDS.bind(backend=backend.name)
         _BACKEND_SELECTED.labels(backend=backend.name).inc()
 
     @property
     def backend(self) -> Backend:
-        """The backend currently doing the block math."""
+        """The backend doing the block math."""
         return self._backend
 
     # ------------------------------------------------------------ ECB
@@ -217,15 +214,16 @@ _DEFAULT: Optional[BatchEngine] = None
 def default_engine() -> BatchEngine:
     """The process-wide engine the mode layer routes bulk work through.
 
-    Auto-selects the backend — ``evp`` where libcrypto passes its
-    known-answer tests, else ``sliced`` (numpy-vectorized when
-    available).  :mod:`repro.aes.gcm` also seals and opens through
-    this engine's backend when it has native modes.  Callers wanting
-    a specific backend build their own :class:`BatchEngine`.
+    Its backend is chosen once, from what the host offers: ``evp``
+    where a libcrypto passes its known-answer tests, else ``sliced``
+    (numpy gathers where numpy imports).  :mod:`repro.aes.gcm` also
+    seals and opens through this engine's backend when it has native
+    modes.
     """
     global _DEFAULT
     if _DEFAULT is None:
-        _DEFAULT = BatchEngine()
+        _DEFAULT = BatchEngine(
+            EvpBackend() if have_evp() else SlicedBackend())
     return _DEFAULT
 
 

@@ -1,21 +1,20 @@
 """OpenSSL EVP backend over ctypes: AES-NI for ECB, CTR and GCM.
 
-The RTOS multi-FPGA line of work treats AES engines as swappable
-units behind one fabric; the software analogue is registering the
-platform's best engine — OpenSSL's EVP AES-128, which runs on AES-NI
-where the CPU has it — behind the same :class:`Backend` interface the
-pure-Python backends implement.  Beyond ECB blocks it offers the modes
-natively: ECB decryption, AES-128-CTR, and one-shot AES-128-GCM seal
-and open, so every served request is one libcrypto call instead of
-Python counter generation, block encryption, XOR and GHASH, or the
-golden per-block inverse cipher.
+The host's best AES engine — OpenSSL's EVP AES-128, which runs on
+AES-NI where the CPU has it — behind the same :class:`Backend`
+interface the word-sliced backend implements.  Beyond ECB blocks it
+offers the modes natively: ECB decryption, AES-128-CTR, and one-shot
+AES-128-GCM seal and open, so every served request is one libcrypto
+call instead of Python counter generation, block encryption, XOR and
+GHASH, or the golden per-block inverse cipher.
 
 Everything is gated: no libcrypto, a missing symbol, or a failed
 known-answer test (FIPS-197 C.1 ECB both ways, SP 800-38A F.5.1 CTR,
 GCM cases with a 12-byte and a 60-byte IV, and a flipped tag that must
-fail) means :func:`have_evp` is false, the backend never registers, and
-``auto`` selects ``sliced``.  Where the tests pass, ``auto`` selects
-this backend.  No new Python dependencies — ctypes only.
+fail) means :func:`have_evp` is false, and the process's engine
+(:func:`repro.perf.engine.default_engine`) runs ``sliced``.  Where the
+tests pass, it runs this backend.  No new Python dependencies —
+ctypes only.
 """
 
 from __future__ import annotations
@@ -362,7 +361,6 @@ class EvpBackend(Backend):
     """AES-128 ECB (both ways), CTR and GCM through OpenSSL EVP."""
 
     name = "evp"
-    vectorized = True
     max_gcm_iv_bytes = GCM_MAX_IV_BYTES
 
     def encrypt_blocks(self, key: bytes, data: bytes) -> bytes:

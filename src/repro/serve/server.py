@@ -520,6 +520,11 @@ class CryptoServer(FrameServer[ServeConfig, _ServerConn]):
         self._session_ids = itertools.count(1)
         self._workers: List["asyncio.Task[None]"] = []
         self._executor: Optional[ThreadPoolExecutor] = None
+        #: Whether crypto runs on the event loop, not the pool: where
+        #: the process engine's backend has native modes, every
+        #: ``_CRYPTO_OPS`` entry is one libcrypto call.  Set in
+        #: ``_begin``.
+        self._inline = False
         self._handlers: Dict[Op, Handler] = {
             Op.LOAD_KEY: self._op_load_key,
             Op.ENCRYPT: self._op_xcrypt,
@@ -560,9 +565,11 @@ class CryptoServer(FrameServer[ServeConfig, _ServerConn]):
             thread_name_prefix="repro-serve",
         )
         # Resolve the engine, and the libcrypto probe behind it, on
-        # the pool: _runs_inline then never probes on the event loop.
-        await asyncio.get_running_loop().run_in_executor(
+        # the pool, so the event loop never probes.  The process runs
+        # this one engine, so where its requests run is fixed too.
+        engine = await asyncio.get_running_loop().run_in_executor(
             self._executor, default_engine)
+        self._inline = engine.backend.native_modes
         self._workers = [
             asyncio.get_running_loop().create_task(self._worker())
             for _ in range(max(1, self.config.workers))
@@ -710,7 +717,7 @@ class CryptoServer(FrameServer[ServeConfig, _ServerConn]):
                 f"no {frame.mode.name} handler for {frame.op.name}",
             )
         try:
-            if _runs_inline():
+            if self._inline:
                 # Bounded by construction: one libcrypto call over at
                 # most one frame (1 MiB), cheaper than a hop.
                 out = work(session.key, frame.payload)
@@ -738,8 +745,8 @@ class CryptoServer(FrameServer[ServeConfig, _ServerConn]):
 # the reply writes as payload and tail.
 # Every entry routes its work through ``repro.perf.default_engine()``
 # via the mode layer, as one libcrypto call where its backend has
-# native modes; _runs_inline decides between the event loop and the
-# thread pool.
+# native modes; ``CryptoServer._inline`` decides between the event
+# loop and the thread pool.
 # The CTR and GCM entries pass the payload-sized part of a request
 # on as a ``memoryview``, not a slice, so the native call allocates
 # no copy of it.  (Dispatch through this table also keeps the
@@ -806,13 +813,6 @@ _CRYPTO_OPS: Dict[Tuple[Op, Mode], Callable[[bytes, bytes], _Reply]] = {
     (Op.ENCRYPT, Mode.GCM): _gcm_encrypt,
     (Op.DECRYPT, Mode.GCM): _gcm_decrypt,
 }
-
-
-def _runs_inline() -> bool:
-    """Whether crypto requests run on the event loop, not the pool:
-    where the default engine's backend has native modes, every
-    ``_CRYPTO_OPS`` entry is one libcrypto call."""
-    return default_engine().backend.native_modes
 
 
 __all__ = ["GCM_MAX_PLAINTEXT_BYTES", "CryptoServer", "ServeConfig",

@@ -1,11 +1,14 @@
-"""Property suite for the pluggable GHASH providers.
+"""Property suite for the process's GHASH and its two folds.
 
-Every provider must agree bit-for-bit with the golden table-free
+The one GHASH must agree bit-for-bit with the golden table-free
 ``repro.aes.gcm._ghash`` — over the short-length sweep (0..3 blocks
 ± 1 byte), over multi-part messages laid out like GCM's
 AAD/ciphertext/lengths split, and over buffers long enough to cross
-the vector provider's lane threshold.  The NIST GCM cases then pin
-the end-to-end mode with each provider installed as the default.
+the lane threshold.  Each check runs twice: ``table`` with numpy
+masked (the ``no_numpy`` fixture), so every part takes the byte-table
+fold, and ``vector`` as this host runs it, where a part of at least
+``2 * VECTOR_LANES`` whole blocks takes the numpy lane fold.  The
+NIST GCM cases then pin the end-to-end mode both ways.
 """
 
 import random
@@ -16,12 +19,7 @@ import pytest
 
 from repro.aes import ghash as ghash_mod
 from repro.aes.gcm import _ghash, gcm_decrypt, gcm_encrypt
-from repro.aes.ghash import (
-    VECTOR_LANES,
-    available_providers,
-    get_provider,
-    gf128_mul,
-)
+from repro.aes.ghash import VECTOR_LANES, default_provider, gf128_mul
 
 BLOCK = 16
 
@@ -43,11 +41,26 @@ def _padded(part: bytes) -> bytes:
     return part + bytes((-len(part)) % BLOCK)
 
 
-def provider_items():
-    return sorted(available_providers().items())
+_NEEDS_NUMPY = pytest.mark.skipif(
+    not ghash_mod.have_numpy(), reason="numpy does not import here")
+
+#: The two folds by name: ``table`` masks numpy, ``vector`` runs as
+#: this host does (the lane fold needs numpy).
+FOLDS = ["table", pytest.param("vector", marks=_NEEDS_NUMPY)]
 
 
-@pytest.mark.parametrize("name,provider", provider_items())
+@pytest.fixture
+def fold(name, request):
+    """Mask numpy for the ``table`` fold."""
+    if name == "table":
+        request.getfixturevalue("no_numpy")
+
+
+@pytest.mark.parametrize("name,provider", [
+    ("table", default_provider()),
+    pytest.param("vector", default_provider(), marks=_NEEDS_NUMPY),
+])
+@pytest.mark.usefixtures("fold")
 class TestAgainstGolden:
     @pytest.mark.parametrize("length", SHORT_LENGTHS)
     def test_short_lengths(self, name, provider, length):
@@ -82,10 +95,11 @@ class TestAgainstGolden:
         assert provider.digest(0, (_RNG.randbytes(64),)) == 0
 
 
-@pytest.mark.parametrize("name", sorted(available_providers()))
+@pytest.mark.parametrize("name", FOLDS)
+@pytest.mark.usefixtures("no_evp", "fold")
 class TestNistVectorsPerProvider:
-    """The canonical GCM cases with each provider as the default, on
-    the composition (native GCM ignores the provider)."""
+    """The canonical GCM cases with each fold, on the composition
+    (native GCM digests nothing here)."""
 
     K96 = bytes.fromhex("feffe9928665731c6d6a8f9467308308")
     IV96 = bytes.fromhex("cafebabefacedbaddecaf888")
@@ -97,13 +111,6 @@ class TestNistVectorsPerProvider:
     )
     AAD = bytes.fromhex(
         "feedfacedeadbeeffeedfacedeadbeefabaddad2")
-
-    @pytest.fixture(autouse=True)
-    def _pin_provider(self, name, no_evp):
-        previous = ghash_mod.default_provider().name
-        ghash_mod.set_default_provider(name)
-        yield
-        ghash_mod.set_default_provider(previous)
 
     def test_case_1_empty(self, name):
         ct, tag = gcm_encrypt(bytes(16), bytes(12), b"")
@@ -117,7 +124,7 @@ class TestNistVectorsPerProvider:
                            self.AAD) == self.P60
 
     def test_long_iv_round_trip(self, name):
-        """The non-96-bit IV path routes J0 through the provider."""
+        """The non-96-bit IV path routes J0 through the digest."""
         iv = _RNG.randbytes(37)
         key = _RNG.randbytes(16)
         pt = _RNG.randbytes(100)
@@ -127,7 +134,7 @@ class TestNistVectorsPerProvider:
     def test_digests_through_the_pinned_provider(self, name,
                                                  monkeypatch):
         calls = []
-        provider = ghash_mod.default_provider()
+        provider = default_provider()
         digest = provider.digest
 
         def counting(*args):
@@ -138,7 +145,6 @@ class TestNistVectorsPerProvider:
         ct, tag = gcm_encrypt(self.K96, self.IV96, self.P60, self.AAD)
         assert gcm_decrypt(self.K96, self.IV96, ct, tag,
                            self.AAD) == self.P60
-        assert provider.name == name
         assert len(calls) == 2
 
 
@@ -148,7 +154,7 @@ class TestRandomizedEquivalence:
         identically to the old fully-padded implementation over
         random lengths, including empty AAD and 0-length payload."""
         rng = random.Random(2003)
-        providers = available_providers()
+        digest = default_provider().digest
         for _ in range(40):
             h = rng.getrandbits(128)
             aad = rng.randbytes(rng.choice([0, 1, 20, 333]))
@@ -156,30 +162,56 @@ class TestRandomizedEquivalence:
             lengths = ((8 * len(aad)).to_bytes(8, "big")
                        + (8 * len(ct)).to_bytes(8, "big"))
             want = _ghash(h, _padded(aad) + _padded(ct) + lengths)
-            for name, provider in providers.items():
-                got = provider.digest(h, (aad, ct, lengths))
-                assert got == want, (name, len(aad), len(ct))
+            got = digest(h, (aad, ct, lengths))
+            assert got == want, (len(aad), len(ct))
 
 
 class TestRegistry:
-    def test_bitwise_and_table_always_available(self):
-        assert "table" in available_providers()
+    """The one process-wide GHASH, and the fold it picks per part: the
+    lane fold exactly where numpy imports and the part has at least
+    ``2 * VECTOR_LANES`` whole blocks, the byte-table fold otherwise."""
 
-    def test_vector_tracks_numpy(self):
-        assert (("vector" in available_providers())
-                == ghash_mod.have_numpy())
+    @staticmethod
+    def _lane_parts(monkeypatch, parts):
+        """Digest ``parts``, check it against the golden model, and
+        return the lengths of the parts the lane fold took."""
+        seen = []
+        fold = ghash_mod._fold_lanes
 
-    def test_auto_prefers_vector_with_numpy(self):
-        expected = "vector" if ghash_mod.have_numpy() else "table"
-        assert get_provider("auto").name == expected
+        def counting(np, y, h, part, table_set):
+            seen.append(len(part))
+            return fold(np, y, h, part, table_set)
 
-    def test_unknown_provider_rejected(self):
-        with pytest.raises(ValueError, match="unknown ghash"):
-            get_provider("quantum")
+        monkeypatch.setattr(ghash_mod, "_fold_lanes", counting)
+        h = _RNG.getrandbits(128)
+        assert default_provider().digest(h, parts) == \
+            _ghash(h, b"".join(_padded(part) for part in parts))
+        return seen
+
+    def test_bitwise_and_table_always_available(self, monkeypatch,
+                                                no_numpy):
+        # With numpy masked, a part past the lane threshold digests
+        # through the byte-table fold, exactly.
+        long = _RNG.randbytes(3 * VECTOR_LANES * BLOCK)
+        assert self._lane_parts(monkeypatch, (long,)) == []
+
+    def test_vector_tracks_numpy(self, monkeypatch):
+        long = _RNG.randbytes(3 * VECTOR_LANES * BLOCK)
+        lanes = self._lane_parts(monkeypatch, (long,))
+        assert lanes == ([len(long)] if ghash_mod.have_numpy() else [])
+
+    @_NEEDS_NUMPY
+    def test_auto_prefers_vector_with_numpy(self, monkeypatch):
+        # The lane fold takes a part from 2 * VECTOR_LANES whole blocks
+        # up, and no shorter one.
+        short = _RNG.randbytes(2 * VECTOR_LANES * BLOCK - 1)
+        long = _RNG.randbytes(2 * VECTOR_LANES * BLOCK)
+        assert self._lane_parts(monkeypatch, (short, long, short)) == \
+            [len(long)]
 
     def test_default_provider_is_process_wide(self):
-        first = ghash_mod.default_provider()
-        assert ghash_mod.default_provider() is first
+        first = default_provider()
+        assert default_provider() is first
 
     def test_gf128_mul_reexported_from_gcm(self):
         from repro.aes import gcm
@@ -189,7 +221,7 @@ class TestRegistry:
 class TestTableHygiene:
     def test_forget_zeroizes_tables(self):
         h = _RNG.getrandbits(128) | 1
-        provider = get_provider("table")
+        provider = default_provider()
         provider.digest(h, (b"x" * 64,))
         table_set = ghash_mod._TABLES.get(h)
         assert any(any(row) for row in table_set.tables)
@@ -235,7 +267,7 @@ class TestTableHygiene:
         h = _RNG.getrandbits(128) | 1
         data = _RNG.randbytes(64 * BLOCK)
         expected = _ghash(h, data)
-        provider = get_provider("table")
+        provider = default_provider()
         results = []
         stop = threading.Event()
 

@@ -61,10 +61,20 @@ def both_bench(fips_key) -> Testbench:
 @pytest.fixture
 def no_evp(monkeypatch) -> None:
     """The stack as it runs where no libcrypto passes its known-answer
-    tests: ``auto`` is ``sliced``, and GCM runs the golden composition
-    (AES128 + engine GCTR + the default GHASH provider)."""
+    tests: the default engine runs ``sliced``, and GCM runs the golden
+    composition (AES128 + engine GCTR + the process's GHASH)."""
     monkeypatch.setattr("repro.perf.evp._probe", lambda: None)
     monkeypatch.setattr("repro.perf.engine._DEFAULT", None)
+
+
+@pytest.fixture
+def no_numpy(monkeypatch) -> None:
+    """The stack as it runs where numpy does not import: ``sliced``
+    runs its pure-Python loop and GHASH its byte-table fold at every
+    length."""
+    monkeypatch.setattr("repro.perf.backends._np", None)
+    monkeypatch.setattr("repro.aes.ghash._NUMPY", None)
+    monkeypatch.setattr("repro.aes.ghash._NUMPY_PROBED", True)
 
 
 def random_block(rng: random.Random) -> bytes:

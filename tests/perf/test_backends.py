@@ -1,4 +1,5 @@
-"""Backends must agree bit-for-bit with the straightforward model."""
+"""The sliced backend must agree bit-for-bit with the straightforward
+model, with numpy and with the pure-Python loop it runs without."""
 
 import random
 
@@ -11,14 +12,8 @@ from repro.aes.vectors import (
     SP800_38A_ECB128_KEY,
     SP800_38A_ECB128_PLAINTEXT,
 )
-from repro.perf.backends import (
-    BaselineBackend,
-    RoundKeyCache,
-    SlicedBackend,
-    available_backends,
-    get_backend,
-    have_numpy,
-)
+from repro.perf import backends
+from repro.perf.backends import RoundKeyCache, SlicedBackend, have_numpy
 
 
 def serial_ecb(key, data):
@@ -27,16 +22,20 @@ def serial_ecb(key, data):
                     for i in range(0, len(data), 16))
 
 
-def all_backends():
-    backends = [BaselineBackend(), SlicedBackend(vectorize=False)]
-    if have_numpy():
-        backends.append(SlicedBackend(vectorize=True))
-    return backends
+_NEEDS_NUMPY = pytest.mark.skipif(not have_numpy(),
+                                  reason="numpy does not import here")
 
 
-@pytest.mark.parametrize("backend", all_backends(),
-                         ids=lambda b: f"{b.name}-"
-                         f"{'np' if b.vectorized else 'py'}")
+@pytest.fixture(params=[
+    "sliced-py", pytest.param("sliced-np", marks=_NEEDS_NUMPY)])
+def backend(request):
+    """``sliced`` with numpy masked (``py``) or as this host runs it
+    (``np``, the numpy gathers)."""
+    if request.param == "sliced-py":
+        request.getfixturevalue("no_numpy")
+    return SlicedBackend()
+
+
 class TestEquivalence:
     def test_nist_ecb_vector(self, backend):
         got = backend.encrypt_blocks(SP800_38A_ECB128_KEY,
@@ -56,25 +55,24 @@ class TestEquivalence:
 
 
 class TestSlicedVariants:
-    def test_pure_matches_vectorized(self):
-        if not have_numpy():
-            pytest.skip("numpy not available")
+    @_NEEDS_NUMPY
+    def test_pure_matches_vectorized(self, monkeypatch, request):
         rng = random.Random(11)
         key = rng.randbytes(16)
         data = rng.randbytes(16 * 50)
-        pure = SlicedBackend(vectorize=False)
-        fast = SlicedBackend(vectorize=True)
-        assert pure.encrypt_blocks(key, data) == \
-            fast.encrypt_blocks(key, data)
-
-    def test_vectorize_flag_reported(self):
-        assert SlicedBackend(vectorize=False).vectorized is False
-        if have_numpy():
-            assert SlicedBackend().vectorized is True
+        backend = SlicedBackend()
+        fast = backend.encrypt_blocks(key, data)
+        # Under no_numpy the same backend runs the pure-Python kernel.
+        kernel, calls = backends._encrypt_sliced, []
+        monkeypatch.setattr(backends, "_encrypt_sliced",
+                            lambda *args: calls.append(1) or kernel(*args))
+        request.getfixturevalue("no_numpy")
+        assert backend.encrypt_blocks(key, data) == fast
+        assert calls == [1]
 
     def test_shares_injected_cache(self):
         cache = RoundKeyCache(capacity=4)
-        backend = SlicedBackend(cache=cache, vectorize=False)
+        backend = SlicedBackend(cache=cache)
         backend.encrypt_blocks(bytes(16), bytes(16))
         assert len(cache) == 1
 
@@ -182,7 +180,7 @@ class TestRoundKeyCacheHygiene:
         engine.encrypt_blocks(key, bytes(32))  # populate schedule cache
         subkey = int.from_bytes(
             AES128(key).encrypt_block(bytes(16)), "big")
-        ghash_mod.get_provider("table").digest(subkey, (b"x" * 16,))
+        ghash_mod.default_provider().digest(subkey, (b"x" * 16,))
         assert subkey in ghash_mod._TABLES
         forget_key(key)
         if cache is not None:
@@ -194,19 +192,12 @@ class TestRoundKeyCacheHygiene:
         forget_key(b"short")  # malformed keys have nothing cached
 
 
+
 class TestRegistry:
     def test_registry_names(self):
+        # The backends this host runs, which the gate checks: sliced,
+        # and evp exactly where its probe passed.
+        from repro.perf.bench import host_backends
         from repro.perf.evp import have_evp
-        expected = {"baseline", "sliced"}
-        if have_evp():
-            expected.add("evp")
-        assert set(available_backends()) == expected
-
-    def test_get_backend_auto(self):
-        from repro.perf.evp import have_evp
-        assert get_backend("auto").name == \
-            ("evp" if have_evp() else "sliced")
-
-    def test_get_backend_unknown(self):
-        with pytest.raises(ValueError):
-            get_backend("quantum")
+        expected = ["sliced"] + (["evp"] if have_evp() else [])
+        assert [backend.name for backend in host_backends()] == expected

@@ -1,12 +1,13 @@
-"""Equivalence gate: every backend and GHASH provider against the
+"""Equivalence gate: the host's backends and its GHASH against the
 golden model, plus the loopback serve run's recorded rates."""
 
 import asyncio
 
 import pytest
 
-from repro.perf.backends import Backend, BaselineBackend
-from repro.perf.bench import cross_check, cross_check_ghash
+from repro.aes import ghash
+from repro.perf.backends import Backend
+from repro.perf.bench import _serial_ecb, cross_check, cross_check_ghash
 from repro.perf.engine import BackendMismatch
 from repro.serve.client import run_load
 from repro.serve.protocol import Mode
@@ -18,11 +19,8 @@ class _CorruptBackend(Backend):
 
     name = "corrupt"
 
-    def __init__(self):
-        self._inner = BaselineBackend()
-
     def encrypt_blocks(self, key, data):
-        out = self._inner.encrypt_blocks(key, data)
+        out = _serial_ecb(key, data)
         if not out:
             return out
         return out[:-1] + bytes([out[-1] ^ 1])
@@ -30,24 +28,43 @@ class _CorruptBackend(Backend):
 
 class TestCrossCheck:
     def test_all_registered_backends_agree(self):
+        from repro.perf.evp import have_evp
+
         summary = cross_check(corpus_blocks=8)
         assert summary["mismatches"] == 0
-        assert "sliced" in summary["backends"]
+        assert summary["backends"] == (
+            ["evp", "sliced"] if have_evp() else ["sliced"])
         assert sorted(summary["primitives"]) == \
             ["ctr", "ecb", "gctr"]
 
     def test_broken_backend_is_caught(self):
         with pytest.raises(BackendMismatch, match="corrupt"):
-            cross_check({"corrupt": _CorruptBackend()},
-                        corpus_blocks=4)
+            cross_check([_CorruptBackend()], corpus_blocks=4)
 
 
 class TestGhashSection:
     def test_cross_check_ghash_gate(self):
         summary = cross_check_ghash()
         assert summary["ghash_mismatches"] == 0
-        assert summary["ghash_cases"] > 0
-        assert "table" in summary["ghash_providers"]
+        assert summary["ghash_cases"] == 48
+        assert summary["ghash_folds"] == (
+            ["byte-table", "lane"] if ghash.have_numpy()
+            else ["byte-table"])
+
+    def test_gate_checks_both_folds(self, monkeypatch):
+        # The corpus crosses the lane threshold: a wrong lane fold
+        # fails the gate where numpy imports, and a wrong byte-table
+        # fold fails it everywhere.
+        folds = ["_fold_table"]
+        if ghash.have_numpy():
+            folds.append("_fold_lanes")
+        for fold in folds:
+            with monkeypatch.context() as patch:
+                right = getattr(ghash, fold)
+                patch.setattr(ghash, fold,
+                              lambda *args: right(*args) ^ 1)
+                with pytest.raises(BackendMismatch, match="ghash"):
+                    cross_check_ghash()
 
 
 class TestServeScenario:

@@ -6,7 +6,8 @@ import pytest
 
 from repro.aes.cipher import AES128
 from repro.obs.metrics import global_registry
-from repro.perf.backends import BaselineBackend, available_backends
+from repro.perf.backends import SlicedBackend
+from repro.perf.bench import host_backends
 from repro.perf.engine import BatchEngine, default_engine
 
 KEY = bytes(range(16))
@@ -45,17 +46,17 @@ def serial_gctr(key, icb, data):
 class TestPrimitives:
     def test_ecb_matches_serial(self):
         data = random.Random(1).randbytes(16 * 20)
-        assert BatchEngine().encrypt_blocks(KEY, data) == \
+        assert default_engine().encrypt_blocks(KEY, data) == \
             serial_ecb(KEY, data)
 
     def test_keystream_matches_serial(self):
-        engine = BatchEngine()
+        engine = default_engine()
         stream = engine.keystream(KEY, NONCE, 5, initial=3)
         assert stream == serial_ctr(KEY, NONCE, bytes(5 * 16), 3)
 
     def test_ctr_roundtrip_and_reference(self):
         data = random.Random(2).randbytes(100)  # ragged tail
-        engine = BatchEngine()
+        engine = default_engine()
         ct = engine.xcrypt_ctr(KEY, NONCE, data)
         assert ct == serial_ctr(KEY, NONCE, data)
         assert engine.xcrypt_ctr(KEY, NONCE, ct) == data
@@ -63,18 +64,18 @@ class TestPrimitives:
     def test_gctr_matches_serial(self):
         data = random.Random(3).randbytes(77)
         icb = bytes(range(16))
-        assert BatchEngine().gctr(KEY, icb, data) == \
+        assert default_engine().gctr(KEY, icb, data) == \
             serial_gctr(KEY, icb, data)
 
     def test_gctr_counter_wrap(self):
         # ICB one block short of 2^32: block 2 wraps to counter 0.
         icb = bytes(12) + (0xFFFFFFFF).to_bytes(4, "big")
         data = bytes(16 * 3)
-        assert BatchEngine().gctr(KEY, icb, data) == \
+        assert default_engine().gctr(KEY, icb, data) == \
             serial_gctr(KEY, icb, data)
 
     def test_empty_inputs(self):
-        engine = BatchEngine()
+        engine = default_engine()
         assert engine.encrypt_blocks(KEY, b"") == b""
         assert engine.xcrypt_ctr(KEY, NONCE, b"") == b""
         assert engine.keystream(KEY, NONCE, 0) == b""
@@ -84,32 +85,33 @@ class TestPrimitives:
 class TestValidation:
     def test_bad_key_length(self):
         with pytest.raises(ValueError):
-            BatchEngine().encrypt_blocks(bytes(8), bytes(16))
+            default_engine().encrypt_blocks(bytes(8), bytes(16))
 
     def test_unaligned_ecb(self):
         with pytest.raises(ValueError):
-            BatchEngine().encrypt_blocks(KEY, bytes(15))
+            default_engine().encrypt_blocks(KEY, bytes(15))
 
     def test_bad_nonce_length(self):
         with pytest.raises(ValueError):
-            BatchEngine().keystream(KEY, bytes(7), 1)
+            default_engine().keystream(KEY, bytes(7), 1)
 
     def test_negative_blocks(self):
         with pytest.raises(ValueError):
-            BatchEngine().keystream(KEY, NONCE, -1)
+            default_engine().keystream(KEY, NONCE, -1)
 
     def test_bad_icb_length(self):
         with pytest.raises(ValueError):
-            BatchEngine().gctr(KEY, bytes(15), bytes(16))
+            default_engine().gctr(KEY, bytes(15), bytes(16))
 
 
 class TestCounterRange:
     """CTR counters stay within their 64 bits on every backend: a wrap
     would repeat keystream."""
 
-    @pytest.mark.parametrize("name", sorted(available_backends()))
-    def test_out_of_range_rejected_before_work(self, name):
-        engine = BatchEngine(name)
+    @pytest.mark.parametrize("backend", host_backends(),
+                             ids=lambda backend: backend.name)
+    def test_out_of_range_rejected_before_work(self, backend):
+        engine = BatchEngine(backend)
         ops = global_registry().get("repro_engine_ops_total")
         before = ops.labels(primitive="keystream").value
         for initial, blocks in ((-1, 0), (-1, 1), (2**64 - 1, 2),
@@ -118,9 +120,10 @@ class TestCounterRange:
                 engine.keystream(KEY, NONCE, blocks, initial=initial)
         assert ops.labels(primitive="keystream").value == before
 
-    @pytest.mark.parametrize("name", sorted(available_backends()))
-    def test_edges_match_serial(self, name):
-        engine = BatchEngine(name)
+    @pytest.mark.parametrize("backend", host_backends(),
+                             ids=lambda backend: backend.name)
+    def test_edges_match_serial(self, backend):
+        engine = BatchEngine(backend)
         top = 2**64 - 2
         assert engine.keystream(KEY, NONCE, 2, initial=top) == \
             serial_ctr(KEY, NONCE, bytes(32), top)
@@ -133,11 +136,8 @@ class TestCounterRange:
 
 
 class TestConstruction:
-    def test_backend_by_name(self):
-        assert BatchEngine("baseline").backend.name == "baseline"
-
     def test_backend_instance(self):
-        backend = BaselineBackend()
+        backend = SlicedBackend()
         assert BatchEngine(backend).backend is backend
 
     def test_default_engine_is_singleton(self):
@@ -153,7 +153,7 @@ class TestEngineMetrics:
         blocks = registry.get("repro_engine_blocks_total")
         before_ops = ops.labels(primitive="encrypt_blocks").value
         before_blocks = blocks.value
-        BatchEngine("baseline").encrypt_blocks(KEY, bytes(16 * 3))
+        BatchEngine(SlicedBackend()).encrypt_blocks(KEY, bytes(16 * 3))
         assert ops.labels(primitive="encrypt_blocks").value == \
             before_ops + 1
         assert blocks.value == before_blocks + 3
@@ -162,9 +162,9 @@ class TestEngineMetrics:
         from repro.obs.metrics import global_registry
 
         hist = global_registry().get("repro_engine_shard_seconds")
-        child = hist.labels(backend="baseline")
+        child = hist.labels(backend="sliced")
         before = child.count
-        BatchEngine("baseline").encrypt_blocks(KEY, bytes(16 * 2))
+        BatchEngine(SlicedBackend()).encrypt_blocks(KEY, bytes(16 * 2))
         assert child.count == before + 1
         assert child.sum >= 0
 
@@ -174,5 +174,5 @@ class TestEngineMetrics:
         counter = global_registry().get(
             "repro_engine_backend_selected_total")
         before = counter.labels(backend="sliced").value
-        BatchEngine("sliced")
+        BatchEngine(SlicedBackend())
         assert counter.labels(backend="sliced").value == before + 1

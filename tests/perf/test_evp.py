@@ -1,10 +1,10 @@
-"""OpenSSL EVP backend: equivalence, native CTR/GCM, guarded
-registration and the ``auto`` rule.
+"""OpenSSL EVP backend: equivalence, native CTR/GCM, and the guard
+that lets the process's engine run it only where it passed.
 
 The whole suite degrades gracefully: where no libcrypto loads (or it
 fails its known-answer tests) the equivalence tests skip and the
-registration tests assert the backend stays absent — the guard is
-the feature under test.
+registration tests assert the engine and the gate leave it out — the
+guard is the feature under test.
 """
 
 import array
@@ -27,8 +27,13 @@ from repro.aes.vectors import (
     SP800_38A_ECB128_PLAINTEXT,
 )
 from repro.perf import evp
-from repro.perf.backends import available_backends, get_backend
-from repro.perf.bench import cross_check
+from repro.perf.backends import SlicedBackend
+from repro.perf.bench import (
+    _serial_ctr,
+    _serial_ecb,
+    cross_check,
+    host_backends,
+)
 from repro.perf.engine import BatchEngine, default_engine
 from repro.perf.evp import EvpBackend, have_evp, openssl_version
 from repro.serve.client import CryptoClient
@@ -43,9 +48,16 @@ needs_evp = pytest.mark.skipif(
 _RNG = random.Random(0xE7B)
 
 
+def _host_names():
+    return [backend.name for backend in host_backends()]
+
+
 class TestRegistration:
     def test_registry_tracks_availability(self):
-        assert ("evp" in available_backends()) == have_evp()
+        # The gate checks evp, and the engine runs it, exactly where
+        # the probe passed.
+        assert ("evp" in _host_names()) == have_evp()
+        assert (default_engine().backend.name == "evp") == have_evp()
 
     def test_version_tracks_availability(self):
         version = openssl_version()
@@ -54,31 +66,22 @@ class TestRegistration:
         else:
             assert version is None
 
-    def test_get_backend_message_when_absent(self):
-        if have_evp():
-            assert get_backend("evp").name == "evp"
-        else:
-            with pytest.raises(ValueError, match="libcrypto"):
-                get_backend("evp")
-
-    def test_auto_stays_sliced(self, monkeypatch):
-        # auto picks EVP only when its known-answer tests pass; with
-        # the probe forced to fail it stays on the sliced backend.
-        monkeypatch.setattr(evp, "_probe", lambda: None)
-        assert get_backend("auto").name == "sliced"
-        assert "evp" not in available_backends()
+    def test_auto_stays_sliced(self, no_evp):
+        # The engine picks EVP only when its known-answer tests pass;
+        # with the probe forced to fail it builds the sliced backend.
+        assert default_engine().backend.name == "sliced"
+        assert _host_names() == ["sliced"]
 
 
 @needs_evp
 class TestEquivalence:
     def test_matches_baseline_blocks(self):
         backend = EvpBackend()
-        baseline = available_backends()["baseline"]
         key = _RNG.randbytes(16)
         for blocks in (1, 2, 48, 257):
             data = _RNG.randbytes(blocks * BLOCK)
             assert backend.encrypt_blocks(key, data) == \
-                baseline.encrypt_blocks(key, data)
+                _serial_ecb(key, data)
 
     def test_empty_input(self):
         assert EvpBackend().encrypt_blocks(bytes(16), b"") == b""
@@ -94,19 +97,17 @@ class TestEquivalence:
     def test_cross_check_gate_includes_evp(self):
         # The bench equivalence gate exercises ECB, CTR with a
         # ragged tail, and the GCTR counter wrap through the engine.
-        summary = cross_check({"evp": EvpBackend()},
-                              corpus_blocks=16)
+        summary = cross_check([EvpBackend()], corpus_blocks=16)
         assert "evp" in summary["backends"]
         assert summary["mismatches"] == 0
 
     def test_engine_modes_through_evp(self):
-        engine = BatchEngine("evp")
-        ref = BatchEngine("baseline")
+        engine = BatchEngine(EvpBackend())
         key = _RNG.randbytes(16)
         nonce = _RNG.randbytes(8)
         data = _RNG.randbytes(5 * BLOCK - 3)
         assert engine.xcrypt_ctr(key, nonce, data) == \
-            ref.xcrypt_ctr(key, nonce, data)
+            _serial_ctr(key, nonce, data)
 
 
 # ------------------------------------------------ native CTR and GCM
@@ -116,7 +117,7 @@ _LENGTHS = sorted({max(0, n * BLOCK + d)
 
 def _force_probe_failure(monkeypatch):
     """The default stack as it is where no libcrypto passes its
-    known-answer tests: sliced blocks, vector GHASH."""
+    known-answer tests: sliced blocks, the process's GHASH."""
     monkeypatch.setattr(evp, "_probe", lambda: None)
     monkeypatch.setattr("repro.perf.engine._DEFAULT", None)
 
@@ -140,10 +141,9 @@ _NON_BYTES = {
 
 
 def _golden_ctr(key, counter, data):
-    aes_blocks = available_backends()["baseline"]
     start = int.from_bytes(counter, "big")
     blocks = -(-len(data) // BLOCK)
-    stream = aes_blocks.encrypt_blocks(key, b"".join(
+    stream = _serial_ecb(key, b"".join(
         ((start + i) % (1 << 128)).to_bytes(16, "big")
         for i in range(blocks)))
     return bytes(a ^ b for a, b in zip(data, stream))
@@ -234,8 +234,7 @@ class TestNativeModes:
         blocks = _RNG.randbytes(7 * BLOCK)
         data, aad, iv = (_RNG.randbytes(100), _RNG.randbytes(100),
                          _RNG.randbytes(12))
-        baseline = available_backends()["baseline"]
-        expected_ecb = baseline.encrypt_blocks(key, blocks)
+        expected_ecb = _serial_ecb(key, blocks)
         expected_ctr = _golden_ctr(key, counter, data)
         expected_gcm = gcm._seal(key, iv, data, aad)
         monkeypatch.setattr(evp, "_CHUNK", chunk)
@@ -254,10 +253,10 @@ class TestNativeModes:
                           _RNG.randbytes(12))
         data = bytes(make(_RNG.randbytes(40)))
         assert bytes(make(data)) == data
-        for name in ("evp", "sliced"):
-            engine = BatchEngine(name)
+        for backend in (EvpBackend(), SlicedBackend()):
+            engine = BatchEngine(backend)
             assert engine.xcrypt_ctr(key, nonce, make(data)) == \
-                engine.xcrypt_ctr(key, nonce, data), name
+                engine.xcrypt_ctr(key, nonce, data), backend.name
         ct, tag = gcm._seal(key, iv, data, b"aad")
         assert EvpBackend().gcm_seal(key, iv, b"aad", make(data)) == \
             (ct, tag)

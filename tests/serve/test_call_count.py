@@ -29,6 +29,7 @@ import pytest
 
 from repro.aes import gcm, modes
 from repro.obs.metrics import global_registry
+from repro.perf.backends import SlicedBackend
 from repro.perf.engine import BatchEngine
 from repro.perf.evp import have_evp
 from repro.serve.client import CryptoClient, RetryPolicy
@@ -131,7 +132,7 @@ def _hops() -> float:
 def _six_pairs():
     """Every served (op, mode) pair, with its payload and its expected
     reply from references that run none of libcrypto's modes."""
-    sliced = BatchEngine("sliced")
+    sliced = BatchEngine(SlicedBackend())
     nonce, iv = bytes(CTR_NONCE_BYTES), bytes(range(GCM_IV_BYTES))
     data = bytes(range(256)) * 4
     ctr = sliced.xcrypt_ctr(KEY, nonce, data)
@@ -174,7 +175,7 @@ def test_no_crypto_request_hops_to_the_pool():
 @needs_evp
 def test_512k_ecb_decryption_answers_in_one_attempt():
     data = bytes(range(256)) * 2048
-    sealed = BatchEngine("sliced").encrypt_blocks(KEY, data)
+    sealed = BatchEngine(SlicedBackend()).encrypt_blocks(KEY, data)
     start = time.perf_counter()
     (reply,), hops = asyncio.run(_serve([(Op.DECRYPT, Mode.ECB, sealed)],
                                         30.0))

@@ -20,6 +20,7 @@ import pytest
 from repro.aes import gcm, ghash
 from repro.aes.cipher import AES128
 from repro.obs.metrics import global_registry
+from repro.perf.backends import SlicedBackend
 from repro.perf.engine import BatchEngine, default_engine, forget_key
 from repro.perf.evp import have_evp
 from repro.serve.client import CryptoClient, RetryPolicy
@@ -150,7 +151,7 @@ def _reference(op: Op, mode: Mode, size: int):
     backend (an ECB decryption's request is its encryption) and GCM
     from the golden composition: none runs libcrypto's modes, and a
     golden AES128 keystream at 1 MiB would take seconds."""
-    sliced = BatchEngine("sliced")
+    sliced = BatchEngine(SlicedBackend())
     if mode is Mode.ECB:
         data = _data(-(-size // 16) * 16)
         sealed = sliced.encrypt_blocks(KEY, data)
@@ -222,6 +223,8 @@ def _reply_of(op: Op, mode: Mode, payload: bytes) -> Frame:
     run to completion with no event loop: a native request never
     awaits."""
     server = CryptoServer(ServeConfig(port=0))
+    # What start() reads from the process's engine in _begin.
+    server._inline = default_engine().backend.native_modes
     request = Frame(op=op, mode=mode, payload=payload)
     handler = server._op_xcrypt(Session(1, key=KEY), request)
     try:

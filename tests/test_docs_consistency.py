@@ -160,19 +160,29 @@ class TestServingDocsPinProtocol:
 
 
 class TestUsageDocsPinBackends:
-    """docs/usage.md's backend/provider matrix must track the
-    registries."""
+    """docs/usage.md's backend matrix and GHASH paragraph must track
+    the one implementation per host: no registry, no selector."""
 
     USAGE = (REPO / "docs" / "usage.md").read_text()
+    #: The "Benchmarking & backends" section, whitespace collapsed.
+    SECTION = " ".join(USAGE.split("## Benchmarking & backends")[1]
+                       .split("\n## ")[0].split())
 
     def test_backend_matrix_names_registry(self):
-        # Every selectable backend name appears in the docs, whether
-        # or not it registers on this host (evp is host-dependent).
-        for name in ("baseline", "sliced", "evp"):
-            assert f"`{name}`" in self.USAGE, name
+        # Both backends a host can run appear in the docs, whether or
+        # not this host runs evp; the golden model is not a backend,
+        # and nothing selects one by name.
+        for name in ("sliced", "evp"):
+            assert f"| `{name}`" in self.SECTION, name
+        assert "default_engine()" in self.SECTION
+        for gone in ("`baseline`", "`auto`", "BatchEngine(\"",
+                     "get_backend", "vectorize"):
+            assert gone not in self.SECTION, gone
 
     def test_ghash_providers_documented(self):
-        from repro.aes.ghash import available_providers
-        for name in available_providers():
-            assert f"`{name}`" in self.USAGE, name
-        assert "`auto`" in self.USAGE
+        for fold in ("lane fold", "byte-table fold", "512 whole blocks",
+                     "default_provider()"):
+            assert fold in self.SECTION, fold
+        for gone in ("`table`", "`vector`", "get_provider",
+                     "set_default_provider"):
+            assert gone not in self.SECTION, gone
